@@ -62,9 +62,43 @@ class CertReport:
         }
 
 
-def _pair_terms(probs: np.ndarray) -> np.ndarray:
-    """T[x, b0, b1] = P(0, b0 | x) + P(1, b1 | x), shape (..., X, 2, 2)."""
-    return probs[..., :, 0, :, None] + probs[..., :, 1, None, :]
+def pair_minima(
+    probs: np.ndarray, argmin: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair minimum over settings of T[x, b0, b1] = P(0, b0 | x) + P(1, b1 | x).
+
+    probs has shape (..., X, 2, 2) over any leading axes.  Returns the minima,
+    shape (..., 2, 2), and the setting index attaining each; ties go to the
+    smallest index.  A given argmin (broadcastable to (..., 2, 2)) pins the
+    settings instead of selecting them.
+    """
+    t = probs[..., :, 0, :, None] + probs[..., :, 1, None, :]
+    if argmin is None:
+        argmin = t.argmin(axis=-3)
+    else:
+        argmin = np.broadcast_to(argmin, t.shape[:-3] + (2, 2))
+    return np.take_along_axis(t, argmin[..., None, :, :], axis=-3)[..., 0, :, :], argmin
+
+
+def gamma_values(
+    probs: np.ndarray, argmin: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma of every table in probs (..., X, 2, 2), shape (...), with the
+    per-pair setting indices of pair_minima."""
+    minima, argmin = pair_minima(probs, argmin)
+    return minima.sum(axis=(-2, -1)), argmin
+
+
+def pearl_values(probs: np.ndarray) -> np.ndarray:
+    """Pearl's delta of every table in probs (..., X, 2, 2), shape (...)."""
+    return probs.max(axis=-3).sum(axis=-1).max(axis=-1)
+
+
+def acde_values(probs: np.ndarray) -> np.ndarray:
+    """ACDE of every do-table in probs (..., 2, K, 2), shape (...); zero when K = 1."""
+    # settings first and contiguous: each reduction then runs over whole tables
+    by_setting = np.ascontiguousarray(np.moveaxis(probs, -2, 0))
+    return (by_setting.max(axis=0) - by_setting.min(axis=0)).max(axis=(-2, -1))
 
 
 def gamma_functional(b: Behavior) -> tuple[float, dict[tuple[int, int], str]]:
@@ -74,22 +108,15 @@ def gamma_functional(b: Behavior) -> tuple[float, dict[tuple[int, int], str]]:
     Ties in the minimum are broken toward the smallest setting index, and the
     chosen setting is recorded per (b0, b1) so the result is reproducible.
     """
-    t = _pair_terms(np.asarray(b.probs, dtype=float))
-    total = 0.0
-    argmin: dict[tuple[int, int], str] = {}
-    for b0 in (0, 1):
-        for b1 in (0, 1):
-            idx = int(np.argmin(t[:, b0, b1]))  # argmin takes the first minimum
-            argmin[(b0, b1)] = b.settings[idx]
-            total += float(t[idx, b0, b1])
-    return total, argmin
+    gamma, idx = gamma_values(np.asarray(b.probs, dtype=float))
+    argmin = {(b0, b1): b.settings[idx[b0, b1]] for b0 in (0, 1) for b1 in (0, 1)}
+    return float(gamma), argmin
 
 
 def pearl_delta(b: Behavior) -> float:
     """max over a of sum over b of the per-(a, b) supremum over settings;
     above 1 only in the presence of crosstalk, in any physical theory."""
-    p = np.asarray(b.probs, dtype=float)
-    return float(p.max(axis=0).sum(axis=1).max())
+    return float(pearl_values(np.asarray(b.probs, dtype=float)))
 
 
 def acde(d: DoTable) -> float:
@@ -97,8 +124,7 @@ def acde(d: DoTable) -> float:
     exactly zero for a table without a setting index."""
     if d.do_settings is None:
         return 0.0
-    p = np.asarray(d.probs, dtype=float)
-    return float((p.max(axis=1) - p.min(axis=1)).max())
+    return float(acde_values(np.asarray(d.probs, dtype=float)))
 
 
 def corrected_lhs(b: Behavior, d: DoTable) -> float:
@@ -170,22 +196,6 @@ def _counts_from_dotable(d: DoTable) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _gamma_batch(probs: np.ndarray, frozen_idx: np.ndarray | None) -> np.ndarray:
-    """Gamma for a batch of behavior tables, shape (R, X, 2, 2) -> (R,)."""
-    t = probs[:, :, 0, :, None] + probs[:, :, 1, None, :]  # (R, X, 2, 2)
-    if frozen_idx is None:
-        return t.min(axis=1).sum(axis=(1, 2))
-    out = np.zeros(probs.shape[0])
-    for b0 in (0, 1):
-        for b1 in (0, 1):
-            out += t[:, frozen_idx[b0, b1], b0, b1]
-    return out
-
-
-def _pearl_batch(probs: np.ndarray) -> np.ndarray:
-    return probs.max(axis=1).sum(axis=2).max(axis=1)
-
-
 def bootstrap_errors(
     behavior: Behavior,
     n_resamples: int = DEFAULT_RESAMPLES,
@@ -215,12 +225,9 @@ def bootstrap_errors(
 
     frozen_idx = None
     if frozen_argmin:
-        _, argmin = gamma_functional(behavior)
-        frozen_idx = np.array(
-            [[behavior.setting_index(argmin[(b0, b1)]) for b1 in (0, 1)] for b0 in (0, 1)]
-        )
-    gammas = _gamma_batch(resampled, frozen_idx)
-    pearls = _pearl_batch(resampled)
+        frozen_idx = gamma_values(np.asarray(behavior.probs, dtype=float))[1]
+    gammas, _ = gamma_values(resampled, frozen_idx)
+    pearls = pearl_values(resampled)
     errors = {
         "gamma": float(gammas.std(ddof=1)),
         "pearl_delta": float(pearls.std(ddof=1)),
@@ -236,7 +243,7 @@ def bootstrap_errors(
                 pvals = dcounts[a, ki] / dcounts[a, ki].sum()
                 draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
                 dres[:, a, ki] = draws / n
-        acdes = (dres.max(axis=2) - dres.min(axis=2)).max(axis=(1, 2))
+        acdes = acde_values(dres)
         errors["acde"] = float(acdes.std(ddof=1))
         errors["corrected_lhs"] = float((gammas + 2.0 * acdes).std(ddof=1))
     elif do_table is not None:

@@ -8,14 +8,14 @@ minima over the classical set are attained at the enumerated vertices.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import certify
 from .exceptions import ResourceLimitError, ValidationError
-from .process import Behavior, DoTable
+from .process import PROCESS_ATOL, Behavior, DoTable
 
 MAX_STRATEGIES = 1_000_000
 
@@ -37,109 +37,157 @@ class ClassicalStrategy:
     def n_settings(self) -> int:
         return len(self.a_response)
 
-    def b_of(self, a: int, x: int) -> int:
-        if self.crosstalk:
-            return self.b_response[a][x]
-        return self.b_response[a]
+
+@dataclass(frozen=True, eq=False)
+class VertexSet:
+    """Deterministic vertices stacked as read-only int8 response arrays.
+
+    a_response has shape (V, X); b_response has shape (V, 2, X) in crosstalk
+    mode, indexed [v, a, x], and (V, 2, 1) without it.  Indexing yields the
+    ClassicalStrategy of one vertex.
+    """
+
+    a_response: np.ndarray
+    b_response: np.ndarray
+    crosstalk: bool
+
+    def __post_init__(self):
+        for arr in (self.a_response, self.b_response):
+            arr.flags.writeable = False
+
+    @property
+    def n_settings(self) -> int:
+        return self.a_response.shape[1]
+
+    def __len__(self) -> int:
+        return self.a_response.shape[0]
+
+    def __getitem__(self, i: int) -> ClassicalStrategy:
+        i = operator.index(i)
+        b = self.b_response[i]
+        b_resp = tuple(map(tuple, b.tolist())) if self.crosstalk else tuple(b[:, 0].tolist())
+        return ClassicalStrategy(tuple(self.a_response[i].tolist()), b_resp, self.crosstalk)
 
 
-def enumerate_strategies(
-    x_alphabet_size: int, crosstalk: bool = False
-) -> list[ClassicalStrategy]:
+def enumerate_strategies(x_alphabet_size: int, crosstalk: bool = False) -> VertexSet:
     """All deterministic strategies: 2^|X| * 4 without crosstalk,
-    2^|X| * 2^(2|X|) with it."""
+    2^|X| * 2^(2|X|) with it, in itertools.product order of (a, b)."""
     n = int(x_alphabet_size)
     if n < 1:
         raise ValidationError("need at least one setting")
-    total = 2**n * (2 ** (2 * n) if crosstalk else 4)
+    k = n if crosstalk else 1
+    bits = n + 2 * k
+    total = 2**bits
     if total > MAX_STRATEGIES:
         raise ResourceLimitError(
             f"{total} strategies at |X| = {n} exceeds the desk-scale limit"
         )
-    strategies = []
-    for a_resp in itertools.product((0, 1), repeat=n):
-        if crosstalk:
-            for b_flat in itertools.product((0, 1), repeat=2 * n):
-                b_resp = (tuple(b_flat[:n]), tuple(b_flat[n:]))
-                strategies.append(ClassicalStrategy(a_resp, b_resp, True))
-        else:
-            for b_resp in itertools.product((0, 1), repeat=2):
-                strategies.append(ClassicalStrategy(a_resp, b_resp, False))
-    return strategies
+    # vertex v spells its responses in binary, most significant bit first
+    shifts = np.arange(bits - 1, -1, -1)
+    flat = ((np.arange(total, dtype=np.int32)[:, None] >> shifts) & 1).astype(np.int8)
+    return VertexSet(flat[:, :n], flat[:, n:].reshape(total, 2, k), crosstalk)
+
+
+def _as_vertices(strategies: VertexSet | ClassicalStrategy | list[ClassicalStrategy]) -> VertexSet:
+    """Stack strategies into a VertexSet (all must share mode and alphabet)."""
+    if isinstance(strategies, VertexSet):
+        return strategies
+    if isinstance(strategies, ClassicalStrategy):
+        strategies = [strategies]
+    if not strategies:
+        raise ValidationError("no strategies given")
+    if len({(s.crosstalk, s.n_settings) for s in strategies}) != 1:
+        raise ValidationError("strategies must share mode and alphabet")
+    crosstalk = strategies[0].crosstalk
+    a = np.array([s.a_response for s in strategies], dtype=np.int8)
+    b = np.array([s.b_response for s in strategies], dtype=np.int8)
+    if b.shape != ((len(a), 2, a.shape[1]) if crosstalk else (len(a), 2)):
+        raise ValidationError(f"b_response of shape {b.shape[1:]} does not fit the strategy")
+    return VertexSet(a, b.reshape(len(a), 2, -1), crosstalk)
+
+
+def _onehot(values: np.ndarray, size: int) -> np.ndarray:
+    # one comparison per value, stacked: much faster than broadcasting
+    # against np.arange(size) when size is this small
+    return np.stack([values == k for k in range(size)], axis=-1).view(np.int8)
+
+
+def _tables(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked 0/1 behavior probs (V, X, 2, 2) and do-table probs (V, 2, K, 2),
+    as int8 so that every functional of them is exact.
+
+    The intervention severs the dependence of A on X, so the do-table is read
+    directly off b_response; without crosstalk it carries no setting index.
+    """
+    a, b = vertices.a_response, vertices.b_response
+    cell = 2 * a + np.where(a, b[:, 1], b[:, 0])  # setting x lands in cell (a, b(a, x))
+    probs = _onehot(cell, 4).reshape(len(a), -1, 2, 2)
+    do = _onehot(b, 2)
+    for name, table, totals in (("behavior", probs, "...ij->..."), ("do-table", do, "...i->...")):
+        if table.min() < -PROCESS_ATOL or np.abs(np.einsum(totals, table) - 1).max() > PROCESS_ATOL:
+            raise ValidationError(f"{name} of a strategy is not a normalized distribution")
+    return probs, do
 
 
 def _labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-def strategy_behavior(s: ClassicalStrategy) -> tuple[Behavior, DoTable]:
-    """Deterministic behavior and do-table of one strategy.
+def _do_settings(vertices: VertexSet) -> tuple[str, ...] | None:
+    return _labels(vertices.n_settings) if vertices.crosstalk else None
 
-    The intervention severs the dependence of A on X, so the do-table is read
-    directly off b_response; without crosstalk it carries no setting index.
-    """
-    n = s.n_settings
-    probs = np.zeros((n, 2, 2))
-    for x in range(n):
-        a = s.a_response[x]
-        probs[x, a, s.b_of(a, x)] = 1.0
-    if s.crosstalk:
-        do = np.zeros((2, n, 2))
-        for a in (0, 1):
-            for x in range(n):
-                do[a, x, s.b_of(a, x)] = 1.0
-        table = DoTable(probs=do, do_settings=_labels(n))
-    else:
-        do = np.zeros((2, 1, 2))
-        for a in (0, 1):
-            do[a, 0, s.b_of(a, 0)] = 1.0
-        table = DoTable(probs=do, do_settings=None)
-    return Behavior(settings=_labels(n), probs=probs), table
+
+def strategy_behavior(s: ClassicalStrategy) -> tuple[Behavior, DoTable]:
+    """Deterministic behavior and do-table of one strategy."""
+    vertices = _as_vertices(s)
+    probs, do = _tables(vertices)
+    return (
+        Behavior(settings=_labels(s.n_settings), probs=probs[0].astype(float)),
+        DoTable(probs=do[0].astype(float), do_settings=_do_settings(vertices)),
+    )
 
 
 def mix_behaviors(
-    strategies: list[ClassicalStrategy], weights: np.ndarray
+    strategies: VertexSet | list[ClassicalStrategy], weights: np.ndarray
 ) -> tuple[Behavior, DoTable]:
     """Convex mixture of strategies (all must share mode and alphabet)."""
     if not strategies:
         raise ValidationError("empty mixture")
-    if len({(s.crosstalk, s.n_settings) for s in strategies}) != 1:
-        raise ValidationError("mixture components must share mode and alphabet")
+    vertices = _as_vertices(strategies)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(strategies),) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
+    if w.shape != (len(vertices),) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
         raise ValidationError("weights must be a probability vector over strategies")
-    behs, dos = zip(*(strategy_behavior(s) for s in strategies))
-    probs = sum(wi * b.probs for wi, b in zip(w, behs))
-    do = sum(wi * d.probs for wi, d in zip(w, dos))
+    probs, do = _tables(vertices)
     return (
-        Behavior(settings=behs[0].settings, probs=probs),
-        DoTable(probs=do, do_settings=dos[0].do_settings),
+        Behavior(settings=_labels(vertices.n_settings), probs=np.tensordot(w, probs, 1)),
+        DoTable(probs=np.tensordot(w, do, 1), do_settings=_do_settings(vertices)),
     )
+
+
+def vertex_values(
+    strategies: VertexSet | list[ClassicalStrategy],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and gamma + 2 ACDE of every vertex, each of shape (V,).
+
+    The tables hold 0/1 entries, so both values are exact small integers."""
+    probs, do = _tables(_as_vertices(strategies))
+    gamma, _ = certify.gamma_values(probs)
+    return gamma.astype(float), (gamma + 2 * certify.acde_values(do)).astype(float)
 
 
 def classical_minimum_gamma(x_alphabet_size: int) -> float:
     """Exact minimum of gamma over all no-crosstalk deterministic strategies
     (and hence over their convex hull, by concavity of gamma)."""
-    best = np.inf
-    for s in enumerate_strategies(x_alphabet_size, crosstalk=False):
-        beh, _ = strategy_behavior(s)
-        best = min(best, certify.gamma_functional(beh)[0])
-    return float(best)
+    return float(vertex_values(enumerate_strategies(x_alphabet_size))[0].min())
 
 
-def check_corrected_bound(strategies: list[ClassicalStrategy]) -> float:
+def check_corrected_bound(strategies: VertexSet | list[ClassicalStrategy]) -> float:
     """Worst case of gamma + 2 ACDE over the given (crosstalk) vertices."""
-    if not strategies:
-        raise ValidationError("no strategies given")
-    worst = np.inf
-    for s in strategies:
-        beh, do = strategy_behavior(s)
-        worst = min(worst, certify.corrected_lhs(beh, do))
-    return float(worst)
+    return float(vertex_values(strategies)[1].min())
 
 
 def lemma1_check(
-    strategies: ClassicalStrategy | list[ClassicalStrategy],
+    strategies: VertexSet | ClassicalStrategy | list[ClassicalStrategy],
     mixtures: int = 0,
     seed: int = 20240601,
     atol: float = 1e-12,
@@ -152,35 +200,20 @@ def lemma1_check(
     sums, P(b0, b1) <= min_x [P(0, b0 | x) + P(1, b1 | x)].  Crosstalk vertices
     are allowed to fail (1), which is exactly what the corrected bound repairs.
     """
-    strategy_list = [strategies] if isinstance(strategies, ClassicalStrategy) else strategies
-    if not strategy_list:
-        raise ValidationError("no strategies given")
+    vertices = _as_vertices(strategies)
+    probs, do = _tables(vertices)
+    # joint counterfactual P(b0, b1) of each vertex: b0 = b(0, x=0), b1 = b(1, x=0)
+    b = vertices.b_response[:, :, 0]
+    joint = _onehot(2 * b[:, 0] + b[:, 1], 4).reshape(-1, 2, 2)
+    if mixtures:
+        rng = np.random.default_rng(seed)
+        n = len(vertices)
+        w = np.array([rng.dirichlet(np.ones(n)) for _ in range(mixtures)])
+        probs, do, joint = (np.tensordot(w, t, 1) for t in (probs, do, joint))
 
-    def eq1_holds(beh: Behavior, do: DoTable) -> bool:
-        p_do = do.probs.min(axis=1)  # worst case over the (possibly trivial) x index
-        sup_obs = np.asarray(beh.probs).max(axis=0)
-        return bool((p_do - sup_obs).min() >= -atol)
-
-    def eq2_holds(beh: Behavior, joint: np.ndarray) -> bool:
-        t = np.asarray(beh.probs)[:, 0, :, None] + np.asarray(beh.probs)[:, 1, None, :]
-        return bool((t.min(axis=0) - joint).min() >= -atol)
-
-    def joint_counterfactual(weights: np.ndarray) -> np.ndarray:
-        joint = np.zeros((2, 2))
-        for wi, s in zip(weights, strategy_list):
-            joint[s.b_of(0, 0), s.b_of(1, 0)] += wi
-        return joint
-
-    crosstalk = any(s.crosstalk for s in strategy_list)
-    rng = np.random.default_rng(seed)
-    n = len(strategy_list)
-    weight_sets = [np.eye(n)[i] for i in range(n)] if mixtures == 0 else [
-        rng.dirichlet(np.ones(n)) for _ in range(mixtures)
-    ]
-    for w in weight_sets:
-        beh, do = mix_behaviors(strategy_list, w)
-        if not eq1_holds(beh, do):
-            return False
-        if not crosstalk and not eq2_holds(beh, joint_counterfactual(w)):
-            return False
-    return True
+    # (1): the do-table's worst case over the (possibly trivial) x index
+    if (do.min(axis=-2) - probs.max(axis=-3)).min() < -atol:
+        return False
+    if vertices.crosstalk:
+        return True
+    return bool((certify.pair_minima(probs)[0] - joint).min() >= -atol)

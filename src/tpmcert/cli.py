@@ -185,9 +185,9 @@ def _cmd_swap_curve(args) -> int:
 
 
 def _cmd_classical_bound(args) -> int:
-    min_gamma = classical.classical_minimum_gamma(args.x)
-    n_plain = len(classical.enumerate_strategies(args.x, crosstalk=False))
-    print(f"min gamma over {n_plain} no-crosstalk vertices: {min_gamma:.12f}")
+    plain = classical.enumerate_strategies(args.x, crosstalk=False)
+    min_gamma = classical.vertex_values(plain)[0].min()
+    print(f"min gamma over {len(plain)} no-crosstalk vertices: {min_gamma:.12f}")
     if not args.skip_crosstalk:
         vertices = classical.enumerate_strategies(args.x, crosstalk=True)
         worst = classical.check_corrected_bound(vertices)

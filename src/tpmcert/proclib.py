@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import certify, linalg, process
 from .exceptions import DomainError, ValidationError
@@ -125,10 +124,17 @@ def upsilon_best_gamma(p: float, n_starts: int = 24, seed: int = 20240601) -> fl
 
     The family: four projective settings along two x-z plane directions (plus
     their label-swapped partners), a pure re-preparation pair along an x-z axis
-    and a projective final measurement in that plane.  Optimized by multi-start
-    Nelder-Mead, it attains 2 - sqrt(1 + (1 - 2p)^2), which a numerical search
-    over every measure-and-prepare instrument finds to be optimal (not proved).
+    and a projective final measurement in that plane.  The target is
+    2 - sqrt(1 + (1 - 2p)^2), which a numerical search over every
+    measure-and-prepare instrument finds to be optimal (not proved).
+    Multi-start Nelder-Mead reaches it at p = 0, 1/4, 1/2, 3/4 and 1, but
+    stalls where the landscape is flat near p = 1/2: with n_starts=6 it ends
+    4.1e-5 above the target at p = 0.504548, and up to 3.2e-3 above it at
+    p = 0.46, 0.48 and 0.52.  The planned fix is a see-saw over general
+    instruments (ROADMAP.md, item 3).
     """
+    from scipy.optimize import minimize  # deferred: it dominates the CLI import time
+
     op = upsilon(p)
 
     def objective(params: np.ndarray) -> float:

@@ -201,3 +201,37 @@ def upsilon_all_instrument_gamma(p, n_starts=8, seed=0):
             f0 = negative_part(lin[0] - lin[1])[0]
             final = (f0, I2 - f0)
     return float(best)
+
+
+def classical_vertex_values(n, crosstalk):
+    """Every deterministic classical vertex with |X| = n settings, in the
+    order (f, g) of itertools.product: a = f(x), and b = g(a) without
+    crosstalk or b = h(a, x) = g[a * n + x] with it.  Returns the lists of
+    (f, g), of gamma and of gamma + 2 ACDE, read straight off the
+    response functions."""
+    import itertools
+
+    responses, gammas, corrected = [], [], []
+    for f in itertools.product((0, 1), repeat=n):
+        for g in itertools.product((0, 1), repeat=2 * n if crosstalk else 2):
+            def b_of(a, x):
+                return g[a * n + x] if crosstalk else g[a]
+
+            # P(a, b | x) = 1 exactly when a = f(x) and b = b_of(f(x), x)
+            def p(a, b, x):
+                return int(f[x] == a and b_of(a, x) == b)
+
+            gamma = sum(
+                min(p(0, b0, x) + p(1, b1, x) for x in range(n))
+                for b0 in (0, 1)
+                for b1 in (0, 1)
+            )
+            # P(b | do(a, x)) = [b_of(a, x) = b]; it shifts with x exactly
+            # when b_of(a, .) is not constant
+            acde = max(
+                int(len({b_of(a, x) for x in range(n)}) > 1) for a in (0, 1)
+            )
+            responses.append((f, g))
+            gammas.append(gamma)
+            corrected.append(gamma + 2 * acde)
+    return responses, gammas, corrected

@@ -218,3 +218,23 @@ def test_functional_ranges_on_deterministic_tables():
         probs=np.stack([np.eye(2), np.eye(2)[::-1]]), do_settings=("0", "1")
     )
     assert 0.0 <= certify.acde(table) <= 1.0
+
+
+def test_gamma_values_batch_equals_sequential_loop():
+    # the batched kernel must reproduce, bit for bit, the per-table loop
+    # total += min_x T[x, b0, b1] over (b0, b1) in order, with ties taken
+    # at the smallest setting index; tables on a 1/8 grid force ties
+    for n_x in (1, 2, 3, 5, 8):
+        probs = RNG.dirichlet(np.ones(4), size=(300, n_x)).reshape(300, n_x, 2, 2)
+        probs[:100] = np.round(probs[:100] * 8) / 8
+        probs[:100] /= probs[:100].sum(axis=(-2, -1), keepdims=True)
+        gammas, argmin = certify.gamma_values(probs.reshape(3, 100, n_x, 2, 2))
+        gammas, argmin = gammas.reshape(300), argmin.reshape(300, 2, 2)
+        for r, p in enumerate(probs):
+            total = 0.0
+            for b0, b1 in itertools.product((0, 1), repeat=2):
+                terms = [p[x, 0, b0] + p[x, 1, b1] for x in range(n_x)]
+                idx = terms.index(min(terms))
+                assert argmin[r, b0, b1] == idx
+                total += terms[idx]
+            assert gammas[r] == total

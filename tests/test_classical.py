@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tpmcert import certify, classical
-from tpmcert.exceptions import ResourceLimitError
+from tpmcert.exceptions import ResourceLimitError, ValidationError
+
+from oracles import classical_vertex_values
 
 RNG = np.random.default_rng(505)
 
@@ -116,3 +118,49 @@ def test_lemma_check_crosstalk_vertex_can_fail():
         if not classical.lemma1_check(s)
     ]
     assert failing
+
+
+def test_vertex_values_match_independent_oracle():
+    for n in (1, 2, 3, 4):
+        for crosstalk in (False, True):
+            vertices = classical.enumerate_strategies(n, crosstalk=crosstalk)
+            responses, gammas, corrected = classical_vertex_values(n, crosstalk)
+            assert vertices.a_response.tolist() == [list(f) for f, _ in responses]
+            flat_b = vertices.b_response.reshape(len(vertices), -1)
+            assert flat_b.tolist() == [list(g) for _, g in responses]
+            gamma, lhs = classical.vertex_values(vertices)
+            assert gamma.tolist() == gammas
+            assert lhs.tolist() == corrected
+
+
+def test_classical_minima_at_five_settings():
+    assert classical.classical_minimum_gamma(5) == 1.0
+    vertices = classical.enumerate_strategies(5, crosstalk=True)
+    assert len(vertices) == 2**15
+    assert classical.check_corrected_bound(vertices) == 1.0
+
+
+def test_vertex_set_is_read_only_and_indexes_like_a_list():
+    vertices = classical.enumerate_strategies(3, crosstalk=True)
+    assert vertices.a_response.dtype == np.int8
+    assert vertices.b_response.shape == (len(vertices), 2, 3)
+    assert classical.enumerate_strategies(3).b_response.shape == (32, 2, 1)
+    with pytest.raises(ValueError):
+        vertices.a_response[0, 0] = 1
+    assert vertices[np.int64(5)] == vertices[5] == list(vertices)[5]
+    assert vertices[-1] == classical.ClassicalStrategy((1, 1, 1), ((1,) * 3,) * 2, True)
+    with pytest.raises(IndexError):
+        vertices[len(vertices)]
+    # a list of strategies gives the same values as the vertex set it came from
+    gamma, lhs = classical.vertex_values(vertices)
+    listed = classical.vertex_values(list(vertices))
+    assert np.array_equal(gamma, listed[0]) and np.array_equal(lhs, listed[1])
+
+
+def test_malformed_strategy_responses_are_rejected():
+    for a_resp, b_resp in (((2, 0), (0, 1)), ((0, -1), (0, 1)), ((0, 1), (0, 2))):
+        s = classical.ClassicalStrategy(a_resp, b_resp, crosstalk=False)
+        with pytest.raises(ValidationError):
+            classical.strategy_behavior(s)
+    with pytest.raises(ValidationError):
+        classical.check_corrected_bound([classical.ClassicalStrategy((0, 1), (0, 1), True)])

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tpmcert import certify, cli, dataio, proclib, process
+from tpmcert import certify, classical, cli, dataio, proclib, process
 from tpmcert.exceptions import ParseError, ValidationError
 
 SQRT2 = math.sqrt(2.0)
@@ -218,6 +222,39 @@ def test_cli_classical_bound(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "16 no-crosstalk vertices: 1.0" in out
+
+
+def test_cli_classical_bound_enumerates_each_vertex_set_once(monkeypatch, capsys):
+    calls = []
+    enumerate_strategies = classical.enumerate_strategies
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return enumerate_strategies(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "enumerate_strategies", counted)
+    assert cli.main(["classical-bound", "--x", "3"]) == 0
+    assert len(calls) == 2
+    assert cli.main(["classical-bound", "--x", "3", "--skip-crosstalk"]) == 0
+    assert len(calls) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "min gamma over 32 no-crosstalk vertices: 1.000000000000",
+        "min (gamma + 2 ACDE) over 512 crosstalk vertices: 1.000000000000",
+        "min gamma over 32 no-crosstalk vertices: 1.000000000000",
+    ]
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize costs most of the CLI start-up; only the upsilon
+    # optimizer needs it, and it imports it when called
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = "import sys, tpmcert.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_decay_and_swap_curve(tmp_path, capsys):
