@@ -95,8 +95,8 @@ def induced_assemblage(
     for a, rho in enumerate(repreparations):
         pair = []
         for fb in final_povm:
-            heis = u.conj().T @ linalg.kron(fb, linalg.ID2) @ u
-            g = linalg.partial_trace(linalg.kron(rho, linalg.ID2) @ heis, (2, 2), {0})
+            heis = u.conj().T @ np.kron(fb, linalg.ID2) @ u
+            g = linalg.partial_trace(np.kron(rho, linalg.ID2) @ heis, (2, 2), {0})
             pair.append(0.5 * (g + g.conj().T))
         effects[a] = tuple(pair)
     return Assemblage(effects=effects)

@@ -69,7 +69,8 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERM_ATOL) -> bool:
-    return bool(np.abs(m - m.conj().T).max() <= atol)
+    """True if m, or every matrix of a stack (..., d, d), is Hermitian."""
+    return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max() <= atol)
 
 
 def check_layout(dim: int, factor_dims: Sequence[int]) -> tuple[int, ...]:
@@ -82,11 +83,6 @@ def check_layout(dim: int, factor_dims: Sequence[int]) -> tuple[int, ...]:
             f"layout {dims} is inconsistent with matrix dimension {dim}"
         )
     return dims
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, leftmost factor slowest-varying."""
-    return np.kron(a, b)
 
 
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
@@ -172,11 +168,15 @@ def herm_eigenvalues(m: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
 
 
 def assert_density_matrix(rho: np.ndarray, atol: float = HERM_ATOL) -> None:
-    """Raise unless rho is a unit-trace positive-semidefinite matrix."""
+    """Raise unless rho, or every matrix of a stack (..., d, d), is a
+    unit-trace positive-semidefinite matrix."""
+    rho = np.asarray(rho)
     if not is_hermitian(rho, atol):
         raise ValidationError("state is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise ValidationError(f"state trace {np.trace(rho).real} != 1")
+    traces = np.trace(rho, axis1=-2, axis2=-1).real
+    off = np.abs(traces - 1.0)
+    if off.max() > atol:
+        raise ValidationError(f"state trace {np.ravel(traces)[off.argmax()]} != 1")
     if np.linalg.eigvalsh(rho).min() < -atol:
         raise ValidationError("state has a negative eigenvalue")
 
@@ -188,16 +188,17 @@ def assert_unitary(u: np.ndarray, atol: float = HERM_ATOL) -> None:
 
 
 def assert_povm(effects: Sequence[np.ndarray], atol: float = HERM_ATOL) -> None:
-    """Raise unless the effects are PSD and sum to the identity."""
-    d = effects[0].shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    for e in effects:
-        if not is_hermitian(e, atol):
-            raise ValidationError("POVM effect is not Hermitian")
-        if np.linalg.eigvalsh(e).min() < -atol:
-            raise ValidationError("POVM effect has a negative eigenvalue")
-        total = total + e
-    if np.abs(total - np.eye(d)).max() > atol:
+    """Raise unless the effects are PSD and sum to the identity.
+
+    effects is a sequence of d x d effects, or a stack (..., k, d, d) of
+    POVMs with k effects each, all checked at once.
+    """
+    e = np.asarray(effects)
+    if not is_hermitian(e, atol):
+        raise ValidationError("POVM effect is not Hermitian")
+    if np.linalg.eigvalsh(e).min() < -atol:
+        raise ValidationError("POVM effect has a negative eigenvalue")
+    if np.abs(e.sum(axis=-3) - np.eye(e.shape[-1])).max() > atol:
         raise ValidationError("POVM effects do not sum to the identity")
 
 

@@ -36,21 +36,48 @@ class MpInstrument:
     povm maps each setting label to the pair of effects (outcome 0, outcome 1)
     on A'.  Re-preparations are indexed by outcome only, never by setting; that
     restriction is what makes the later crosstalk analysis meaningful.
+
+    Construction validates everything once and keeps read-only stacks for the
+    contraction: effects (n_settings, 2, 2, 2) indexed [x, a] in settings
+    order, and reps (2, 2, 2) indexed [a].
     """
 
     settings: tuple[str, ...]
     povm: Mapping[str, tuple[np.ndarray, np.ndarray]]
     repreparations: tuple[np.ndarray, np.ndarray]
+    effects: np.ndarray = field(init=False, repr=False, compare=False)
+    reps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.settings:
+            raise ValidationError("instrument declares no settings")
         if len(self.settings) != len(set(self.settings)):
             raise ValidationError("duplicate setting labels")
         for x in self.settings:
             if x not in self.povm:
                 raise ValidationError(f"no POVM declared for setting {x!r}")
-            linalg.assert_povm(self.povm[x], INPUT_ATOL)
-        for rho in self.repreparations:
-            linalg.assert_density_matrix(rho, INPUT_ATOL)
+        effects = np.array(
+            [_qubit_pair(self.povm[x], f"POVM of setting {x!r}") for x in self.settings]
+        )
+        effects.setflags(write=False)
+        linalg.assert_povm(effects, INPUT_ATOL)
+        reps = _qubit_pair(self.repreparations, "re-preparations")
+        linalg.assert_density_matrix(reps, INPUT_ATOL)
+        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "reps", reps)
+
+
+def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
+    """The two 2x2 operators of a binary measurement or re-preparation, as one
+    read-only (2, 2, 2) array of their common dtype."""
+    if len(ops) != 2:
+        raise ValidationError(f"{what} must be binary: got {len(ops)} entries, expected 2")
+    ops = [np.asarray(m) for m in ops]
+    if any(m.shape != (2, 2) for m in ops):
+        raise ValidationError(f"{what} must be 2x2 (qubit) matrices")
+    pair = np.array(ops)
+    pair.setflags(write=False)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -173,9 +200,22 @@ def validate_process(op: ProcessOperator | np.ndarray, atol: float = PROCESS_ATO
     return problems
 
 
-def _event_probability(w: np.ndarray, e: np.ndarray, rho_t: np.ndarray, f: np.ndarray) -> float:
-    m = np.kron(np.kron(e, rho_t), f)
-    return float(np.einsum("ij,ji->", m, w).real)
+def _contract(w: np.ndarray, effects: np.ndarray, reps: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """Tr[(E_a (x) rho_a^T (x) F_b) W] for every leading index and (a, b).
+
+    effects has shape (..., 2, 2, 2) indexed [..., a], reps and final have
+    shape (2, 2, 2) indexed [a] and [b]; the result has shape (..., 2, 2),
+    clipped at zero.  The operator stack is built by broadcasting, with the
+    same products in the same order as np.kron(np.kron(E, rho^T), F), and
+    reduced against W by one einsum, so every entry equals the per-event
+    kron-and-trace bit for bit.
+    """
+    rho_t = reps.swapaxes(-1, -2)
+    m = effects[..., :, :, None, :, None] * rho_t[:, None, :, None, :]
+    m = m.reshape(m.shape[:-4] + (4, 4))
+    m = m[..., :, None, :, None, :, None] * final[:, None, :, None, :]
+    m = m.reshape(m.shape[:-4] + (8, 8))
+    return np.einsum("...ij,ji->...", m, w).real.clip(min=0.0)
 
 
 def born_rule(
@@ -188,19 +228,9 @@ def born_rule(
     The transpose on the re-preparation is the stored-W convention (see module
     docstring); the result agrees with sequential state-vector simulation.
     """
-    linalg.assert_povm(final_povm, INPUT_ATOL)
-    if len(final_povm) != 2:
-        raise ValidationError("final measurement must be binary")
-    reps_t = [np.asarray(r).T for r in inst.repreparations]
-    probs = np.empty((len(inst.settings), 2, 2))
-    for xi, x in enumerate(inst.settings):
-        effects = inst.povm[x]
-        for a in (0, 1):
-            for b in (0, 1):
-                probs[xi, a, b] = _event_probability(
-                    op.w, effects[a], reps_t[a], final_povm[b]
-                )
-    probs = probs.clip(min=0.0)
+    final = _qubit_pair(final_povm, "final measurement")
+    linalg.assert_povm(final, INPUT_ATOL)
+    probs = _contract(op.w, inst.effects, inst.reps, final)
     return Behavior(settings=tuple(inst.settings), probs=probs)
 
 
@@ -215,13 +245,9 @@ def do_probabilities(
     setting-independent re-preparations the table carries no x index and its
     ACDE is identically zero.
     """
-    linalg.assert_povm(final_povm, INPUT_ATOL)
-    for rho in repreparations:
-        linalg.assert_density_matrix(rho, INPUT_ATOL)
-    probs = np.empty((2, 1, 2))
-    for a in (0, 1):
-        rho_t = np.asarray(repreparations[a]).T
-        for b in (0, 1):
-            probs[a, 0, b] = _event_probability(op.w, linalg.ID2, rho_t, final_povm[b])
-    probs = probs.clip(min=0.0)
-    return DoTable(probs=probs, do_settings=None)
+    final = _qubit_pair(final_povm, "final measurement")
+    linalg.assert_povm(final, INPUT_ATOL)
+    reps = _qubit_pair(repreparations, "re-preparations")
+    linalg.assert_density_matrix(reps, INPUT_ATOL)
+    probs = _contract(op.w, np.broadcast_to(linalg.ID2, (2, 2, 2)), reps, final)
+    return DoTable(probs=probs[:, None, :], do_settings=None)

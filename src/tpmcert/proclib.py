@@ -11,6 +11,7 @@ family and the final measurement:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,10 +31,20 @@ _SIGNED_OBSERVABLES = {
 }
 
 
+@functools.cache
+def _standard_povms() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The signed Pauli POVMs, computed on first use and shared read-only."""
+    povms = {x: linalg.observable_povm(obs) for x, obs in _SIGNED_OBSERVABLES.items()}
+    for pair in povms.values():
+        for e in pair:
+            e.setflags(write=False)
+    return povms
+
+
 def standard_settings_povm() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """POVMs for the four signed Pauli settings; outcome 0 is the +1 eigenspace
-    of the signed observable."""
-    return {x: linalg.observable_povm(obs) for x, obs in _SIGNED_OBSERVABLES.items()}
+    of the signed observable.  A fresh dict of shared read-only effects."""
+    return dict(_standard_povms())
 
 
 def memory_instrument() -> process.MpInstrument:
@@ -219,7 +230,7 @@ def eb_channel_terms(
     for eff, out in zip(ch.effects, ch.outputs):
         ops = [linalg.ID2, linalg.ID2]
         ops[target] = eff
-        kept = linalg.partial_trace(linalg.kron(*ops) @ rho, (2, 2), {target})
+        kept = linalg.partial_trace(np.kron(*ops) @ rho, (2, 2), {target})
         terms.append((kept, out))
     return terms
 
@@ -229,7 +240,7 @@ def apply_eb_channel(rho: np.ndarray, ch: EbChannel, target: int = 1) -> np.ndar
     out = np.zeros((4, 4), dtype=complex)
     for kept, prep in eb_channel_terms(rho, ch, target):
         factors = [kept, prep] if target == 1 else [prep, kept]
-        out = out + linalg.kron(*factors)
+        out = out + np.kron(*factors)
     return out
 
 

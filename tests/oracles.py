@@ -31,6 +31,27 @@ def sequential_probabilities(rho, u, effects_by_x, repreparations, final_povm):
     return probs
 
 
+def kron_born_probs(w, effects_by_x, repreparations, final_povm, clip=True):
+    """P(a, b | x) = Tr[(E_{a|x} (x) rho_a^T (x) F_b) W] one event at a time:
+    one np.kron pair and one trace per entry, then clipped at zero.
+    Returns probs[x, a, b]."""
+    probs = np.empty((len(effects_by_x), 2, 2))
+    for xi, effects in enumerate(effects_by_x):
+        for a in (0, 1):
+            rho_t = np.asarray(repreparations[a]).T
+            for b in (0, 1):
+                m = np.kron(np.kron(effects[a], rho_t), final_povm[b])
+                probs[xi, a, b] = float(np.einsum("ij,ji->", m, w).real)
+    return probs.clip(min=0.0) if clip else probs
+
+
+def kron_do_probs(w, repreparations, final_povm, clip=True):
+    """P(b | do(A = a)) by the same loop with the identity as first-time
+    effect.  Returns probs[a, 0, b]."""
+    probs = kron_born_probs(w, [(I2, I2)], repreparations, final_povm, clip)
+    return probs.transpose(1, 0, 2)
+
+
 def explicit_process_contraction(rho, u):
     """Process operator by explicit index summation,
     W[(i,j,k),(l,m,n)] = sum_{e,f,e1} rho[(i,e1),(l,e)] U[(k,f),(j,e1)]

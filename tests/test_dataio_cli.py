@@ -245,6 +245,46 @@ def test_cli_classical_bound_enumerates_each_vertex_set_once(monkeypatch, capsys
     ]
 
 
+_KET0 = "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]"
+_KET1 = "[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]"
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"repreparations:\n  - {_KET0}\n", "re-preparations must be binary"),
+    (f"repreparations: [{_KET0}, {_KET1}, {_KET0}]\n", "re-preparations must be binary"),
+    ("settings: []\n", "instrument declares no settings"),
+], ids=["one_repreparation", "three_repreparations", "no_settings"])
+def test_cli_rejects_malformed_instrument_configs(tmp_path, capsys, text, message):
+    path = write(tmp_path, "inst.yaml", "shots: exact\n" + text)
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    "memory_test_exact": ["simulate", "--preset", "memory_test", "--exact"],
+    "partial_swap_shots": ["simulate", "--preset", "partial_swap", "--alpha", "2.356",
+                           "--shots", "10000", "--seed", "7"],
+    "swap_curve": ["swap-curve", "--points", "64"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_cli_outputs_match_golden_bytes(tmp_path, capsys, name):
+    # tests/golden/<name>/ pins every byte these commands write, stdout
+    # included (with the output directory written as <out>).  A deliberate
+    # change of output must regenerate the files with the same command and
+    # say so; a speed-up must leave them as they are.
+    assert cli.main(GOLDEN_RUNS[name] + ["--out", str(tmp_path)]) == 0
+    got = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    got["stdout.txt"] = capsys.readouterr().out.replace(str(tmp_path), "<out>").encode()
+    want = {p.name: p.read_bytes() for p in (GOLDEN / name).iterdir()}
+    assert got == want
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize costs most of the CLI start-up; only the upsilon
     # optimizer needs it, and it imports it when called

@@ -13,24 +13,6 @@ def rand_complex(d):
     return RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
 
 
-def test_kron_identity_cases():
-    assert np.array_equal(linalg.kron(linalg.ID2, linalg.ID2), np.eye(4))
-    assert np.allclose(
-        linalg.kron(linalg.SIGMA_Z, linalg.ID2), np.diag([1, 1, -1, -1])
-    )
-    ket00 = np.kron(linalg.KET_0, linalg.KET_0)
-    ket11 = np.kron(linalg.KET_1, linalg.KET_1)
-    assert np.allclose(linalg.kron(linalg.SIGMA_X, linalg.SIGMA_X) @ ket00, ket11)
-
-
-def test_kron_associativity_random():
-    for _ in range(10):
-        a, b, c = rand_complex(2), rand_complex(3), rand_complex(2)
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.abs(left - right).max() < 1e-12
-
-
 def test_partial_trace_bell_marginal():
     reduced = linalg.partial_trace(linalg.bell_state(), (2, 2), {1})
     assert np.abs(reduced - linalg.ID2 / 2).max() < 1e-12
@@ -38,7 +20,7 @@ def test_partial_trace_bell_marginal():
 
 def test_partial_trace_product_factorization():
     rho, sigma = rand_complex(2), rand_complex(3)
-    got = linalg.partial_trace(linalg.kron(rho, sigma), (2, 3), {1})
+    got = linalg.partial_trace(np.kron(rho, sigma), (2, 3), {1})
     assert np.abs(got - rho * np.trace(sigma)).max() < 1e-12
 
 
@@ -63,8 +45,8 @@ def test_partial_trace_layout_mismatch():
 
 def test_partial_transpose_product_case():
     rho, sigma = rand_complex(2), rand_complex(2)
-    got = linalg.partial_transpose(linalg.kron(rho, sigma), (2, 2), 1)
-    assert np.abs(got - linalg.kron(rho, sigma.T)).max() < 1e-14
+    got = linalg.partial_transpose(np.kron(rho, sigma), (2, 2), 1)
+    assert np.abs(got - np.kron(rho, sigma.T)).max() < 1e-14
 
 
 def test_partial_transpose_bell_spectrum():
@@ -126,3 +108,37 @@ def test_herm_eigenvalues_sum_is_trace():
 def test_herm_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         linalg.herm_eigenvalues(rand_complex(3))
+
+
+def test_stacked_checks_reject_any_bad_member():
+    # a stack is accepted exactly when every member passes on its own, and
+    # a bad member gets the same error as when checked alone
+    z = np.array(linalg.observable_povm(linalg.SIGMA_Z))
+    povms = np.stack([z, np.array(linalg.observable_povm(linalg.SIGMA_X))])
+    linalg.assert_povm(povms, 1e-10)
+    linalg.assert_density_matrix(povms[:, 0], 1e-10)
+
+    def one_bad(stack, index, value):
+        out = stack.copy()
+        out[index] = value
+        return out
+
+    bad_povms = {
+        "not Hermitian": one_bad(povms, (1, 0, 0, 1), 0.1),
+        "negative eigenvalue": one_bad(povms, 1, [np.diag([1.1, 0]), np.diag([-0.1, 1])]),
+        "do not sum": one_bad(povms, (1, 1), 0.5 * povms[1, 1]),
+    }
+    for message, stack in bad_povms.items():
+        for checked in (stack, stack[1]):
+            with pytest.raises(ValidationError, match=message):
+                linalg.assert_povm(checked, 1e-10)
+    states = povms[:, 0]
+    bad_states = {
+        "not Hermitian": one_bad(states, (1, 0, 1), 0.1),
+        "state trace 1.2 != 1": one_bad(states, 1, np.diag([0.6, 0.6])),
+        "negative eigenvalue": one_bad(states, 1, np.diag([1.2, -0.2])),
+    }
+    for message, stack in bad_states.items():
+        for checked in (stack, stack[1]):
+            with pytest.raises(ValidationError, match=message):
+                linalg.assert_density_matrix(checked, 1e-10)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from tpmcert.exceptions import ValidationError
 
 from oracles import (
     explicit_process_contraction,
+    kron_born_probs,
+    kron_do_probs,
     random_binary_povm,
     random_density,
     random_instrument_arrays,
@@ -36,7 +39,7 @@ def test_build_process_common_cause_form():
     # routing the memory into the final measurement leaves W = rho_A'B (x) id_A
     op = process.build_process(linalg.bell_state(), linalg.SWAP)
     expected = linalg.permute_factors(
-        linalg.kron(linalg.bell_state(), linalg.ID2), (2, 2, 2), (0, 2, 1)
+        np.kron(linalg.bell_state(), linalg.ID2), (2, 2, 2), (0, 2, 1)
     )
     assert np.abs(op.w - expected).max() < 1e-12
 
@@ -45,7 +48,7 @@ def test_build_process_direct_cause_form():
     # identity interaction: W = rho_A' (x) (unnormalized Choi of the identity)
     op = process.build_process(linalg.bell_state(), np.eye(4, dtype=complex))
     choi = linalg.vectorize(linalg.ID2) @ linalg.vectorize(linalg.ID2).conj().T
-    expected = linalg.kron(linalg.ID2 / 2, choi)
+    expected = np.kron(linalg.ID2 / 2, choi)
     assert np.abs(op.w - expected).max() < 1e-12
     assert np.abs(linalg.partial_trace(choi, (2, 2), {1}) - linalg.ID2).max() < 1e-12
 
@@ -65,7 +68,7 @@ def test_build_process_marginal_and_trace():
         op = process.build_process(rho, u)
         tr_b = linalg.partial_trace(op.w, (2, 2, 2), {2})
         marg = linalg.partial_trace(rho, (2, 2), {1})
-        assert np.abs(tr_b - linalg.kron(marg, linalg.ID2)).max() < 1e-9
+        assert np.abs(tr_b - np.kron(marg, linalg.ID2)).max() < 1e-9
         assert abs(np.trace(op.w).real - 2.0) < 1e-9
 
 
@@ -176,3 +179,73 @@ def test_instrument_rejects_setting_dependent_structure():
             povm={"z": (effects[0], effects[0])},  # does not sum to id
             repreparations=(linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1)),
         )
+
+
+def _pure_state(rng):
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def test_born_and_do_equal_the_kron_loop_bit_for_bit():
+    # the per-event kron-and-trace loop is the reference: every entry of the
+    # batched contraction must be the same double, not merely close
+    rng = np.random.default_rng(606)
+    negative = {"born": 0, "do": 0}
+
+    def check(op, effects, reps, final):
+        labels = tuple(str(i) for i in range(len(effects)))
+        inst = process.MpInstrument(
+            settings=labels, povm=dict(zip(labels, effects)), repreparations=reps
+        )
+        beh = process.born_rule(op, inst, final)
+        assert np.array_equal(beh.probs, kron_born_probs(op.w, effects, reps, final))
+        table = process.do_probabilities(op, reps, final)
+        assert np.array_equal(table.probs, kron_do_probs(op.w, reps, final))
+        negative["born"] += (kron_born_probs(op.w, effects, reps, final, False) < 0).sum()
+        negative["do"] += (kron_do_probs(op.w, reps, final, False) < 0).sum()
+
+    for n in range(1, 9):
+        for rank, projective in itertools.product((1, 2), (True, False)):
+            op = process.build_process(random_density(rng, 4), random_unitary(rng, 4))
+            effects = [random_binary_povm(rng) for _ in range(n)]
+            reps = tuple(
+                _pure_state(rng) if rank == 1 else random_density(rng, 2) for _ in (0, 1)
+            )
+            if projective:
+                f0 = _pure_state(rng)
+                final = (f0, linalg.ID2 - f0)
+            else:
+                final = random_binary_povm(rng)
+            check(op, effects, reps, final)
+        # with U = id the re-prepared state reaches B unchanged, and F_0
+        # projects onto the complement of rho_0: P(0, 0 | x) and P(0 | do(0))
+        # are zero up to rounding of either sign, which the clip removes
+        op = process.build_process(linalg.bell_state(), np.eye(4, dtype=complex))
+        reps = (_pure_state(rng), _pure_state(rng))
+        effects = [random_binary_povm(rng) for _ in range(n)]
+        check(op, effects, reps, (linalg.ID2 - reps[0], reps[0]))
+    assert negative["born"] > 0 and negative["do"] > 0
+
+
+def test_instrument_and_do_require_binary_inputs():
+    z = linalg.observable_povm(linalg.SIGMA_Z)
+    one = (linalg.dm(linalg.KET_0),)
+    three = (linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1), linalg.dm(linalg.KET_PLUS))
+    op = proclib.w222()
+    for reps in (one, three):
+        with pytest.raises(ValidationError, match="re-preparations must be binary"):
+            process.MpInstrument(settings=("z",), povm={"z": z}, repreparations=reps)
+        with pytest.raises(ValidationError, match="re-preparations must be binary"):
+            process.do_probabilities(op, reps, z)
+    # a valid three-outcome POVM is still not a binary setting
+    with pytest.raises(ValidationError, match="setting 'z' must be binary"):
+        process.MpInstrument(
+            settings=("z",),
+            povm={"z": z + (np.zeros((2, 2), dtype=complex),)},
+            repreparations=(linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1)),
+        )
+    with pytest.raises(ValidationError, match="final measurement must be binary"):
+        process.do_probabilities(op, (linalg.dm(linalg.KET_0),) * 2, z[:1])
+    with pytest.raises(ValidationError, match="no settings"):
+        process.MpInstrument(settings=(), povm={}, repreparations=(z[0], z[1]))

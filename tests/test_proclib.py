@@ -108,6 +108,19 @@ def test_all_instrument_pair_bounds_against_born_rule():
         assert abs(bounds.sum() - certify.gamma_functional(beh)[0]) < 1e-12
 
 
+def test_standard_povms_are_shared_read_only_in_fresh_dicts():
+    first, second = proclib.standard_settings_povm(), proclib.standard_settings_povm()
+    assert first is not second and list(first) == list(proclib.SETTING_LABELS)
+    first.pop("x")
+    assert "x" in second
+    for label, obs in (("z", linalg.SIGMA_Z), ("-z", -linalg.SIGMA_Z)):
+        assert first[label][0] is second[label][0]
+        for got, want in zip(first[label], linalg.observable_povm(obs)):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0, 0] = 2.0
+
+
 def test_partial_swap_endpoints_and_unitarity():
     assert np.abs(proclib.partial_swap(0.0) - np.eye(4)).max() < 1e-15
     ket01 = np.kron(linalg.KET_0, linalg.KET_1)
