@@ -224,6 +224,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, least in (("points", 1), ("grid_density", 2)):
+            if getattr(args, name, least) < least:
+                raise ValidationError(f"--{name.replace('_', '-')} must be at least {least}")
         return _COMMANDS[args.command](args)
     except (ParseError, ValidationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Preparing the re-set qubit in rho_a, interacting through U and measuring the
 final POVM realizes an effective POVM assemblage on the memory qubit; quantum
 violations require that assemblage to be incompatible (not jointly
 measurable).  Pairs of binary qubit POVMs are decided by the closed-form
-sharpness criterion, cross-checked elsewhere against an SDP-style witness.
+sharpness criterion (Busch & Schmidt 2010; Yu, Liu, Li & Oh 2010); the
+partial-swap scan's margins are witnesses, not certified optima.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .exceptions import DomainError, ValidationError
+from .exceptions import DomainError, ResourceLimitError, ValidationError
 
 EFFECT_ATOL = 1e-10
 MARGIN_ATOL = 1e-10
+MAX_GRID_POINTS = 1_000_000  # density^3 of one jm-scan angle
 
 
 @dataclass(frozen=True)
@@ -102,33 +104,37 @@ def induced_assemblage(
     return Assemblage(effects=effects)
 
 
-def _criterion_margin(
-    g0: float, r0: np.ndarray, f0: float, g1: float, r1: np.ndarray, f1: float
-) -> float:
+def _margin(g0, g1, r01, f0: float, f1: float):
     """Signed compatibility margin; nonnegative iff jointly measurable.
 
     The single-inequality form (r0.r1 - g0 g1)^2 >= (1 - F0^2 - F1^2)
     (1 - g0^2/F0^2 - g1^2/F1^2) decides compatibility only when the first
     factor is positive; when 1 - F0^2 - F1^2 <= 0 (a sufficiently unsharp
     pair) the measurements are jointly measurable outright, so the negative
-    part of the second factor must not be allowed to flip the sign.
+    part of the second factor must not be allowed to flip the sign.  g0, g1
+    and r0.r1 broadcast; the sharpnesses F0, F1 are scalars.
     """
     # grouped so every expression is an exactly commutative function of the
     # two arguments, making the result symmetric under swapping the pair
-    cross = float(np.dot(r0, r1)) - g0 * g1
+    cross = r01 - g0 * g1
     first = 1.0 - (f0 * f0 + f1 * f1)
-
-    def ratio(g: float, f: float) -> float:
-        if f < 1e-12:
-            if abs(g) < 1e-9:
-                return 0.0  # sharp projective limit, g^2/F^2 -> 0
+    ratios = 0.0  # g^2/F^2 -> 0 in the sharp projective limit
+    for g, f in ((g0, f0), (g1, f1)):
+        if f >= 1e-12:
+            ratios = ratios + (g / f) ** 2
+        elif np.any(np.abs(g) >= 1e-9):
             raise DomainError("singular sharpness with nonzero bias")
-        return (g / f) ** 2
-
-    second = 1.0 - (ratio(g0, f0) + ratio(g1, f1))
+    second = 1.0 - ratios
     if first <= 0.0:
-        second = max(second, 0.0)
+        second = np.maximum(second, 0.0)
     return cross * cross - first * second
+
+
+def _criterion_margin(
+    g0: float, r0: np.ndarray, f0: float, g1: float, r1: np.ndarray, f1: float
+) -> float:
+    """`_margin` of one pair given by its Bloch vectors."""
+    return float(_margin(g0, g1, float(np.dot(r0, r1)), f0, f1))
 
 
 def jointly_measurable(
@@ -160,67 +166,61 @@ def partial_swap_effect_params(
     sin(a/2)cos(a/2) (f x r_a).  Broadcasts over angle arrays.
     """
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
-    f = np.stack(
-        [np.sin(theta_e) * np.cos(phi_e), np.sin(theta_e) * np.sin(phi_e), np.cos(theta_e) + 0 * phi_e],
-        axis=-1,
-    )
-    r0 = np.zeros_like(f)
-    r0[..., 2] = 1.0
-    r1 = np.stack(
-        [np.sin(theta_s) * np.cos(phi_s), np.sin(theta_s) * np.sin(phi_s), np.cos(theta_s) + 0 * phi_s],
-        axis=-1,
-    )
-    out = []
-    for rv in (r0, r1):
-        gamma = c * c * np.einsum("...i,...i->...", f, rv)
-        bloch = s * s * f + s * c * np.cross(f, rv)
-        out.append((gamma, bloch))
-    return out[0], out[1]
+
+    def unit(theta, phi):
+        return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                         np.cos(theta) + 0 * phi], axis=-1)
+
+    f, r0 = unit(theta_e, phi_e), unit(0 * theta_e, 0 * phi_e)  # r0 = z, shaped like f
+    return tuple((c * c * np.einsum("...i,...i->...", f, rv), s * s * f + s * c * np.cross(f, rv))
+                 for rv in (r0, unit(theta_s, phi_s)))
 
 
-def _swap_margin_grid(
-    alpha: float, ts: np.ndarray, te: np.ndarray, ps: np.ndarray, pe: np.ndarray
-) -> np.ndarray:
-    """Criterion margin on a broadcast angle grid.
+def _swap_scalars(alpha: float, ts, te, dphi):
+    """(g0, g1, r0.r1) of `partial_swap_effect_params` in closed form, with
+    dphi = phi_s - phi_e, c, s = cos, sin(alpha/2), f.r0 = cos(theta_e) and
+    f.r1 = sin(theta_e) sin(theta_s) cos(dphi) + cos(theta_e) cos(theta_s):
+    g_a = c^2 f.r_a and r0.r1 = s^4 + s^2 c^2 (cos(theta_s) - f.r0 f.r1)."""
+    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
+    c2, s2 = c * c, s * s
+    cte, cts = np.cos(te), np.cos(ts)
+    fr1 = np.sin(te) * np.sin(ts) * np.cos(dphi) + cte * cts
+    return c2 * cte, c2 * fr1, s2 * s2 + s2 * c2 * (cts - cte * fr1)
 
-    Both sharpnesses equal cos(alpha/2) on this family, so the bias-to-
-    sharpness ratios reduce to cos(alpha/2) f.r_a and stay finite at
-    alpha = pi.
-    """
+
+def _swap_margin(alpha: float, ts, te, dphi):
+    """Margin of the partial-swap pair; both sharpnesses equal cos(alpha/2)."""
     c = math.cos(alpha / 2)
-    (g0, r0), (g1, r1) = partial_swap_effect_params(alpha, ts, te, ps, pe)
-    cross = np.einsum("...i,...i->...", r0, r1) - g0 * g1
-    first = 1.0 - 2.0 * c * c  # = -cos(alpha)
-    ratio0 = np.zeros_like(g0) if c == 0 else (g0 / c) ** 2
-    ratio1 = np.zeros_like(g1) if c == 0 else (g1 / c) ** 2
-    second = 1.0 - ratio0 - ratio1
-    if first <= 0.0:
-        second = np.maximum(second, 0.0)
-    return cross * cross - first * second
+    return _margin(*_swap_scalars(alpha, ts, te, dphi), c, c)
 
 
-def _refine_minimum(alpha: float, angles: np.ndarray, iterations: int = 50) -> float:
-    """Cyclic coordinate descent from a grid point; enough for an existence
-    witness, not a certified global optimum."""
-    angles = angles.copy()
-    step = 0.15
-    best = float(
-        _swap_margin_grid(alpha, *[np.asarray(a) for a in angles])
-    )
-    for _ in range(iterations):
-        improved = False
-        for i in range(4):
-            for delta in (step, -step):
-                trial = angles.copy()
-                trial[i] += delta
-                val = float(_swap_margin_grid(alpha, *[np.asarray(a) for a in trial]))
-                if val < best:
-                    best, angles, improved = val, trial, True
-        if not improved:
-            step /= 2.0
-            if step < 1e-9:
-                break
-    return best
+# per sweep: (coordinate, signs of its two trial moves) for theta_s, theta_e,
+# dphi, and dphi again reversed, as the four-angle search moved phi_e last
+_SWEEP = tuple((i, np.array([[d], [-d]])) for i, d in ((0, 1.0), (1, 1.0), (2, 1.0), (2, -1.0)))
+
+
+def _descend(alpha: float, starts: tuple[np.ndarray, ...]) -> float:
+    """Lockstep first-improvement coordinate descent from the (theta_s,
+    theta_e, dphi) start arrays, both trial moves of all starts in one kernel
+    call.  Each step starts at 0.15 and halves after a sweep without gain,
+    until all are below 1e-9 or for 100 sweeps.  The lowest margin is a
+    witness, not an optimum."""
+    pts = list(starts)
+    best = _swap_margin(alpha, *pts)
+    step = np.full(len(best), 0.15)
+    for _ in range(100):
+        before = best
+        for i, signs in _SWEEP:
+            trial = pts[i] + signs * step
+            val = _swap_margin(alpha, *pts[:i], trial, *pts[i + 1:])
+            first = val[0] < best
+            take = first | (val[1] < best)
+            pts[i] = np.where(first, trial[0], np.where(take, trial[1], pts[i]))
+            best = np.where(first, val[0], np.where(take, val[1], best))
+        step = np.where(best < before, step, step / 2.0)
+        if (step < 1e-9).all():
+            break
+    return float(best.min())
 
 
 def partial_swap_compat_region(
@@ -228,24 +228,29 @@ def partial_swap_compat_region(
 ) -> dict[float, float]:
     """Worst-case compatibility margin of the partial-swap assemblage per angle.
 
-    Scans the (theta_s, theta_e, phi_s, phi_e) grid and refines the minimum by
-    coordinate descent.  Nonnegative margins for alpha <= pi/2 and alpha = pi,
-    and strictly negative ones in between, reproduce the compatibility
-    boundary of the gate family.
+    r0 = z is fixed, so the margin depends on dphi = phi_s - phi_e only: each
+    angle scans a density^3 grid in (theta_s, theta_e, dphi), then descends
+    from the 8 best grid points, or from the points tied with the minimum (up
+    to 4 * density; tied copies descend apart).  Each margin is a witness, an
+    upper bound on the minimum, not a certified optimum.  Margins >= 0 for
+    alpha <= pi/2 and alpha = pi, and < 0 between, give the boundary.
     """
     if not len(alpha_grid) or angle_grid_density < 2:
         raise ValidationError("empty scan grids")
     n = int(angle_grid_density)
+    if n**3 > MAX_GRID_POINTS:
+        raise ResourceLimitError(f"grid density {n} exceeds the limit of {MAX_GRID_POINTS} points")
     thetas = np.linspace(0.0, math.pi, n)
     phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    ts, te, ps, pe = np.meshgrid(thetas, thetas, phis, phis, indexing="ij")
+    axes = (thetas[:, None, None], thetas[None, :, None], phis[None, None, :])
     result = {}
     for alpha in alpha_grid:
         alpha = float(alpha)
         if not 0.0 <= alpha <= math.pi:
             raise DomainError(f"swap angle {alpha} outside [0, pi]")
-        grid = _swap_margin_grid(alpha, ts, te, ps, pe)
-        idx = np.unravel_index(np.argmin(grid), grid.shape)
-        seed_angles = np.array([ts[idx], te[idx], ps[idx], pe[idx]])
-        result[alpha] = min(float(grid[idx]), _refine_minimum(alpha, seed_angles))
+        grid = _swap_margin(alpha, *axes).ravel()
+        order = np.argsort(grid, kind="stable")
+        tied = int(np.count_nonzero(grid <= grid[order[0]] + 1e-12))
+        idx = np.unravel_index(order[: max(8, min(tied, 4 * n))], (n, n, n))
+        result[alpha] = _descend(alpha, (thetas[idx[0]], thetas[idx[1]], phis[idx[2]]))
     return result

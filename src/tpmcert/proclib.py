@@ -317,22 +317,14 @@ def decay_prediction(
 def classical_crossing_time(
     params: NoiseParams, include_t1: bool = False, t_max: float = 1e6
 ) -> float:
-    """Waiting time at which the predicted gamma reaches the classical bound 1,
-    found by bisection; infinity if the model starts at or above 1."""
-    def excess(t: float) -> float:
-        return decay_prediction(params, [t], include_t1)[0][1] - 1.0
-
-    if excess(0.0) >= 0.0:
-        return 0.0 if excess(0.0) == 0.0 else math.inf
-    lo, hi = 0.0, 1.0
-    while excess(hi) < 0.0:
-        hi *= 2.0
-        if hi > t_max:
-            return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Waiting time t* = ln(2 - gamma0) / (1/t2 - ln(F)/echo_interval [+ 1/(2 t1)])
+    at which the predicted gamma reaches the classical bound 1; zero if the
+    model starts at 1, infinity if it starts above 1 or if t* > t_max."""
+    start = params.initial_gamma - 1.0
+    if start >= 0.0:
+        return 0.0 if start == 0.0 else math.inf
+    rate = 1.0 / params.t2 - math.log(params.echo_fidelity) / params.echo_interval
+    if include_t1:
+        rate += 1.0 / (2.0 * params.t1)
+    t = math.log(2.0 - params.initial_gamma) / rate
+    return t if t <= t_max else math.inf

@@ -77,6 +77,39 @@ def swap_gamma_closed_form(alpha):
     return (3.0 - np.sin(alpha) + np.cos(alpha)) / 2.0
 
 
+def swap_jm_grid_margins(alpha, density):
+    """Joint-measurability margin of the partial-swap assemblage on the full
+    (theta_s, theta_e, phi_s, phi_e) grid, from explicit Bloch vectors.
+
+    Preparations |0> and |theta_s, phi_s>, final projector |theta_e, phi_e>:
+    effect a has bias c^2 f.r_a and Bloch vector s^2 f + s c (f x r_a), and
+    both sharpnesses equal c (checked against the induced assemblage in
+    test_compat; recomputing them from (bias, vector) loses ~1e-8 where an
+    effect is on the edge of the valid set).  The margin is the single
+    inequality (r0.r1 - g0 g1)^2 - (1 - F0^2 - F1^2)(1 - g0^2/F0^2 - g1^2/F1^2)
+    with the second factor clipped at 0 when the first is <= 0.
+    """
+    thetas = np.linspace(0.0, np.pi, density)
+    phis = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
+    ts, te, ps, pe = np.meshgrid(thetas, thetas, phis, phis, indexing="ij")
+
+    def unit(t, p):
+        return np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+
+    c, s = np.cos(alpha / 2), np.sin(alpha / 2)
+    f = unit(te, pe)
+    (g0, v0), (g1, v1) = [
+        (c * c * np.sum(f * r, axis=-1), s * s * f + s * c * np.cross(f, r))
+        for r in (np.broadcast_to([0.0, 0.0, 1.0], f.shape), unit(ts, ps))
+    ]
+    cross = np.sum(v0 * v1, axis=-1) - g0 * g1
+    first = 1.0 - 2.0 * c * c
+    second = 1.0 - (g0 / c) ** 2 - (g1 / c) ** 2
+    if first <= 0.0:
+        second = np.maximum(second, 0.0)
+    return cross ** 2 - first * second
+
+
 def random_unitary(rng, d):
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tpmcert import compat, linalg, proclib
-from tpmcert.exceptions import DomainError, ValidationError
+from tpmcert.exceptions import DomainError, ResourceLimitError, ValidationError
 
-from oracles import random_binary_povm, random_density, swap_assemblage_closed_form
+from oracles import (
+    random_binary_povm,
+    random_density,
+    swap_assemblage_closed_form,
+    swap_jm_grid_margins,
+)
 
 RNG = np.random.default_rng(606)
 
@@ -208,3 +214,66 @@ def test_incompatible_instance_found_by_scan_and_criterion():
         )
         cell[...] = compat.jointly_measurable(pair)[1]
     assert margins.min() < -1e-3
+
+
+def test_scan_scalars_match_effect_params():
+    # the scan's closed-form (g0, g1, r0.r1) against the Bloch vectors of
+    # the public effect map, which the tests above pin to the assemblage
+    rng = np.random.default_rng(7)
+    for alpha in list(rng.uniform(0.0, math.pi, 8)) + [0.0, math.pi]:
+        ts, te = rng.uniform(0.0, math.pi, (2, 2000))
+        ps, pe = rng.uniform(0.0, 2 * math.pi, (2, 2000))
+        (g0, r0), (g1, r1) = compat.partial_swap_effect_params(alpha, ts, te, ps, pe)
+        got = compat._swap_scalars(alpha, ts, te, ps - pe)
+        want = (g0, g1, np.einsum("...i,...i->...", r0, r1))
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() < 1e-15
+
+
+@pytest.mark.parametrize("density", [8, 12])
+def test_reduced_grid_minimum_matches_four_angle_oracle(density):
+    # dropping phi_e loses no grid point: the density^3 minimum equals the
+    # density^4 one, and the descent can only go lower
+    thetas = np.linspace(0.0, math.pi, density)
+    phis = np.linspace(0.0, 2 * math.pi, density, endpoint=False)
+    axes = (thetas[:, None, None], thetas[None, :, None], phis[None, None, :])
+    alphas = [0.3, 0.9, 1.4, 1.9, 2.4, 2.9]
+    region = compat.partial_swap_compat_region(alphas, density)
+    for alpha in alphas:
+        want = swap_jm_grid_margins(alpha, density).min()
+        assert abs(compat._swap_margin(alpha, *axes).min() - want) < 1e-15
+        assert region[alpha] <= want + 1e-15
+
+
+def test_scan_work_is_grid_cube_plus_descent_budget(monkeypatch):
+    # one angle costs the density^3 grid plus the descent: at most 4 * 20
+    # starts, each evaluated once and then twice per sweep entry (4 per
+    # sweep) for at most 100 sweeps.  The four-angle scan evaluated
+    # density^4 = 160 000 grid points alone.  0.8132 has 42 grid points tied
+    # with the minimum.
+    kernel = compat._margin
+    points = []
+
+    def counting(g0, g1, r01, f0, f1):
+        points.append(np.broadcast(g0, g1, r01).size)
+        return kernel(g0, g1, r01, f0, f1)
+
+    monkeypatch.setattr(compat, "_margin", counting)
+    for alpha in (0.8132119355333707, 3 * math.pi / 4):
+        points.clear()
+        compat.partial_swap_compat_region([alpha], 20)
+        assert points[0] == 20**3
+        assert sum(points) <= 20**3 + 80 * (1 + 100 * 4 * 2)
+
+
+def test_scan_grid_limit_allocates_nothing():
+    tracemalloc.start()
+    try:
+        for density in (compat.MAX_GRID_POINTS, 101):
+            with pytest.raises(ResourceLimitError):
+                compat.partial_swap_compat_region([1.0], density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 100**3 <= compat.MAX_GRID_POINTS < 101**3
+    assert peak < 64 * 1024

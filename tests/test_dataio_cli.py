@@ -285,6 +285,52 @@ def test_cli_outputs_match_golden_bytes(tmp_path, capsys, name):
     assert got == want
 
 
+def _scan_rows(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [(float(r[0]), float(r[1])) for r in rows]
+
+
+def _scan_flags(stdout):
+    return [line.split()[-1] for line in stdout.splitlines() if line.startswith("  alpha")]
+
+
+def test_jm_scan_no_higher_than_the_four_angle_scan(tmp_path, capsys):
+    # tests/golden/jm_scan/ holds what `tpmcert jm-scan --points 33
+    # --grid-density 20 --out <out>` wrote with the density^4 grid and the
+    # scalar descent.  The density^3 scan may find lower margins, so the
+    # digits may move, but no margin may rise and no flag may change.
+    assert cli.main(["jm-scan", "--points", "33", "--grid-density", "20",
+                     "--out", str(tmp_path)]) == 0
+    pinned = GOLDEN / "jm_scan"
+    got_flags = _scan_flags(capsys.readouterr().out)
+    assert got_flags == _scan_flags((pinned / "stdout.txt").read_text())
+    got, want = _scan_rows(tmp_path / "jm_scan.csv"), _scan_rows(pinned / "jm_scan.csv")
+    assert [a for a, _ in got] == [a for a, _ in want]
+    assert all(g <= w + 1e-15 for (_, g), (_, w) in zip(got, want))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["decay", "--t2", "364", "--echo-fidelity", "0.995", "--echo-interval", "2.5",
+      "--initial-gamma", "0.642", "--points", "-1"], "--points"),
+    (["swap-curve", "--points", "0"], "--points"),
+    (["jm-scan", "--points", "-1"], "--points"),
+    (["jm-scan", "--grid-density", "1"], "--grid-density"),
+])
+def test_cli_rejects_empty_scans(tmp_path, capsys, argv, flag):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_jm_scan_grid_limit(tmp_path, capsys):
+    rc = cli.main(["jm-scan", "--points", "3", "--grid-density", "1000000",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize costs most of the CLI start-up; only the upsilon
     # optimizer needs it, and it imports it when called
