@@ -22,6 +22,8 @@ import numpy as np
 from . import certify, classical, compat, dataio, proclib
 from .exceptions import DomainError, ParseError, ResourceLimitError, ValidationError
 
+MAX_POINTS = 100_000  # curve and scan length cap; decay holds about 120 bytes a point
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
@@ -95,14 +97,10 @@ def _cmd_certify(args) -> int:
         if do_raw.kind != "interventional":
             raise ValidationError("--do-counts must be an interventional table")
         do_table = dataio.counts_to_behavior(do_raw)
+    given = dict(n_resamples=args.resamples, seed=args.seed, sigma_k=args.sigma_k)
     report = certify.certify_behavior(
-        behavior,
-        do_table=do_table,
-        n_resamples=args.resamples if args.resamples is not None
-        else certify.DEFAULT_RESAMPLES,
-        seed=args.seed if args.seed is not None else 0,
-        sigma_k=args.sigma_k if args.sigma_k is not None else certify.DEFAULT_SIGMA_K,
-        frozen_argmin=args.frozen_argmin,
+        behavior, do_table=do_table, frozen_argmin=args.frozen_argmin,
+        **{key: val for key, val in given.items() if val is not None},
     )
     dataio.emit_report(report, out_dir=args.out)
     d = report.to_json_dict()
@@ -118,21 +116,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    overrides: dict = {}
+    given = dict(shots=args.shots, seed=args.seed, resamples=args.resamples,
+                 sigma_k=args.sigma_k, wait_ms=args.wait, alpha=args.alpha)
+    overrides = {key: val for key, val in given.items() if val is not None}
     if args.exact:
         overrides["shots"] = None
-    elif args.shots is not None:
-        overrides["shots"] = args.shots
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.resamples is not None:
-        overrides["resamples"] = args.resamples
-    if args.sigma_k is not None:
-        overrides["sigma_k"] = args.sigma_k
-    if args.wait is not None:
-        overrides["wait_ms"] = args.wait
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
     if args.config:
         cfg = dataio.load_config(args.config)
         cfg = dataio.ExperimentConfig(**{**cfg.__dict__, **overrides})
@@ -227,6 +215,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, least in (("points", 1), ("grid_density", 2)):
             if getattr(args, name, least) < least:
                 raise ValidationError(f"--{name.replace('_', '-')} must be at least {least}")
+        if getattr(args, "points", 0) > MAX_POINTS:
+            raise ResourceLimitError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
         return _COMMANDS[args.command](args)
     except (ParseError, ValidationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ exact.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .exceptions import ParseError, ValidationError
 
 OBS_HEADER = ["x", "a", "b", "count"]
 DO_HEADER = ["do_a", "x", "b", "count"]
+_KINDS = {tuple(OBS_HEADER): "observational", tuple(DO_HEADER): "interventional"}
 
 
 @dataclass(frozen=True)
@@ -52,47 +54,45 @@ class CountTable:
 
 
 def ingest_counts(path: str | Path) -> CountTable:
-    """Parse and validate a count CSV; duplicate rows are summed."""
+    """Parse and validate a UTF-8 count CSV; duplicate rows are summed."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a spreadsheet's UTF-8 BOM
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    try:
+        lines = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0]]
+    kind = _KINDS.get(tuple(header))
+    if kind is None:
+        raise ParseError(f"{path}: unrecognized header {header}")
+    xi, ai = (0, 1) if kind == "observational" else (1, 0)  # columns of x and a
+    rows: dict[tuple, int] = {}
+    settings: list[str] = []
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if header == OBS_HEADER:
-            kind = "observational"
-        elif header == DO_HEADER:
-            kind = "interventional"
-        else:
-            raise ParseError(f"{path}: unrecognized header {header}")
-        rows: dict[tuple, int] = {}
-        settings: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                if kind == "observational":
-                    x = row[0].strip()
-                    a, b, count = int(row[1]), int(row[2]), int(row[3])
-                    key: tuple = (x, a, b)
-                else:
-                    a, b, count = int(row[0]), int(row[2]), int(row[3])
-                    x = row[1].strip()
-                    key = (a, x, b)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if a not in (0, 1) or b not in (0, 1):
-                raise ParseError(f"{path}:{lineno}: outcomes must be 0 or 1")
-            if count < 0:
-                raise ParseError(f"{path}:{lineno}: negative count {count}")
-            if x not in settings:
-                settings.append(x)
-            rows[key] = rows.get(key, 0) + count
+            x, a, b, count = row[xi].strip(), int(row[ai]), int(row[2]), int(row[3])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if a not in (0, 1) or b not in (0, 1):
+            raise ParseError(f"{path}:{lineno}: outcomes must be 0 or 1")
+        if count < 0:
+            raise ParseError(f"{path}:{lineno}: negative count {count}")
+        if x not in settings:
+            settings.append(x)
+        key = (x, a, b) if kind == "observational" else (a, x, b)
+        rows[key] = rows.get(key, 0) + count
     table = CountTable(kind=kind, rows=rows, settings=tuple(settings))
     for group, total in table.total_shots().items():
         if total < 1:
@@ -191,66 +191,88 @@ class ExperimentConfig:
     frozen_argmin: bool = False
 
 
-def _as_matrix(obj, dim: int) -> np.ndarray:
-    """Explicit matrix from nested [re, im] entry lists."""
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape != (dim, dim, 2):
+def _as_matrix(obj, dim: int, where: str) -> np.ndarray:
+    """Explicit matrix from nested [re, im] entry lists; where names it in errors."""
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (dim, dim, 2):
         raise ValidationError(
-            f"explicit matrix must be {dim}x{dim} entries of [re, im] pairs"
+            f"{where}: explicit matrix must be {dim}x{dim} entries of [re, im] pairs"
         )
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+# scalar configuration keys and their types
+_CONFIG_SCALARS = {"protocol": str, "alpha": float, "shots": int, "seed": int, "resamples": int,
+                   "sigma_k": float, "wait_ms": float, "frozen_argmin": bool}
+# NoiseParams field -> key of the YAML noise block
+_NOISE_KEYS = {"t2": "t2_ms", "t1": "t1_ms", "echo_fidelity": "echo_fidelity",
+               "echo_interval": "echo_interval_ms", "initial_gamma": "initial_gamma"}
+
+
+def _typed(path: Path, key: str, value, kind: type):
+    """value as kind, or a ParseError naming the file and the key; a bool
+    passes only as a bool, and an int also as a float."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ParseError(f"{path}: {key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read an experiment configuration from a YAML document."""
+    """Read an experiment configuration from a UTF-8 YAML document.  A null
+    value keeps the default of its key; a bad document raises ParseError or
+    ValidationError."""
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping at top level")
-    known = {
-        "protocol", "alpha", "shots", "seed", "resamples", "sigma_k",
-        "wait_ms", "frozen_argmin", "initial_state", "unitary", "settings",
-        "repreparations", "final_measurement", "noise",
+    known = set(_CONFIG_SCALARS) | {
+        "initial_state", "unitary", "settings", "repreparations", "final_measurement", "noise",
     }
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ParseError(f"{path}: unknown configuration keys {unknown}")
+    doc = {key: val for key, val in doc.items() if val is not None}
     kwargs: dict = {}
-    for key in (
-        "protocol", "alpha", "shots", "seed", "resamples",
-        "sigma_k", "wait_ms", "frozen_argmin",
-    ):
+    for key, kind in _CONFIG_SCALARS.items():
         if key in doc:
-            kwargs[key] = doc[key]
-    if isinstance(kwargs.get("shots"), str):
-        if kwargs["shots"] != "exact":
-            raise ParseError(f"{path}: shots must be an integer or 'exact'")
-        kwargs["shots"] = None
+            exact = key == "shots" and doc[key] == "exact"
+            kwargs[key] = None if exact else _typed(path, key, doc[key], kind)
     for key, dim in (("initial_state", 4), ("unitary", 4)):
         if key in doc:
-            kwargs[key] = doc[key] if isinstance(doc[key], str) else _as_matrix(doc[key], dim)
+            val = doc[key]
+            kwargs[key] = val if isinstance(val, str) else _as_matrix(val, dim, f"{path}: {key}")
     if "settings" in doc:
+        if not isinstance(doc["settings"], list):
+            raise ParseError(f"{path}: settings must be a list of labels")
         kwargs["settings"] = tuple(str(x) for x in doc["settings"])
     for key in ("repreparations", "final_measurement"):
         if key in doc:
             val = doc[key]
+            if not isinstance(val, (str, list)):
+                raise ParseError(f"{path}: {key} must be a name or a list of matrices")
             kwargs[key] = val if isinstance(val, str) else tuple(
-                _as_matrix(m, 2) for m in val
+                _as_matrix(m, 2, f"{path}: {key}") for m in val
             )
-    if "noise" in doc and doc["noise"] is not None:
+    if "noise" in doc:
         nz = doc["noise"]
-        kwargs["noise"] = proclib.NoiseParams(
-            t2=float(nz["t2_ms"]),
-            t1=float(nz.get("t1_ms", 1170.0)),
-            echo_fidelity=float(nz["echo_fidelity"]),
-            echo_interval=float(nz["echo_interval_ms"]),
-            initial_gamma=float(nz["initial_gamma"]),
-        )
+        if not isinstance(nz, dict):
+            raise ParseError(f"{path}: noise must be a mapping")
+        nz = {"t1_ms": 1170.0, **nz}
+        missing = [key for key in _NOISE_KEYS.values() if key not in nz]
+        if missing:
+            raise ParseError(f"{path}: noise block lacks {missing}")
+        kwargs["noise"] = proclib.NoiseParams(**{
+            name: _typed(path, f"noise.{key}", nz[key], float) for name, key in _NOISE_KEYS.items()
+        })
         if "wait_ms" in nz:
-            kwargs["wait_ms"] = float(nz["wait_ms"])
+            kwargs["wait_ms"] = _typed(path, "noise.wait_ms", nz["wait_ms"], float)
     return ExperimentConfig(**kwargs)
 
 
@@ -266,7 +288,7 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     elif name == "partial_swap":
         base = dict(
             protocol="partial_swap",
-            alpha=overrides.pop("alpha", math.pi / 2),
+            alpha=overrides.pop("alpha", 3 * math.pi / 4),
             unitary="partial_swap",
             repreparations="plus_minus_i",
             final_measurement="x",
@@ -277,40 +299,27 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def _named(value, registry: Mapping, what: str) -> np.ndarray | tuple[np.ndarray, ...]:
+    """The registry entry a name picks, built on use, or an explicit value as
+    one complex array."""
+    if not isinstance(value, str):
+        return np.asarray(value, dtype=complex)
+    if value not in registry:
+        raise ValidationError(f"unknown {what} {value!r}")
+    return registry[value]()
+
+
 def _resolve(cfg: ExperimentConfig):
-    if isinstance(cfg.initial_state, str):
-        if cfg.initial_state not in _NAMED_STATES:
-            raise ValidationError(f"unknown initial state {cfg.initial_state!r}")
-        rho = _NAMED_STATES[cfg.initial_state]()
-    else:
-        rho = np.asarray(cfg.initial_state, dtype=complex)
+    def swap_gate():
+        if cfg.alpha is None:
+            raise ValidationError("partial_swap unitary needs an alpha")
+        return proclib.partial_swap(cfg.alpha)
 
-    if isinstance(cfg.unitary, str):
-        if cfg.unitary == "cnot_swap":
-            u = proclib.cnot_swap_unitary()
-        elif cfg.unitary == "partial_swap":
-            if cfg.alpha is None:
-                raise ValidationError("partial_swap unitary needs an alpha")
-            u = proclib.partial_swap(cfg.alpha)
-        else:
-            raise ValidationError(f"unknown unitary {cfg.unitary!r}")
-    else:
-        u = np.asarray(cfg.unitary, dtype=complex)
-
-    if isinstance(cfg.repreparations, str):
-        if cfg.repreparations not in _NAMED_REPREPARATIONS:
-            raise ValidationError(f"unknown repreparations {cfg.repreparations!r}")
-        reps = _NAMED_REPREPARATIONS[cfg.repreparations]()
-    else:
-        reps = tuple(np.asarray(r, dtype=complex) for r in cfg.repreparations)
-
-    if isinstance(cfg.final_measurement, str):
-        if cfg.final_measurement not in _NAMED_FINALS:
-            raise ValidationError(f"unknown final measurement {cfg.final_measurement!r}")
-        final = _NAMED_FINALS[cfg.final_measurement]()
-    else:
-        final = tuple(np.asarray(f, dtype=complex) for f in cfg.final_measurement)
-
+    rho = _named(cfg.initial_state, _NAMED_STATES, "initial state")
+    unitaries = {"cnot_swap": proclib.cnot_swap_unitary, "partial_swap": swap_gate}
+    u = _named(cfg.unitary, unitaries, "unitary")
+    reps = _named(cfg.repreparations, _NAMED_REPREPARATIONS, "repreparations")
+    final = _named(cfg.final_measurement, _NAMED_FINALS, "final measurement")
     standard = proclib.standard_settings_povm()
     unknown = [x for x in cfg.settings if x not in standard]
     if unknown:

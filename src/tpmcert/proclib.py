@@ -113,63 +113,63 @@ def upsilon(p: float) -> process.ProcessOperator:
     return process.ProcessOperator(w=w, marginal_state=marginal)
 
 
-def _plane_instrument(theta_r: float, theta_a1: float, theta_a2: float) -> process.MpInstrument:
-    def pnt(t):
-        return np.array([math.sin(t), 0.0, math.cos(t)])
-
-    r0 = pnt(theta_r)
-    povm = {}
-    for label, t in (("a1", theta_a1), ("a2", theta_a2)):
-        e0 = linalg.bloch_projector(pnt(t))
-        povm[label] = (e0, linalg.ID2 - e0)
-        povm["-" + label] = (linalg.ID2 - e0, e0)
-    return process.MpInstrument(
-        settings=("a1", "a2", "-a1", "-a2"),
-        povm=povm,
-        repreparations=(linalg.bloch_projector(r0), linalg.bloch_projector(-r0)),
-    )
+def _negative_part(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projector onto the negative eigenspace of each Hermitian matrix in
+    h (..., 2, 2), and the sum of its negative eigenvalues."""
+    ev, v = np.linalg.eigh(h)
+    neg = v * (ev < 0)[..., None, :]
+    return neg @ v.conj().swapaxes(-1, -2), np.minimum(ev, 0.0).sum(axis=-1)
 
 
-def upsilon_best_gamma(p: float, n_starts: int = 24, seed: int = 20240601) -> float:
-    """Best (smallest) gamma over the implemented measurement family.
+def _binary(e0: np.ndarray) -> np.ndarray:
+    """The pairs (e0, id - e0), stacked on a new axis before the matrix axes."""
+    return np.stack([e0, linalg.ID2 - e0], axis=-3)
 
-    The family: four projective settings along two x-z plane directions (plus
-    their label-swapped partners), a pure re-preparation pair along an x-z axis
-    and a projective final measurement in that plane.  The target is
-    2 - sqrt(1 + (1 - 2p)^2), which a numerical search over every
-    measure-and-prepare instrument finds to be optimal (not proved).
-    Multi-start Nelder-Mead reaches it at p = 0, 1/4, 1/2, 3/4 and 1, but
-    stalls where the landscape is flat near p = 1/2: with n_starts=6 it ends
-    4.1e-5 above the target at p = 0.504548, and up to 3.2e-3 above it at
-    p = 0.46, 0.48 and 0.52.  The planned fix is a see-saw over general
-    instruments (ROADMAP.md, item 3).
+
+def upsilon_best_gamma(p: float, n_starts: int = 24) -> float:
+    """Smallest gamma of upsilon(p) found by a see-saw over every binary qubit
+    measure-and-prepare instrument (Pal and Vertesi, PRA 82, 022116, 2010).
+
+    Each sweep minimises gamma exactly over one block at a time.  With rho_a
+    and F fixed, pair (b0, b1) gets a setting whose outcome-0 effect projects
+    onto the negative eigenspace of A_b0 - B_b1, where
+    A_b = Tr_AB[(id (x) rho0^T (x) F_b) W] and B_b is the same with rho1.
+    Gamma is then linear in each rho_a^T, so rho_a is a transposed ground
+    state, and linear in F_0, a negative-eigenspace projector.  The starts
+    (the memory test and n_starts seeded Bloch directions) descend until no
+    sweep gains more than 1e-15, for at most 100 sweeps.  The result is the
+    Born-rule gamma of the best final instrument, a validated MpInstrument.
+    That it is the global optimum, 2 - sqrt(1 + (1 - 2p)^2), is numerical.
     """
-    from scipy.optimize import minimize  # deferred: it dominates the CLI import time
-
     op = upsilon(p)
-
-    def objective(params: np.ndarray) -> float:
-        theta_r, theta_f, theta_a1, theta_a2 = params
-        inst = _plane_instrument(theta_r, theta_a1, theta_a2)
-        fdir = np.array([math.sin(theta_f), 0.0, math.cos(theta_f)])
-        f0 = linalg.bloch_projector(fdir)
-        beh = process.born_rule(op, inst, (f0, linalg.ID2 - f0))
-        return certify.gamma_functional(beh)[0]
-
-    rng = np.random.default_rng(seed)
-    starts = [np.array([math.pi / 2, math.pi / 4, 0.0, math.pi / 2])]  # memory-test shape
-    starts.append(np.array([0.0, math.pi / 4, 0.0, math.pi / 2]))      # z-basis reprep
-    starts.extend(rng.uniform(0.0, math.pi, size=(n_starts, 4)))
-    best = math.inf
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options=dict(maxiter=800, fatol=1e-13, xatol=1e-11),
-        )
-        best = min(best, float(res.fun))
-    return best
+    w6 = op.w.reshape((2,) * 6)  # [i, j, c, l, m, n]: rows A', A, B, then columns
+    dirs = np.random.default_rng(0).standard_normal((n_starts, 3, 3))
+    starts = [[linalg.bloch_projector(n / np.linalg.norm(n)) for n in d] for d in dirs]
+    rho_t = np.array([memory_instrument().reps] + [s[:2] for s in starts]).swapaxes(-1, -2)
+    final = _binary(np.array([memory_final_povm()[0]] + [s[2] for s in starts]))
+    # outcome o of the setting of pair k = (b0, b1) meets F_b with b = (b0, b1)[o]
+    meets = np.array([[[1 - b0, b0], [1 - b1, b1]] for b0 in (0, 1) for b1 in (0, 1)])
+    prev = np.inf
+    for _ in range(100):
+        # effects; red[s, o, b] is A_b (o = 0) or B_b (o = 1) of start s
+        red = np.einsum("somj,sbnc,ijclmn->sobil", rho_t, final, w6)
+        e0, neg = _negative_part(red[:, 0, :, None] - red[:, 1, None, :])
+        effects = _binary(e0).reshape(-1, 4, 2, 2, 2)  # [s, k, o]
+        gamma = (np.trace(red[:, 1], axis1=-2, axis2=-1).real[:, None] + neg).sum(axis=(1, 2))
+        if np.all(prev - gamma <= 1e-15):
+            break
+        prev = gamma
+        # re-preparations, then the final POVM
+        k = np.einsum("skoli,kob,sbnc,ijclmn->sojm", effects, meets, final, w6)
+        ground = np.linalg.eigh(k)[1][..., :1]
+        rho_t = ground @ ground.conj().swapaxes(-1, -2)
+        lin = np.einsum("skoli,kob,somj,ijclmn->sbcn", effects, meets, rho_t, w6)
+        final = _binary(_negative_part(lin[:, 0] - lin[:, 1])[0])
+    labels, gammas = ("00", "01", "10", "11"), []  # setting of pair (b0, b1)
+    for e, reps, f in zip(effects, rho_t.swapaxes(-1, -2), final):
+        inst = process.MpInstrument(settings=labels, povm=dict(zip(labels, e)), repreparations=reps)
+        gammas.append(certify.gamma_functional(process.born_rule(op, inst, f))[0])
+    return min(gammas)
 
 
 def partial_swap(alpha: float) -> np.ndarray:

@@ -212,6 +212,40 @@ def _ground_projector(h):
     return np.outer(v, v.conj())
 
 
+def seesaw_descent(w, reps, final):
+    """Lowest gamma of W on the block-descent path from the re-preparations
+    reps and the final POVM final.
+
+    Each sweep takes the pair effects (negative-eigenspace projectors), each
+    re-preparation (ground state of the operator gamma is linear in), and F
+    (negative-eigenspace projector), until a sweep gains at most 1e-15 or for
+    300 sweeps.  Every step keeps rho pure and F projective and never raises
+    gamma.
+    """
+    pairs = [(b0, b1) for b0 in (0, 1) for b1 in (0, 1)]
+    best = prev = np.inf
+    for _ in range(300):
+        bounds, e0 = pair_bounds(w, reps, final)
+        value = bounds.sum()
+        best = min(best, value)
+        if value > prev - 1e-15:
+            break
+        prev = value
+        e1 = {k: I2 - e for k, e in e0.items()}
+        k0 = sum(slot_operator(w, (e0[b0, b1], None, final[b0]), 1) for b0, b1 in pairs)
+        k1 = sum(slot_operator(w, (e1[b0, b1], None, final[b1]), 1) for b0, b1 in pairs)
+        # gamma is linear in rho_a^T, so rho_a is a transposed ground state
+        reps = [_ground_projector(k0).T, _ground_projector(k1).T]
+        lin = [
+            sum(slot_operator(w, (e0[b, b1], reps[0].T, None), 2) for b1 in (0, 1))
+            + sum(slot_operator(w, (e1[b0, b], reps[1].T, None), 2) for b0 in (0, 1))
+            for b in (0, 1)
+        ]
+        f0 = negative_part(lin[0] - lin[1])[0]
+        final = (f0, I2 - f0)
+    return float(best)
+
+
 def upsilon_all_instrument_gamma(p, n_starts=8, seed=0):
     """Smallest gamma of upsilon_operator(p) over every measure-and-prepare
     instrument, final POVM and number of first-time settings.
@@ -220,40 +254,15 @@ def upsilon_all_instrument_gamma(p, n_starts=8, seed=0):
     gamma = 2 - sum_{b0,b1} ||(A_b0 - B_b1)_-||_1.  That is a minimum of affine
     functions, hence concave in rho0, in rho1 and in F, so pure
     re-preparations and a projective F suffice: six Bloch angles.  Each
-    seeded start draws the six angles and descends by exact block
-    minimisation: the pair effects (negative-eigenspace projectors), each
-    re-preparation (ground state of the operator gamma is linear in), and F
-    (negative-eigenspace projector).  Every step keeps rho pure and F
-    projective and never raises gamma.
+    seeded start draws the six angles and runs seesaw_descent.
     """
     w = upsilon_operator(p)
-    pairs = [(b0, b1) for b0 in (0, 1) for b1 in (0, 1)]
     rng = np.random.default_rng(seed)
     best = np.inf
     for angles in rng.uniform(0.0, 1.0, (n_starts, 6)) * np.pi * np.array([1, 2] * 3):
         reps = [_bloch_projector(*angles[0:2]), _bloch_projector(*angles[2:4])]
         f0 = _bloch_projector(*angles[4:6])
-        final = (f0, I2 - f0)
-        prev = np.inf
-        for _ in range(300):
-            bounds, e0 = pair_bounds(w, reps, final)
-            value = bounds.sum()
-            best = min(best, value)
-            if value > prev - 1e-15:
-                break
-            prev = value
-            e1 = {k: I2 - e for k, e in e0.items()}
-            k0 = sum(slot_operator(w, (e0[b0, b1], None, final[b0]), 1) for b0, b1 in pairs)
-            k1 = sum(slot_operator(w, (e1[b0, b1], None, final[b1]), 1) for b0, b1 in pairs)
-            # gamma is linear in rho_a^T, so rho_a is a transposed ground state
-            reps = [_ground_projector(k0).T, _ground_projector(k1).T]
-            lin = [
-                sum(slot_operator(w, (e0[b, b1], reps[0].T, None), 2) for b1 in (0, 1))
-                + sum(slot_operator(w, (e1[b0, b], reps[1].T, None), 2) for b0 in (0, 1))
-                for b in (0, 1)
-            ]
-            f0 = negative_part(lin[0] - lin[1])[0]
-            final = (f0, I2 - f0)
+        best = min(best, seesaw_descent(w, reps, (f0, I2 - f0)))
     return float(best)
 
 

@@ -45,6 +45,12 @@ def test_ingest_negative_count_reports_row(tmp_path):
     assert ":3:" in str(err.value)
 
 
+def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx,a,b,count\nq,0,0,5\n")
+    assert dataio.ingest_counts(path).rows == {("q", 0, 0): 5}
+
+
 def test_ingest_zero_shot_setting(tmp_path):
     path = write(tmp_path, "zero.csv", "x,a,b,count\nq,0,0,5\nr,0,0,0\n")
     with pytest.raises(ValidationError):
@@ -323,12 +329,58 @@ def test_cli_rejects_empty_scans(tmp_path, capsys, argv, flag):
     assert not any(tmp_path.iterdir())
 
 
-def test_cli_jm_scan_grid_limit(tmp_path, capsys):
+DECAY_ARGV = ["decay", "--t2", "364", "--echo-fidelity", "0.995", "--echo-interval", "2.5",
+              "--initial-gamma", "0.642"]
+
+
+def test_cli_jm_scan_grid_limit(tmp_path, capsys, monkeypatch):
     rc = cli.main(["jm-scan", "--points", "3", "--grid-density", "1000000",
                    "--out", str(tmp_path)])
     assert rc == 2
     assert "exceeds the limit" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+    # --points is capped for every curve and scan before its grid is built
+    assert cli.main(DECAY_ARGV + ["--points", str(cli.MAX_POINTS)]) == 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the grid of an oversized --points")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    for argv in (DECAY_ARGV, ["swap-curve"], ["jm-scan"]):
+        rc = cli.main(argv + ["--points", str(10**8), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--points" in err and "exceeds the limit" in err
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, name, content, fragment", [
+    ("simulate", "noise.yaml",
+     b"noise:\n  t2_ms: 364.0\n  echo_interval_ms: 2.5\n  initial_gamma: 0.642\n",
+     "echo_fidelity"),
+    ("simulate", "missing.yaml", None, "No such file"),
+    ("certify", "latin1.csv", b"x,a,b,count\nq,0,0,5\nq\xe9,0,1,2\n", ":3: not UTF-8"),
+    ("simulate", "alpha.yaml", b"unitary: partial_swap\nalpha: abc\n", "alpha"),
+    ("simulate", "settings.yaml", b"settings: 5\n", "settings"),
+    ("simulate", "shots.yaml", b"shots: 1.5\n", "shots"),
+], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
+        "alpha_not_a_number", "settings_not_a_list", "fractional_shots"])
+def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    flag = "--config" if command == "simulate" else "--counts"
+    out = tmp_path / "out"
+    assert cli.main([command, flag, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["memory_test", "partial_swap"])
+def test_preset_matches_shipped_config(configs_dir, name):
+    assert dataio.preset_config(name) == dataio.load_config(configs_dir / f"{name}.yaml")
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -341,6 +393,25 @@ def test_cli_import_leaves_out_scipy_optimize():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: the optimizer and the CLI run without it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from tpmcert import cli, proclib\n"
+        "gamma = proclib.upsilon_best_gamma(0.3, n_starts=0)\n"
+        "assert abs(gamma - (2 - (1 + 0.4 ** 2) ** 0.5)) < 1e-9, gamma\n"
+        "sys.exit(cli.main(['swap-curve', '--points', '3']))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "alpha = 3.1416" in result.stdout
 
 
 def test_cli_decay_and_swap_curve(tmp_path, capsys):

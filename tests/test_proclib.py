@@ -13,7 +13,9 @@ from oracles import (
     random_density,
     random_instrument_arrays,
     random_unitary,
+    seesaw_descent,
     swap_gamma_closed_form,
+    upsilon_all_instrument_gamma,
     upsilon_operator,
 )
 
@@ -69,6 +71,48 @@ def test_upsilon_ppt_pattern_over_first_factor():
 def test_upsilon_best_gamma_at_endpoints():
     for p in (0.0, 1.0):
         assert abs(proclib.upsilon_best_gamma(p, n_starts=4) - (2 - math.sqrt(2))) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.46, 0.48, 0.504548, 0.52])
+def test_upsilon_best_gamma_near_half(p):
+    # where the landscape is flat near p = 1/2 the see-saw still lands on
+    # the closed form and on the independent all-instrument oracle
+    best = proclib.upsilon_best_gamma(p, n_starts=6)
+    assert abs(best - (2 - math.sqrt(1 + (1 - 2 * p) ** 2))) < 1e-9
+    assert abs(best - upsilon_all_instrument_gamma(p)) < 1e-9
+
+
+def test_upsilon_best_gamma_in_a_rotated_frame(monkeypatch):
+    # local unitaries on the re-preparation slot A and the final slot B keep
+    # the optimum but move it off the memory-test start, so the
+    # re-preparation and final-POVM steps have to find it
+    rng = np.random.default_rng(11)
+    rot = np.kron(np.kron(linalg.ID2, random_unitary(rng, 2)), random_unitary(rng, 2))
+    upsilon = proclib.upsilon
+
+    def rotated(p):
+        op = upsilon(p)
+        return process.ProcessOperator(w=rot @ op.w @ rot.conj().T,
+                                       marginal_state=op.marginal_state)
+
+    monkeypatch.setattr(proclib, "upsilon", rotated)
+    for p in (0.0, 0.25, 0.504548, 1.0):
+        best = proclib.upsilon_best_gamma(p, n_starts=0)
+        assert abs(best - (2 - math.sqrt(1 + (1 - 2 * p) ** 2))) < 1e-9, p
+
+
+def test_upsilon_best_gamma_descends_like_the_oracle(monkeypatch):
+    # on a generic process the descent from the memory-test start ends in a
+    # local minimum; the library and the oracle take the same block steps
+    # from that start, so they end at the same value, up to slow convergence
+    # (the library stops after 100 sweeps)
+    rng = np.random.default_rng(7)
+    start = list(proclib.memory_instrument().reps), proclib.memory_final_povm()
+    for _ in range(10):
+        op = process.build_process(random_density(rng, 4), random_unitary(rng, 4))
+        monkeypatch.setattr(proclib, "upsilon", lambda p: op)
+        best = proclib.upsilon_best_gamma(0.0, n_starts=0)
+        assert abs(best - seesaw_descent(op.w, *start)) < 1e-6
 
 
 def test_upsilon_oracle_operator_matches_library():
