@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .exceptions import DomainError, ValidationError
+from .exceptions import DomainError, ResourceLimitError, ValidationError
 from .process import Behavior, DoTable
 
 # Self-testing threshold constant (8 + 7 sqrt(2)) / 17, kept as the exact
@@ -23,6 +23,8 @@ S_K = (8.0 + 7.0 * math.sqrt(2.0)) / 17.0
 GAMMA_MAX_VIOLATION = 2.0 - math.sqrt(2.0)
 
 DEFAULT_RESAMPLES = 10_000
+# the resampled tables peak at about 70 bytes per resample and setting
+MAX_RESAMPLES = 1_000_000
 DEFAULT_SIGMA_K = 3.0
 
 
@@ -62,6 +64,26 @@ class CertReport:
         }
 
 
+# The kernels below work on [..., b0, b1] cell slices: numpy adds or compares
+# long strided slices far faster than it reduces over a trailing axis of length
+# 2 or 4.  They reduce over settings fastest with settings outermost in memory.
+
+
+def _pair_terms(probs: np.ndarray) -> np.ndarray:
+    """T[..., x, b0, b1] = P(0, b0 | x) + P(1, b1 | x) of probs (..., X, 2, 2),
+    laid out in memory like probs."""
+    t = np.empty_like(probs)
+    for b0 in (0, 1):
+        for b1 in (0, 1):
+            np.add(probs[..., 0, b0], probs[..., 1, b1], out=t[..., b0, b1])
+    return t
+
+
+def _gamma(minima: np.ndarray) -> np.ndarray:
+    """Sum of the pair minima (..., 2, 2), added in the order 00, 01, 10, 11."""
+    return ((minima[..., 0, 0] + minima[..., 0, 1]) + minima[..., 1, 0]) + minima[..., 1, 1]
+
+
 def pair_minima(
     probs: np.ndarray, argmin: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -72,11 +94,10 @@ def pair_minima(
     smallest index.  A given argmin (broadcastable to (..., 2, 2)) pins the
     settings instead of selecting them.
     """
-    t = probs[..., :, 0, :, None] + probs[..., :, 1, None, :]
+    t = _pair_terms(probs)
     if argmin is None:
-        argmin = t.argmin(axis=-3)
-    else:
-        argmin = np.broadcast_to(argmin, t.shape[:-3] + (2, 2))
+        return t.min(axis=-3), t.argmin(axis=-3)
+    argmin = np.broadcast_to(argmin, t.shape[:-3] + (2, 2))
     return np.take_along_axis(t, argmin[..., None, :, :], axis=-3)[..., 0, :, :], argmin
 
 
@@ -86,19 +107,20 @@ def gamma_values(
     """Gamma of every table in probs (..., X, 2, 2), shape (...), with the
     per-pair setting indices of pair_minima."""
     minima, argmin = pair_minima(probs, argmin)
-    return minima.sum(axis=(-2, -1)), argmin
+    return _gamma(minima), argmin
 
 
 def pearl_values(probs: np.ndarray) -> np.ndarray:
     """Pearl's delta of every table in probs (..., X, 2, 2), shape (...)."""
-    return probs.max(axis=-3).sum(axis=-1).max(axis=-1)
+    best = probs.max(axis=-3)
+    return np.maximum(best[..., 0, 0] + best[..., 0, 1], best[..., 1, 0] + best[..., 1, 1])
 
 
 def acde_values(probs: np.ndarray) -> np.ndarray:
     """ACDE of every do-table in probs (..., 2, K, 2), shape (...); zero when K = 1."""
-    # settings first and contiguous: each reduction then runs over whole tables
-    by_setting = np.ascontiguousarray(np.moveaxis(probs, -2, 0))
-    return (by_setting.max(axis=0) - by_setting.min(axis=0)).max(axis=(-2, -1))
+    shift = probs.max(axis=-2) - probs.min(axis=-2)
+    return np.maximum(np.maximum(shift[..., 0, 0], shift[..., 0, 1]),
+                      np.maximum(shift[..., 1, 0], shift[..., 1, 1]))
 
 
 def gamma_functional(b: Behavior) -> tuple[float, dict[tuple[int, int], str]]:
@@ -214,19 +236,25 @@ def bootstrap_errors(
     """
     if n_resamples < 2:
         raise ValidationError("need at least two resamples")
+    if n_resamples > MAX_RESAMPLES:
+        raise ResourceLimitError(f"--resamples (config key resamples) {n_resamples} "
+                                 f"exceeds the limit of {MAX_RESAMPLES}")
     counts = _counts_from_behavior(behavior)
     rng = np.random.default_rng(seed)
-    resampled = np.empty((n_resamples, len(behavior.settings), 2, 2))
-    for xi in range(len(behavior.settings)):
+    # settings first: one contiguous (R, 2, 2) slab of frequencies per setting
+    slabs = np.empty((len(behavior.settings), n_resamples, 2, 2))
+    for xi, slab in enumerate(slabs):
         n = int(counts[xi].sum())
         pvals = counts[xi].reshape(-1) / counts[xi].sum()
         draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
-        resampled[:, xi] = draws.reshape(n_resamples, 2, 2) / n
+        np.divide(draws.reshape(n_resamples, 2, 2), n, out=slab)
+    resampled = np.moveaxis(slabs, 0, -3)
 
-    frozen_idx = None
     if frozen_argmin:
         frozen_idx = gamma_values(np.asarray(behavior.probs, dtype=float))[1]
-    gammas, _ = gamma_values(resampled, frozen_idx)
+        gammas = gamma_values(resampled, frozen_idx)[0]
+    else:
+        gammas = _gamma(_pair_terms(resampled).min(axis=-3))
     pearls = pearl_values(resampled)
     errors = {
         "gamma": float(gammas.std(ddof=1)),
@@ -236,14 +264,15 @@ def bootstrap_errors(
     if do_table is not None and do_table.do_settings is not None:
         dcounts = _counts_from_dotable(do_table)
         k = len(do_table.do_settings)
-        dres = np.empty((n_resamples, 2, k, 2))
+        # one contiguous (R, 2) slab per intervention row (a, k)
+        dslabs = np.empty((2, k, n_resamples, 2))
         for a in (0, 1):
             for ki in range(k):
                 n = int(dcounts[a, ki].sum())
                 pvals = dcounts[a, ki] / dcounts[a, ki].sum()
                 draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
-                dres[:, a, ki] = draws / n
-        acdes = acde_values(dres)
+                np.divide(draws, n, out=dslabs[a, ki])
+        acdes = acde_values(np.moveaxis(dslabs, -2, 0))
         errors["acde"] = float(acdes.std(ddof=1))
         errors["corrected_lhs"] = float((gammas + 2.0 * acdes).std(ddof=1))
     elif do_table is not None:

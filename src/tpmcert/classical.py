@@ -122,7 +122,8 @@ def _tables(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     a, b = vertices.a_response, vertices.b_response
     cell = 2 * a + np.where(a, b[:, 1], b[:, 0])  # setting x lands in cell (a, b(a, x))
     probs = _onehot(cell, 4).reshape(len(a), -1, 2, 2)
-    do = _onehot(b, 2)
+    # settings outermost in memory, where certify.acde_values reduces fastest
+    do = np.moveaxis(_onehot(np.ascontiguousarray(np.moveaxis(b, -1, 0)), 2), 0, -2)
     for name, table, totals in (("behavior", probs, "...ij->..."), ("do-table", do, "...i->...")):
         if table.min() < -PROCESS_ATOL or np.abs(np.einsum(totals, table) - 1).max() > PROCESS_ATOL:
             raise ValidationError(f"{name} of a strategy is not a normalized distribution")

@@ -268,9 +268,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         missing = [key for key in _NOISE_KEYS.values() if key not in nz]
         if missing:
             raise ParseError(f"{path}: noise block lacks {missing}")
-        kwargs["noise"] = proclib.NoiseParams(**{
-            name: _typed(path, f"noise.{key}", nz[key], float) for name, key in _NOISE_KEYS.items()
-        })
+        values = {name: _typed(path, f"noise.{key}", nz[key], float)
+                  for name, key in _NOISE_KEYS.items()}
+        try:
+            kwargs["noise"] = proclib.NoiseParams(**values)
+        except ValidationError as exc:
+            name, rule = str(exc).split(" ", 1)
+            raise ValidationError(f"{path}: noise.{_NOISE_KEYS[name]} {rule}") from None
         if "wait_ms" in nz:
             kwargs["wait_ms"] = _typed(path, "noise.wait_ms", nz["wait_ms"], float)
     return ExperimentConfig(**kwargs)

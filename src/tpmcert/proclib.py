@@ -279,12 +279,15 @@ class NoiseParams:
     initial_gamma: float
 
     def __post_init__(self):
-        if self.t2 <= 0 or self.t1 <= 0 or self.echo_interval <= 0:
-            raise ValidationError("time constants must be positive")
+        # every message starts with the name of the field at fault
+        for name in ("t2", "t1", "echo_interval"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.echo_fidelity <= 1.0:
-            raise ValidationError("echo fidelity must lie in (0, 1]")
+            raise ValidationError(f"echo_fidelity must lie in (0, 1], got {self.echo_fidelity}")
         if not 2 - math.sqrt(2) <= self.initial_gamma <= 2:
-            raise ValidationError("initial gamma outside [2 - sqrt(2), 2]")
+            raise ValidationError(f"initial_gamma must lie in [2 - sqrt(2), 2], "
+                                  f"got {self.initial_gamma}")
 
 
 def _visibility_decay(params: NoiseParams, t: float, include_t1: bool) -> float:

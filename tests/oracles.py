@@ -298,3 +298,66 @@ def classical_vertex_values(n, crosstalk):
             gammas.append(gamma)
             corrected.append(gamma + 2 * acde)
     return responses, gammas, corrected
+
+
+def bootstrap_errors_reference(behavior, n_resamples, seed=0, do_table=None,
+                               frozen_argmin=False):
+    """certify.bootstrap_errors as it stood with an (R, X, 2, 2) resample array
+    and one reduction over the settings axis per functional, with every kernel
+    written out here: the same random stream, the same per-element division
+    and the same summation order, so its results are the library's bit for bit."""
+
+    def counts_of(probs, shots):
+        # shots[i] is the shot number of the row probs[i] (i a setting or an (a, k) pair)
+        counts = np.empty_like(np.asarray(probs))
+        for i in np.ndindex(np.shape(shots)):
+            counts[i] = np.asarray(probs[i]) * int(shots[i])
+        return np.rint(counts).astype(np.int64)
+
+    def gamma_of(probs, argmin=None):
+        t = probs[..., :, 0, :, None] + probs[..., :, 1, None, :]
+        if argmin is None:
+            argmin = t.argmin(axis=-3)
+        else:
+            argmin = np.broadcast_to(argmin, t.shape[:-3] + (2, 2))
+        minima = np.take_along_axis(t, argmin[..., None, :, :], axis=-3)[..., 0, :, :]
+        return minima.sum(axis=(-2, -1)), argmin
+
+    counts = counts_of(behavior.probs, np.array([behavior.shots[x] for x in behavior.settings]))
+    rng = np.random.default_rng(seed)
+    resampled = np.empty((n_resamples, len(behavior.settings), 2, 2))
+    for xi in range(len(behavior.settings)):
+        n = int(counts[xi].sum())
+        pvals = counts[xi].reshape(-1) / counts[xi].sum()
+        draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
+        resampled[:, xi] = draws.reshape(n_resamples, 2, 2) / n
+
+    frozen_idx = None
+    if frozen_argmin:
+        frozen_idx = gamma_of(np.asarray(behavior.probs, dtype=float))[1]
+    gammas, _ = gamma_of(resampled, frozen_idx)
+    pearls = resampled.max(axis=-3).sum(axis=-1).max(axis=-1)
+    errors = {
+        "gamma": float(gammas.std(ddof=1)),
+        "pearl_delta": float(pearls.std(ddof=1)),
+    }
+
+    if do_table is not None and do_table.do_settings is not None:
+        k = len(do_table.do_settings)
+        dcounts = counts_of(do_table.probs, np.array(
+            [[do_table.shots[(a, x)] for x in do_table.do_settings] for a in (0, 1)]))
+        dres = np.empty((n_resamples, 2, k, 2))
+        for a in (0, 1):
+            for ki in range(k):
+                n = int(dcounts[a, ki].sum())
+                pvals = dcounts[a, ki] / dcounts[a, ki].sum()
+                draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
+                dres[:, a, ki] = draws / n
+        by_setting = np.ascontiguousarray(np.moveaxis(dres, -2, 0))
+        acdes = (by_setting.max(axis=0) - by_setting.min(axis=0)).max(axis=(-2, -1))
+        errors["acde"] = float(acdes.std(ddof=1))
+        errors["corrected_lhs"] = float((gammas + 2.0 * acdes).std(ddof=1))
+    elif do_table is not None:
+        errors["acde"] = 0.0
+        errors["corrected_lhs"] = errors["gamma"]
+    return errors

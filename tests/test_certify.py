@@ -8,7 +8,8 @@ import pytest
 from tpmcert import certify, dataio, linalg, proclib, process
 from tpmcert.exceptions import DomainError
 
-from oracles import random_binary_povm, random_density, random_unitary
+from oracles import (bootstrap_errors_reference, random_binary_povm, random_density,
+                     random_unitary)
 
 RNG = np.random.default_rng(404)
 
@@ -238,3 +239,46 @@ def test_gamma_values_batch_equals_sequential_loop():
                 assert argmin[r, b0, b1] == idx
                 total += terms[idx]
             assert gammas[r] == total
+
+
+def _random_counts(rng, rows, on_grid):
+    """Count rows of 4 (or 2) cells: zero cells often, and on a 1/8 grid of
+    frequencies (so pair terms tie across settings) when on_grid."""
+    cells = rows[-1]
+    if on_grid:
+        eighths = rng.multinomial(8, rng.dirichlet(np.ones(cells)), size=rows[:-1])
+        return eighths * rng.integers(1, 50, size=rows[:-1] + (1,))
+    weights = rng.dirichlet(np.ones(cells), size=rows[:-1])
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    weights[weights.sum(axis=-1) == 0, 0] = 1.0
+    return rng.multinomial(rng.integers(1, 3000, size=rows[:-1]),
+                           weights / weights.sum(axis=-1, keepdims=True))
+
+
+def test_bootstrap_errors_equal_the_reference_bit_for_bit():
+    # 432 random count tables: |X| = 1..8, a third on a 1/8 grid; a K = |X|
+    # do-table, a do-table without a setting index, or none; R = 2, 3, 400;
+    # live and frozen argmin
+    rng = np.random.default_rng(8)
+    cases = itertools.product(range(1, 9), (True, False, False), range(3), (2, 3, 400),
+                              (False, True))
+    for seed, (n_x, on_grid, kind, n_resamples, frozen) in enumerate(cases):
+        labels = tuple(f"s{x}" for x in range(n_x))
+        counts = _random_counts(rng, (n_x, 4), on_grid).reshape(n_x, 2, 2)
+        shots = counts.sum(axis=(1, 2))
+        beh = process.Behavior(settings=labels, probs=counts / shots[:, None, None],
+                               shots=dict(zip(labels, shots.tolist())))
+        table = None
+        if kind == 0:
+            dcounts = _random_counts(rng, (2, n_x, 2), on_grid)
+            dshots = dcounts.sum(axis=-1)
+            table = process.DoTable(
+                probs=dcounts / dshots[..., None], do_settings=labels,
+                shots={(a, x): int(dshots[a, k]) for a in (0, 1) for k, x in enumerate(labels)})
+        elif kind == 1:
+            table = process.DoTable(probs=np.full((2, 1, 2), 0.5))
+        got = certify.bootstrap_errors(beh, n_resamples, seed=seed, do_table=table,
+                                       frozen_argmin=frozen)
+        want = bootstrap_errors_reference(beh, n_resamples, seed=seed, do_table=table,
+                                          frozen_argmin=frozen)
+        assert got == want, (seed, n_x, on_grid, kind, n_resamples, frozen)

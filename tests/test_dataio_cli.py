@@ -270,11 +270,18 @@ def test_cli_rejects_malformed_instrument_configs(tmp_path, capsys, text, messag
 
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parents[1] / "fixtures"
+# the README certify command
+CERTIFY_ARGV = ["certify", "--counts", str(FIXTURES / "memory_observational.csv"),
+                "--do-counts", str(FIXTURES / "memory_interventional.csv"),
+                "--resamples", "10000", "--seed", "42"]
 GOLDEN_RUNS = {
     "memory_test_exact": ["simulate", "--preset", "memory_test", "--exact"],
     "partial_swap_shots": ["simulate", "--preset", "partial_swap", "--alpha", "2.356",
                            "--shots", "10000", "--seed", "7"],
     "swap_curve": ["swap-curve", "--points", "64"],
+    "certify_fixtures": CERTIFY_ARGV,
+    "certify_frozen": CERTIFY_ARGV + ["--frozen-argmin"],
 }
 
 
@@ -355,6 +362,32 @@ def test_cli_jm_scan_grid_limit(tmp_path, capsys, monkeypatch):
         assert not any(tmp_path.iterdir())
 
 
+class _RefusingGenerator(np.random.Generator):
+    def multinomial(self, n, pvals, size=None):
+        # shot sampling draws one table; a bootstrap draws size resamples at once
+        if size is not None:
+            raise AssertionError("drew the resamples of an oversized resample count")
+        return super().multinomial(n, pvals)
+
+
+def test_cli_resample_limit(tmp_path, capsys, monkeypatch):
+    # the resample count is capped before any resample array is allocated
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: _RefusingGenerator(np.random.PCG64(seed)))
+    config = write(tmp_path, "big.yaml", f"shots: 100\nresamples: {10**9}\n")
+    out = tmp_path / "out"
+    for argv, name in (
+        (CERTIFY_ARGV + ["--resamples", str(certify.MAX_RESAMPLES + 1)], "--resamples"),
+        (["simulate", "--preset", "memory_test", "--shots", "100", "--resamples",
+          str(10**9)], "--resamples"),
+        (["simulate", "--config", str(config)], "resamples"),
+    ):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "exceeds the limit" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command, name, content, fragment", [
     ("simulate", "noise.yaml",
      b"noise:\n  t2_ms: 364.0\n  echo_interval_ms: 2.5\n  initial_gamma: 0.642\n",
@@ -364,8 +397,11 @@ def test_cli_jm_scan_grid_limit(tmp_path, capsys, monkeypatch):
     ("simulate", "alpha.yaml", b"unitary: partial_swap\nalpha: abc\n", "alpha"),
     ("simulate", "settings.yaml", b"settings: 5\n", "settings"),
     ("simulate", "shots.yaml", b"shots: 1.5\n", "shots"),
+    ("simulate", "negative_t2.yaml",
+     b"noise:\n  t2_ms: -1\n  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n"
+     b"  initial_gamma: 0.642\n", "noise.t2_ms must be positive"),
 ], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
-        "alpha_not_a_number", "settings_not_a_list", "fractional_shots"])
+        "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2"])
 def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
     path = tmp_path / name
     if content is not None:
