@@ -23,8 +23,12 @@ S_K = (8.0 + 7.0 * math.sqrt(2.0)) / 17.0
 GAMMA_MAX_VIOLATION = 2.0 - math.sqrt(2.0)
 
 DEFAULT_RESAMPLES = 10_000
-# the resampled tables peak at about 70 bytes per resample and setting
 MAX_RESAMPLES = 1_000_000
+# resamples times resampled table rows (settings plus do-table rows): the
+# bootstrap peaks at about 70 bytes per resample and setting and less per
+# do-table row, so this holds it under about 0.85 GB and still admits the
+# memory test with its do-table (4 + 8 rows) at MAX_RESAMPLES
+MAX_RESAMPLED_ROWS = 12_000_000
 DEFAULT_SIGMA_K = 3.0
 
 
@@ -99,6 +103,12 @@ def pair_minima(
         return t.min(axis=-3), t.argmin(axis=-3)
     argmin = np.broadcast_to(argmin, t.shape[:-3] + (2, 2))
     return np.take_along_axis(t, argmin[..., None, :, :], axis=-3)[..., 0, :, :], argmin
+
+
+def gamma_only(probs: np.ndarray) -> np.ndarray:
+    """Gamma of every table in probs (..., X, 2, 2), shape (...), without the
+    setting indices that gamma_values also returns."""
+    return _gamma(_pair_terms(probs).min(axis=-3))
 
 
 def gamma_values(
@@ -187,37 +197,6 @@ def fidelity_lower_bound(gamma: float, atol: float = 1e-12) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def _counts_from_behavior(b: Behavior) -> np.ndarray:
-    if b.shots is None:
-        raise ValidationError("behavior carries no shot counts")
-    counts = np.empty_like(np.asarray(b.probs))
-    for xi, x in enumerate(b.settings):
-        n = int(b.shots[x])
-        if n < 1:
-            raise ValidationError(f"setting {x!r} has no shots")
-        counts[xi] = np.asarray(b.probs[xi]) * n
-    rounded = np.rint(counts)
-    if np.abs(rounded - counts).max() > 1e-6:
-        raise ValidationError("behavior frequencies are not consistent with shots")
-    return rounded.astype(np.int64)
-
-
-def _counts_from_dotable(d: DoTable) -> np.ndarray:
-    if d.shots is None or d.do_settings is None:
-        raise ValidationError("do-table carries no shot counts")
-    counts = np.empty_like(np.asarray(d.probs))
-    for a in (0, 1):
-        for k, x in enumerate(d.do_settings):
-            n = int(d.shots[(a, x)])
-            if n < 1:
-                raise ValidationError(f"do-row (a={a}, x={x!r}) has no shots")
-            counts[a, k] = np.asarray(d.probs[a, k]) * n
-    rounded = np.rint(counts)
-    if np.abs(rounded - counts).max() > 1e-6:
-        raise ValidationError("do-table frequencies are not consistent with shots")
-    return rounded.astype(np.int64)
-
-
 def bootstrap_errors(
     behavior: Behavior,
     n_resamples: int = DEFAULT_RESAMPLES,
@@ -227,19 +206,31 @@ def bootstrap_errors(
 ) -> dict[str, float]:
     """Nonparametric bootstrap standard errors of the certification functionals.
 
-    Counts are resampled multinomially per setting (and per intervention row)
-    from the observed frequencies; the reported error is the sample standard
-    deviation of the functional over resamples.  By default the gamma argmin
-    is re-selected in every resample, which is the honest variance of the
-    estimator; frozen_argmin pins it to the point-estimate settings instead.
-    Deterministic for a fixed seed.
+    The behavior's counts are resampled multinomially per setting, and a
+    do-table's per intervention row when it has counts and a setting index
+    (otherwise its ACDE error is zero); the reported error is the sample
+    standard deviation of the functional over resamples.  By default the
+    gamma argmin is re-selected in every resample, which is the honest
+    variance of the estimator; frozen_argmin pins it to the point-estimate
+    settings instead.  Deterministic for a fixed seed.  Resamples times
+    resampled rows may not exceed MAX_RESAMPLED_ROWS.
     """
     if n_resamples < 2:
         raise ValidationError("need at least two resamples")
     if n_resamples > MAX_RESAMPLES:
         raise ResourceLimitError(f"--resamples (config key resamples) {n_resamples} "
                                  f"exceeds the limit of {MAX_RESAMPLES}")
-    counts = _counts_from_behavior(behavior)
+    counts = behavior.counts
+    if counts is None:
+        raise ValidationError("behavior carries no counts to resample")
+    resample_do = (do_table is not None and do_table.do_settings is not None
+                   and do_table.counts is not None)
+    rows = len(counts) + (2 * len(do_table.do_settings) if resample_do else 0)
+    if n_resamples * rows > MAX_RESAMPLED_ROWS:
+        raise ResourceLimitError(
+            f"--resamples (config key resamples) {n_resamples} times {rows} table rows "
+            f"is {n_resamples * rows} resampled rows, which exceeds the limit of "
+            f"{MAX_RESAMPLED_ROWS}")
     rng = np.random.default_rng(seed)
     # settings first: one contiguous (R, 2, 2) slab of frequencies per setting
     slabs = np.empty((len(behavior.settings), n_resamples, 2, 2))
@@ -254,15 +245,15 @@ def bootstrap_errors(
         frozen_idx = gamma_values(np.asarray(behavior.probs, dtype=float))[1]
         gammas = gamma_values(resampled, frozen_idx)[0]
     else:
-        gammas = _gamma(_pair_terms(resampled).min(axis=-3))
+        gammas = gamma_only(resampled)
     pearls = pearl_values(resampled)
     errors = {
         "gamma": float(gammas.std(ddof=1)),
         "pearl_delta": float(pearls.std(ddof=1)),
     }
 
-    if do_table is not None and do_table.do_settings is not None:
-        dcounts = _counts_from_dotable(do_table)
+    if resample_do:
+        dcounts = do_table.counts
         k = len(do_table.do_settings)
         # one contiguous (R, 2) slab per intervention row (a, k)
         dslabs = np.empty((2, k, n_resamples, 2))
@@ -281,6 +272,16 @@ def bootstrap_errors(
     return errors
 
 
+def check_do_settings(behavior: Behavior, do_table: DoTable | None) -> None:
+    """Raise ValidationError unless a do-table with a setting index has the
+    behavior's setting labels; ACDE over fewer settings understates the
+    crosstalk that gamma + 2 ACDE must absorb."""
+    if (do_table is not None and do_table.do_settings is not None
+            and set(do_table.do_settings) != set(behavior.settings)):
+        raise ValidationError(f"do-table settings {list(do_table.do_settings)} are not "
+                              f"the behavior's {list(behavior.settings)}")
+
+
 def certify_behavior(
     behavior: Behavior,
     do_table: DoTable | None = None,
@@ -291,18 +292,20 @@ def certify_behavior(
 ) -> CertReport:
     """Evaluate every functional on one data set and assemble the report.
 
-    Statistical verdicts use a sigma_k * stderr margin when shot counts are
-    available and plain strict inequalities otherwise.  The fidelity bound is
-    evaluated at the gamma estimate clamped into its domain (a sampled gamma
-    can fluctuate slightly past the quantum bound).
+    A do-table with a setting index must have the behavior's setting labels.
+    Statistical verdicts use a sigma_k * stderr margin when the behavior
+    carries counts and plain strict inequalities otherwise.  The fidelity
+    bound is evaluated at the gamma estimate clamped into its domain (a
+    sampled gamma can fluctuate slightly past the quantum bound).
     """
+    check_do_settings(behavior, do_table)
     gamma, argmin = gamma_functional(behavior)
     delta = pearl_delta(behavior)
     chsh = chsh_decomposition(behavior, argmin) if len(behavior.settings) >= 2 else None
     acde_value = acde(do_table) if do_table is not None else None
 
     errors: dict[str, float] | None = None
-    if behavior.shots is not None:
+    if behavior.counts is not None:
         errors = bootstrap_errors(
             behavior, n_resamples, seed, do_table=do_table, frozen_argmin=frozen_argmin
         )

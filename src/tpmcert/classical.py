@@ -172,7 +172,7 @@ def vertex_values(
 
     The tables hold 0/1 entries, so both values are exact small integers."""
     probs, do = _tables(_as_vertices(strategies))
-    gamma, _ = certify.gamma_values(probs)
+    gamma = certify.gamma_only(probs)
     return gamma.astype(float), (gamma + 2 * certify.acde_values(do)).astype(float)
 
 

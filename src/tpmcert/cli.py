@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import certify, classical, compat, dataio, proclib
+from . import certify, classical, compat, dataio, proclib, process
 from .exceptions import DomainError, ParseError, ResourceLimitError, ValidationError
 
 MAX_POINTS = 100_000  # curve and scan length cap; decay holds about 120 bytes a point
@@ -87,16 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_certify(args) -> int:
-    table = dataio.ingest_counts(args.counts)
-    if table.kind != "observational":
-        raise ValidationError("--counts must be an observational table")
-    behavior = dataio.counts_to_behavior(table)
+    behavior = dataio.ingest_counts(args.counts)
+    if not isinstance(behavior, process.Behavior):
+        raise ValidationError(f"{args.counts}: --counts must be an observational table")
     do_table = None
     if args.do_counts:
-        do_raw = dataio.ingest_counts(args.do_counts)
-        if do_raw.kind != "interventional":
-            raise ValidationError("--do-counts must be an interventional table")
-        do_table = dataio.counts_to_behavior(do_raw)
+        do_table = dataio.ingest_counts(args.do_counts)
+        if not isinstance(do_table, process.DoTable):
+            raise ValidationError(f"{args.do_counts}: --do-counts must be an interventional table")
+        try:
+            certify.check_do_settings(behavior, do_table)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.do_counts}: {exc}") from None
     given = dict(n_resamples=args.resamples, seed=args.seed, sigma_k=args.sigma_k)
     report = certify.certify_behavior(
         behavior, do_table=do_table, frozen_argmin=args.frozen_argmin,

@@ -5,11 +5,16 @@ CSV schemas (exact headers):
   observational   x,a,b,count
   interventional  do_a,x,b,count
 
-Counts are nonnegative integers, duplicate rows are summed, and every setting
-(or intervention row) must have at least one shot.  report.json follows the
-fixed schema of CertReport.to_json_dict; curve CSVs carry the columns
-abscissa,value,stderr_lo,stderr_hi with empty stderr fields when a curve is
-exact.
+Counts are nonnegative integers (at most MAX_COUNT per cell), duplicate rows
+are summed, and every setting (or intervention row) must have at least one
+shot.  ingest_counts keeps the counts as the data: an observational table
+becomes a process.Behavior and an interventional one a process.DoTable, each
+holding an int64 counts array from which its probabilities are derived and
+which the bootstrap resamples.
+
+report.json follows the fixed schema of CertReport.to_json_dict; curve CSVs
+carry the columns abscissa,value,stderr_lo,stderr_hi with empty stderr fields
+when a curve is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,31 +35,13 @@ from .exceptions import ParseError, ValidationError
 
 OBS_HEADER = ["x", "a", "b", "count"]
 DO_HEADER = ["do_a", "x", "b", "count"]
-_KINDS = {tuple(OBS_HEADER): "observational", tuple(DO_HEADER): "interventional"}
+# the largest count of one cell, so that row totals stay far inside int64
+MAX_COUNT = 2**53
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Aggregated event counts of one experiment.
-
-    kind is "observational" (rows keyed (x, a, b)) or "interventional"
-    (rows keyed (do_a, x, b)).
-    """
-
-    kind: str
-    rows: Mapping[tuple, int]
-    settings: tuple[str, ...]
-
-    def total_shots(self) -> dict:
-        totals: dict = {}
-        for key, count in self.rows.items():
-            group = key[0] if self.kind == "observational" else (key[0], key[1])
-            totals[group] = totals.get(group, 0) + count
-        return totals
-
-
-def ingest_counts(path: str | Path) -> CountTable:
-    """Parse and validate a UTF-8 count CSV; duplicate rows are summed."""
+def ingest_counts(path: str | Path) -> process.Behavior | process.DoTable:
+    """Parse and validate a UTF-8 count CSV into a Behavior (header x,a,b,count)
+    or a DoTable (header do_a,x,b,count) that holds the summed counts."""
     path = Path(path)
     try:
         data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a spreadsheet's UTF-8 BOM
@@ -70,12 +57,11 @@ def ingest_counts(path: str | Path) -> CountTable:
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in lines[0]]
-    kind = _KINDS.get(tuple(header))
-    if kind is None:
+    if header not in (OBS_HEADER, DO_HEADER):
         raise ParseError(f"{path}: unrecognized header {header}")
-    xi, ai = (0, 1) if kind == "observational" else (1, 0)  # columns of x and a
-    rows: dict[tuple, int] = {}
-    settings: list[str] = []
+    observational = header == OBS_HEADER
+    xi, ai = (0, 1) if observational else (1, 0)  # columns of x and a
+    blocks: dict[str, np.ndarray] = {}  # setting label -> its (2, 2) counts [a, b]
     for lineno, row in enumerate(lines[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -89,69 +75,21 @@ def ingest_counts(path: str | Path) -> CountTable:
             raise ParseError(f"{path}:{lineno}: outcomes must be 0 or 1")
         if count < 0:
             raise ParseError(f"{path}:{lineno}: negative count {count}")
-        if x not in settings:
-            settings.append(x)
-        key = (x, a, b) if kind == "observational" else (a, x, b)
-        rows[key] = rows.get(key, 0) + count
-    table = CountTable(kind=kind, rows=rows, settings=tuple(settings))
-    for group, total in table.total_shots().items():
-        if total < 1:
-            raise ValidationError(f"{path}: group {group!r} has zero shots")
-    if not rows:
+        if x not in blocks:
+            blocks[x] = np.zeros((2, 2), dtype=np.int64)
+        if count > MAX_COUNT - blocks[x][a, b]:
+            raise ParseError(f"{path}:{lineno}: the cell's count exceeds {MAX_COUNT}")
+        blocks[x][a, b] += count
+    if not blocks:
         raise ValidationError(f"{path}: no data rows")
-    return table
-
-
-def counts_to_behavior(table: CountTable) -> process.Behavior | process.DoTable:
-    """Maximum-likelihood frequencies from counts; zero cells stay zero (no
-    smoothing, which would bias the minimum-based functionals)."""
-    totals = table.total_shots()
-    if table.kind == "observational":
-        probs = np.zeros((len(table.settings), 2, 2))
-        for (x, a, b), count in table.rows.items():
-            probs[table.settings.index(x), a, b] = count / totals[x]
-        return process.Behavior(
-            settings=table.settings,
-            probs=probs,
-            shots={x: totals[x] for x in table.settings},
-        )
-    probs = np.zeros((2, len(table.settings), 2))
-    for (a, x, b), count in table.rows.items():
-        probs[a, table.settings.index(x), b] = count / totals[(a, x)]
-    for a in (0, 1):
-        for x in table.settings:
-            if (a, x) not in totals:
-                raise ValidationError(f"missing intervention row (a={a}, x={x!r})")
-    return process.DoTable(
-        probs=probs,
-        do_settings=table.settings,
-        shots={(a, x): totals[(a, x)] for a in (0, 1) for x in table.settings},
-    )
-
-
-def behavior_to_counts(
-    behavior: process.Behavior,
-    shots_per_setting: int,
-    rng: np.random.Generator | None = None,
-) -> CountTable:
-    """Synthesize a count table from a behavior: multinomial sampling when a
-    generator is given, exact rounding otherwise (exact requires the scaled
-    probabilities to be integral)."""
-    rows: dict[tuple, int] = {}
-    for xi, x in enumerate(behavior.settings):
-        p = np.asarray(behavior.probs[xi], dtype=float).reshape(-1)
-        if rng is None:
-            scaled = p * shots_per_setting
-            counts = np.rint(scaled)
-            if np.abs(counts - scaled).max() > 1e-9:
-                raise ValidationError(
-                    "exact count synthesis needs probabilities divisible by 1/shots"
-                )
-        else:
-            counts = rng.multinomial(shots_per_setting, p / p.sum())
-        for cell, count in enumerate(counts.astype(int)):
-            rows[(x, cell // 2, cell % 2)] = count
-    return CountTable(kind="observational", rows=rows, settings=behavior.settings)
+    settings = tuple(blocks)
+    try:
+        if observational:
+            return process.Behavior(settings=settings, counts=np.stack(list(blocks.values())))
+        return process.DoTable(do_settings=settings,
+                               counts=np.stack(list(blocks.values()), axis=1))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # --- experiment configuration -----------------------------------------------
@@ -369,30 +307,24 @@ def run_experiment(
     if cfg.shots is None:
         do_table = do_exact
     else:
-        if cfg.shots < 1:
-            raise ValidationError("shots must be positive")
-        probs = np.empty_like(np.asarray(behavior.probs))
-        shots: dict[str, int] = {}
-        for xi, x in enumerate(behavior.settings):
+        if not 1 <= cfg.shots <= MAX_COUNT:
+            raise ValidationError(f"--shots (config key shots) {cfg.shots} is not between 1 "
+                                  f"and {MAX_COUNT}")
+        counts = np.empty((len(behavior.settings), 2, 2), dtype=np.int64)
+        for xi, p in enumerate(behavior.probs.reshape(-1, 4)):
             rng = np.random.default_rng([cfg.seed, xi])
-            p = np.asarray(behavior.probs[xi]).reshape(-1)
-            probs[xi] = (rng.multinomial(cfg.shots, p / p.sum()) / cfg.shots).reshape(2, 2)
-            shots[x] = cfg.shots
-        behavior = process.Behavior(settings=behavior.settings, probs=probs, shots=shots)
+            counts[xi] = rng.multinomial(cfg.shots, p / p.sum()).reshape(2, 2)
         # the interventional run is repeated for every setting label even when
         # the underlying distribution is x-independent, mirroring the data
         # layout of a real crosstalk test
-        dprobs = np.empty((2, len(behavior.settings), 2))
-        dshots: dict[tuple[int, str], int] = {}
+        dcounts = np.empty((2, len(behavior.settings), 2), dtype=np.int64)
         for a in (0, 1):
-            for xi, x in enumerate(behavior.settings):
+            p = do_exact.probs[a, 0]
+            for xi in range(len(behavior.settings)):
                 rng = np.random.default_rng([cfg.seed, 1000 + 2 * xi + a])
-                p = np.asarray(do_exact.probs[a, 0])
-                dprobs[a, xi] = rng.multinomial(cfg.shots, p / p.sum()) / cfg.shots
-                dshots[(a, x)] = cfg.shots
-        do_table = process.DoTable(
-            probs=dprobs, do_settings=behavior.settings, shots=dshots
-        )
+                dcounts[a, xi] = rng.multinomial(cfg.shots, p / p.sum())
+        behavior = process.Behavior(settings=behavior.settings, counts=counts)
+        do_table = process.DoTable(do_settings=behavior.settings, counts=dcounts)
 
     report = certify.certify_behavior(
         behavior,

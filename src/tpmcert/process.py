@@ -89,26 +89,57 @@ class ProcessOperator:
     layout: tuple[int, int, int] = QUBIT_TPM_LAYOUT
 
 
+def _check_table(table, shape: tuple[int, ...], cells: tuple[int, ...], row_name,
+                 what: str) -> None:
+    """Derive table.probs from table.counts when those are given, else
+    validate table.probs.  Counts must be integers of the table's shape, none
+    negative, with at least one shot per row (row_name(*index) names a row in
+    errors); probs = counts / row total, and the counts are kept as a
+    read-only int64 copy."""
+    if table.counts is not None:
+        if table.probs is not None:
+            raise ValidationError(f"{what}: give probs or counts, not both")
+        counts = np.asarray(table.counts)
+        if counts.shape != shape or not np.issubdtype(counts.dtype, np.integer):
+            raise ValidationError(f"{what} counts must be integers of shape {shape}, "
+                                  f"got {counts.dtype} of shape {counts.shape}")
+        counts = counts.astype(np.int64)
+        if counts.min() < 0:
+            raise ValidationError(f"negative count in {what}")
+        totals = counts.sum(axis=cells, keepdims=True)
+        empty = np.argwhere(totals == 0)
+        if len(empty):
+            raise ValidationError(f"{row_name(*empty[0])} has no shots")
+        counts.setflags(write=False)
+        object.__setattr__(table, "counts", counts)
+        object.__setattr__(table, "probs", counts / totals)
+        return
+    p = np.asarray(table.probs, dtype=float)
+    if p.shape != shape:
+        raise ValidationError(f"{what} has shape {p.shape}, expected {shape}")
+    if p.min() < -PROCESS_ATOL:
+        raise ValidationError(f"negative probability in {what}")
+    if np.abs(p.sum(axis=cells) - 1.0).max() > PROCESS_ATOL:
+        raise ValidationError(f"{what} not normalized per row")
+
+
 @dataclass(frozen=True)
 class Behavior:
     """Observational table P(a, b | x) with binary outcomes.
 
-    probs has shape (n_settings, 2, 2) indexed [x, a, b]; shots optionally
-    records the per-setting sample size behind the frequencies.
+    probs has shape (n_settings, 2, 2) indexed [x, a, b].  A table built from
+    observed event counts (int, same shape) derives probs from them, each
+    setting's counts divided by that setting's total, and keeps them as
+    counts; give probs or counts, not both.
     """
 
     settings: tuple[str, ...]
-    probs: np.ndarray
-    shots: Mapping[str, int] | None = None
+    probs: np.ndarray | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (len(self.settings), 2, 2):
-            raise ValidationError(f"behavior table has shape {p.shape}")
-        if p.min() < -PROCESS_ATOL:
-            raise ValidationError("negative probability in behavior")
-        if np.abs(p.sum(axis=(1, 2)) - 1.0).max() > PROCESS_ATOL:
-            raise ValidationError("behavior not normalized per setting")
+        _check_table(self, (len(self.settings), 2, 2), (1, 2),
+                     lambda x, *_: f"setting {self.settings[x]!r}", "behavior")
 
     def setting_index(self, label: str) -> int:
         return self.settings.index(label)
@@ -120,22 +151,23 @@ class DoTable:
 
     probs has shape (2, n_do_settings, 2) indexed [a, x, b].  When the
     re-preparation is setting-independent the x axis collapses to length one
-    and do_settings is None; the ACDE of such a table is exactly zero.
+    and do_settings is None; the ACDE of such a table is exactly zero.  As for
+    Behavior, integer counts of the same shape may be given instead of probs;
+    each intervention row (a, x) is divided by its own total.
     """
 
-    probs: np.ndarray
+    probs: np.ndarray | None = None
     do_settings: tuple[str, ...] | None = None
-    shots: Mapping[tuple[int, str], int] | None = field(default=None)
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        k = 1 if self.do_settings is None else len(self.do_settings)
-        if p.shape != (2, k, 2):
-            raise ValidationError(f"do-table has shape {p.shape}, expected (2,{k},2)")
-        if p.min() < -PROCESS_ATOL:
-            raise ValidationError("negative probability in do-table")
-        if np.abs(p.sum(axis=2) - 1.0).max() > PROCESS_ATOL:
-            raise ValidationError("do-table not normalized per (a, x)")
+        labels = self.do_settings
+
+        def row_name(a, k, *_):
+            return f"do-table row (a={a}" + (f", x={labels[k]!r})" if labels else ")")
+
+        _check_table(self, (2, 1 if labels is None else len(labels), 2), (2,), row_name,
+                     "do-table")
 
 
 def build_process(rho: np.ndarray, u: np.ndarray) -> ProcessOperator:

@@ -307,13 +307,6 @@ def bootstrap_errors_reference(behavior, n_resamples, seed=0, do_table=None,
     written out here: the same random stream, the same per-element division
     and the same summation order, so its results are the library's bit for bit."""
 
-    def counts_of(probs, shots):
-        # shots[i] is the shot number of the row probs[i] (i a setting or an (a, k) pair)
-        counts = np.empty_like(np.asarray(probs))
-        for i in np.ndindex(np.shape(shots)):
-            counts[i] = np.asarray(probs[i]) * int(shots[i])
-        return np.rint(counts).astype(np.int64)
-
     def gamma_of(probs, argmin=None):
         t = probs[..., :, 0, :, None] + probs[..., :, 1, None, :]
         if argmin is None:
@@ -323,7 +316,7 @@ def bootstrap_errors_reference(behavior, n_resamples, seed=0, do_table=None,
         minima = np.take_along_axis(t, argmin[..., None, :, :], axis=-3)[..., 0, :, :]
         return minima.sum(axis=(-2, -1)), argmin
 
-    counts = counts_of(behavior.probs, np.array([behavior.shots[x] for x in behavior.settings]))
+    counts = behavior.counts
     rng = np.random.default_rng(seed)
     resampled = np.empty((n_resamples, len(behavior.settings), 2, 2))
     for xi in range(len(behavior.settings)):
@@ -344,8 +337,7 @@ def bootstrap_errors_reference(behavior, n_resamples, seed=0, do_table=None,
 
     if do_table is not None and do_table.do_settings is not None:
         k = len(do_table.do_settings)
-        dcounts = counts_of(do_table.probs, np.array(
-            [[do_table.shots[(a, x)] for x in do_table.do_settings] for a in (0, 1)]))
+        dcounts = do_table.counts
         dres = np.empty((n_resamples, 2, k, 2))
         for a in (0, 1):
             for ki in range(k):

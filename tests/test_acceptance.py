@@ -5,6 +5,8 @@ criterion.  Each test prints its verdict before asserting, so a red criterion
 still reports a readable summary line.
 """
 
+import collections
+import csv
 import json
 import math
 import time
@@ -259,34 +261,33 @@ def test_criterion_11_statistical_pipeline(obs_fixture, do_fixture, ideal_memory
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng([9000, seed])
-        probs = np.empty_like(ideal_probs)
+        counts = np.empty(ideal_probs.shape, dtype=np.int64)
         for xi in range(4):
             p = ideal_probs[xi].reshape(-1)
-            probs[xi] = (rng.multinomial(shots, p / p.sum()) / shots).reshape(2, 2)
-        sampled = process.Behavior(
-            settings=ideal_memory_behavior.settings,
-            probs=probs,
-            shots={x: shots for x in ideal_memory_behavior.settings},
-        )
+            counts[xi] = rng.multinomial(shots, p / p.sum()).reshape(2, 2)
+        sampled = process.Behavior(settings=ideal_memory_behavior.settings, counts=counts)
         gamma_hat = certify.gamma_functional(sampled)[0]
         stderr = certify.bootstrap_errors(sampled, n_resamples=400, seed=seed)["gamma"]
         if abs(gamma_hat - QUANTUM_GAMMA) <= 3.0 * stderr:
             hits += 1
 
-    beh = dataio.counts_to_behavior(dataio.ingest_counts(obs_fixture))
-    table = dataio.counts_to_behavior(dataio.ingest_counts(do_fixture))
+    beh = dataio.ingest_counts(obs_fixture)
+    table = dataio.ingest_counts(do_fixture)
     gamma = certify.gamma_functional(beh)[0]
     delta = certify.pearl_delta(beh)
     acde_val = certify.acde(table)
 
-    # independent frequency recomputation straight from the raw counts
-    raw = dataio.ingest_counts(obs_fixture)
-    totals = raw.total_shots()
-    freq = {k: c / totals[k[0]] for k, c in raw.rows.items()}
+    # independent frequency recomputation straight from the raw CSV rows
+    with open(obs_fixture, newline="") as fh:
+        rows = [(r["x"], int(r["a"]), int(r["b"]), int(r["count"])) for r in csv.DictReader(fh)]
+    totals = collections.Counter()
+    for x, _, _, count in rows:
+        totals[x] += count
+    freq = {(x, a, b): count / totals[x] for x, a, b, count in rows}
     gamma_indep = sum(
         min(
             freq[(x, 0, b0)] + freq[(x, 1, b1)]
-            for x in raw.settings
+            for x in totals
         )
         for b0 in (0, 1)
         for b1 in (0, 1)

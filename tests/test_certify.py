@@ -160,24 +160,17 @@ def test_fidelity_bound_domain():
         certify.fidelity_lower_bound(2.5)
 
 
-def shots_behavior(probs, n, settings=None):
-    settings = settings or tuple(str(i) for i in range(probs.shape[0]))
-    return process.Behavior(
-        settings=settings, probs=probs, shots={x: n for x in settings}
-    )
-
-
 def test_bootstrap_vanishes_in_the_infinite_count_limit(ideal_memory_behavior):
     n = 10**9
-    probs = np.rint(np.asarray(ideal_memory_behavior.probs) * n) / n
-    beh = shots_behavior(probs, n, ideal_memory_behavior.settings)
+    counts = np.rint(np.asarray(ideal_memory_behavior.probs) * n).astype(np.int64)
+    beh = process.Behavior(settings=ideal_memory_behavior.settings, counts=counts)
     errs = certify.bootstrap_errors(beh, n_resamples=400, seed=7)
     assert errs["gamma"] < 1e-4
     assert errs["pearl_delta"] < 1e-4
 
 
 def test_bootstrap_deterministic_given_seed(obs_fixture):
-    beh = dataio.counts_to_behavior(dataio.ingest_counts(obs_fixture))
+    beh = dataio.ingest_counts(obs_fixture)
     a = certify.bootstrap_errors(beh, n_resamples=500, seed=42)
     b = certify.bootstrap_errors(beh, n_resamples=500, seed=42)
     assert a == b
@@ -186,15 +179,15 @@ def test_bootstrap_deterministic_given_seed(obs_fixture):
 
 
 def test_bootstrap_frozen_argmin_mode(obs_fixture):
-    beh = dataio.counts_to_behavior(dataio.ingest_counts(obs_fixture))
+    beh = dataio.ingest_counts(obs_fixture)
     live = certify.bootstrap_errors(beh, n_resamples=500, seed=1)
     frozen = certify.bootstrap_errors(beh, n_resamples=500, seed=1, frozen_argmin=True)
     assert live["gamma"] > 0 and frozen["gamma"] > 0
 
 
 def test_report_serialization_round_trip(obs_fixture, do_fixture):
-    beh = dataio.counts_to_behavior(dataio.ingest_counts(obs_fixture))
-    table = dataio.counts_to_behavior(dataio.ingest_counts(do_fixture))
+    beh = dataio.ingest_counts(obs_fixture)
+    table = dataio.ingest_counts(do_fixture)
     report = certify.certify_behavior(beh, do_table=table, n_resamples=300, seed=42)
     doc = report.to_json_dict()
     assert json.loads(json.dumps(doc)) == doc
@@ -265,16 +258,11 @@ def test_bootstrap_errors_equal_the_reference_bit_for_bit():
     for seed, (n_x, on_grid, kind, n_resamples, frozen) in enumerate(cases):
         labels = tuple(f"s{x}" for x in range(n_x))
         counts = _random_counts(rng, (n_x, 4), on_grid).reshape(n_x, 2, 2)
-        shots = counts.sum(axis=(1, 2))
-        beh = process.Behavior(settings=labels, probs=counts / shots[:, None, None],
-                               shots=dict(zip(labels, shots.tolist())))
+        beh = process.Behavior(settings=labels, counts=counts)
         table = None
         if kind == 0:
-            dcounts = _random_counts(rng, (2, n_x, 2), on_grid)
-            dshots = dcounts.sum(axis=-1)
-            table = process.DoTable(
-                probs=dcounts / dshots[..., None], do_settings=labels,
-                shots={(a, x): int(dshots[a, k]) for a in (0, 1) for k, x in enumerate(labels)})
+            table = process.DoTable(do_settings=labels,
+                                    counts=_random_counts(rng, (2, n_x, 2), on_grid))
         elif kind == 1:
             table = process.DoTable(probs=np.full((2, 1, 2), 0.5))
         got = certify.bootstrap_errors(beh, n_resamples, seed=seed, do_table=table,

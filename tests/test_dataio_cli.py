@@ -22,8 +22,8 @@ def write(tmp_path, name, text):
 
 def test_ingest_fixture_shape(obs_fixture):
     table = dataio.ingest_counts(obs_fixture)
-    assert table.kind == "observational"
-    assert len(table.rows) == 16
+    assert isinstance(table, process.Behavior)
+    assert table.counts.shape == (4, 2, 2) and table.counts.dtype == np.int64
     assert table.settings == ("x", "z", "-x", "-z")
 
 
@@ -34,8 +34,8 @@ def test_ingest_ten_thousand_shot_table(tmp_path):
             for b in (0, 1):
                 lines.append(f"s{x},{a},{b},2500")
     table = dataio.ingest_counts(write(tmp_path, "obs.csv", "\n".join(lines) + "\n"))
-    assert len(table.rows) == 16
-    assert all(n == 10_000 for n in table.total_shots().values())
+    assert table.counts.shape == (4, 2, 2)
+    assert table.counts.sum(axis=(1, 2)).tolist() == [10_000] * 4
 
 
 def test_ingest_negative_count_reports_row(tmp_path):
@@ -48,7 +48,8 @@ def test_ingest_negative_count_reports_row(tmp_path):
 def test_ingest_accepts_utf8_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfx,a,b,count\nq,0,0,5\n")
-    assert dataio.ingest_counts(path).rows == {("q", 0, 0): 5}
+    table = dataio.ingest_counts(path)
+    assert table.settings == ("q",) and table.counts.tolist() == [[[5, 0], [0, 0]]]
 
 
 def test_ingest_zero_shot_setting(tmp_path):
@@ -60,7 +61,7 @@ def test_ingest_zero_shot_setting(tmp_path):
 def test_ingest_sums_duplicates(tmp_path):
     path = write(tmp_path, "dup.csv", "x,a,b,count\nq,0,0,5\nq,0,0,7\nq,1,1,8\n")
     table = dataio.ingest_counts(path)
-    assert table.rows[("q", 0, 0)] == 12
+    assert table.counts[0, 0, 0] == 12
 
 
 def test_ingest_rejects_unknown_header(tmp_path):
@@ -69,30 +70,23 @@ def test_ingest_rejects_unknown_header(tmp_path):
         dataio.ingest_counts(path)
 
 
-def test_counts_to_behavior_exact_halves(tmp_path):
+def test_ingest_derives_exact_halves(tmp_path):
     path = write(
         tmp_path,
         "half.csv",
         "x,a,b,count\nq,0,0,5000\nq,0,1,5000\nq,1,0,0\nq,1,1,0\n",
     )
-    beh = dataio.counts_to_behavior(dataio.ingest_counts(path))
+    beh = dataio.ingest_counts(path)
     assert np.array_equal(beh.probs[0], [[0.5, 0.5], [0.0, 0.0]])
-    assert beh.shots == {"q": 10_000}
+    assert beh.counts.sum() == 10_000
 
 
-def test_counts_to_dotable(do_fixture):
-    table = dataio.counts_to_behavior(dataio.ingest_counts(do_fixture))
+def test_ingest_dotable(do_fixture):
+    table = dataio.ingest_counts(do_fixture)
     assert isinstance(table, process.DoTable)
     assert table.do_settings == ("x", "z", "-x", "-z")
+    assert table.counts.shape == (2, 4, 2)
     assert abs(certify.acde(table) - 0.0325) < 1e-12
-
-
-def test_round_trip_exact_for_dyadic_tables(tmp_path):
-    probs = np.array([[[0.5, 0.25], [0.125, 0.125]]] * 2)
-    beh = process.Behavior(settings=("u", "v"), probs=probs)
-    counts = dataio.behavior_to_counts(beh, shots_per_setting=1024)
-    back = dataio.counts_to_behavior(counts)
-    assert np.array_equal(back.probs, probs)
 
 
 def test_memory_preset_exact_values():
@@ -131,8 +125,8 @@ def test_sampled_run_is_seed_deterministic():
 
 
 def test_emit_report_round_trip(tmp_path, obs_fixture, do_fixture):
-    beh = dataio.counts_to_behavior(dataio.ingest_counts(obs_fixture))
-    table = dataio.counts_to_behavior(dataio.ingest_counts(do_fixture))
+    beh = dataio.ingest_counts(obs_fixture)
+    table = dataio.ingest_counts(do_fixture)
     report = certify.certify_behavior(beh, do_table=table, n_resamples=200, seed=42)
     curve = {"decay_curve": [(0.0, 0.642), (5.0, 0.7)]}
     paths = dataio.emit_report(report, curves=curve, out_dir=tmp_path)
@@ -145,7 +139,7 @@ def test_emit_report_round_trip(tmp_path, obs_fixture, do_fixture):
 
 
 def test_emit_is_byte_stable(tmp_path, obs_fixture):
-    beh = dataio.counts_to_behavior(dataio.ingest_counts(obs_fixture))
+    beh = dataio.ingest_counts(obs_fixture)
     report = certify.certify_behavior(beh, n_resamples=200, seed=42)
     dataio.emit_report(report, out_dir=tmp_path / "a")
     dataio.emit_report(report, out_dir=tmp_path / "b")
@@ -371,20 +365,68 @@ class _RefusingGenerator(np.random.Generator):
 
 
 def test_cli_resample_limit(tmp_path, capsys, monkeypatch):
-    # the resample count is capped before any resample array is allocated
+    # the resample count, and its product with the number of resampled rows,
+    # are capped before any resample array is allocated
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed=None: _RefusingGenerator(np.random.PCG64(seed)))
     config = write(tmp_path, "big.yaml", f"shots: 100\nresamples: {10**9}\n")
+    wide = write(tmp_path, "wide.csv", "x,a,b,count\n" + "".join(
+        f"s{x},{a},{b},10\n" for x in range(1000) for a in (0, 1) for b in (0, 1)))
     out = tmp_path / "out"
     for argv, name in (
         (CERTIFY_ARGV + ["--resamples", str(certify.MAX_RESAMPLES + 1)], "--resamples"),
         (["simulate", "--preset", "memory_test", "--shots", "100", "--resamples",
           str(10**9)], "--resamples"),
         (["simulate", "--config", str(config)], "resamples"),
+        # R is within MAX_RESAMPLES, but R times the 1000 setting rows is not
+        (["certify", "--counts", str(wide), "--resamples", "100000"],
+         "100000 times 1000 table rows"),
     ):
         assert cli.main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "exceeds the limit" in err
+        assert not out.exists()
+
+
+def _do_rows(keep):
+    rows = [line for line in (FIXTURES / "memory_interventional.csv").read_text().splitlines()[1:]
+            if keep(line.split(",")[1])]
+    return "do_a,x,b,count\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    _do_rows(lambda x: x == "x"),
+    _do_rows(lambda x: True).replace(",z,", ",q,"),
+], ids=["only_setting_x", "z_relabelled_q"])
+def test_cli_rejects_do_table_with_other_settings(tmp_path, capsys, text):
+    # ACDE over a do-table without all of the behaviour's settings understates
+    # the crosstalk, so gamma + 2 ACDE would certify on too weak a bound
+    do_path = write(tmp_path, "do.csv", text)
+    out = tmp_path / "out"
+    argv = ["certify", "--counts", str(FIXTURES / "memory_observational.csv"),
+            "--do-counts", str(do_path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(do_path) in err and "settings" in err
+    assert not out.exists()
+    behavior = dataio.ingest_counts(FIXTURES / "memory_observational.csv")
+    with pytest.raises(ValidationError, match="settings"):
+        certify.certify_behavior(behavior, do_table=dataio.ingest_counts(do_path))
+    # a setting-independent do-table stays accepted
+    exact = process.DoTable(probs=np.full((2, 1, 2), 0.5))
+    assert certify.certify_behavior(behavior, do_table=exact, n_resamples=2).acde == 0.0
+
+
+def test_cli_shot_limit(tmp_path, capsys):
+    # a sampled run holds int64 counts: more shots than a cell may count exit 2
+    config = write(tmp_path, "shots.yaml", f"shots: {10**20}\n")
+    out = tmp_path / "out"
+    for argv in (["simulate", "--preset", "memory_test", "--shots", str(10**20)],
+                 ["simulate", "--config", str(config)],
+                 ["simulate", "--preset", "memory_test", "--shots", "0"]):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --shots (config key shots) ") and "not between 1" in err
         assert not out.exists()
 
 

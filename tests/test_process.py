@@ -249,3 +249,34 @@ def test_instrument_and_do_require_binary_inputs():
         process.do_probabilities(op, (linalg.dm(linalg.KET_0),) * 2, z[:1])
     with pytest.raises(ValidationError, match="no settings"):
         process.MpInstrument(settings=(), povm={}, repreparations=(z[0], z[1]))
+
+
+def test_tables_derive_probabilities_from_counts():
+    counts = np.array([[[3, 1], [0, 4]], [[0, 0], [5, 0]]])
+    beh = process.Behavior(settings=("u", "v"), counts=counts)
+    assert beh.counts.dtype == np.int64 and not beh.counts.flags.writeable
+    assert beh.probs.tolist() == [[[3 / 8, 1 / 8], [0.0, 4 / 8]], [[0.0, 0.0], [1.0, 0.0]]]
+    counts[0, 0, 0] = 99  # the table keeps its own copy
+    assert beh.counts[0, 0, 0] == 3
+    do = process.DoTable(do_settings=("u", "v"), counts=np.array([[[1, 2], [0, 3]]] * 2))
+    assert do.probs.tolist() == [[[1 / 3, 2 / 3], [0.0, 1.0]]] * 2
+    assert process.DoTable(counts=np.ones((2, 1, 2), dtype=np.uint8)).probs.shape == (2, 1, 2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: process.Behavior(settings=("u",), counts=np.ones((2, 2, 2), dtype=int)),
+     "shape"),
+    (lambda: process.Behavior(settings=("u",), counts=np.full((1, 2, 2), 0.25)), "integers"),
+    (lambda: process.Behavior(settings=("u",), counts=[[[1, -1], [2, 0]]]), "negative count"),
+    (lambda: process.Behavior(settings=("u", "v"), counts=[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]),
+     "setting 'v' has no shots"),
+    (lambda: process.Behavior(settings=("u",), probs=np.full((1, 2, 2), 0.25),
+                              counts=np.ones((1, 2, 2), dtype=int)), "not both"),
+    (lambda: process.DoTable(do_settings=("u", "v"), counts=[[[1, 0], [2, 2]], [[1, 1], [0, 0]]]),
+     r"do-table row \(a=1, x='v'\) has no shots"),
+    (lambda: process.DoTable(counts=[[[0, 0]], [[1, 1]]]), r"do-table row \(a=0\) has no shots"),
+], ids=["shape", "float", "negative", "empty_setting", "both", "empty_do_row",
+        "empty_do_row_without_settings"])
+def test_tables_reject_bad_counts(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
