@@ -197,6 +197,12 @@ def fidelity_lower_bound(gamma: float, atol: float = 1e-12) -> float:
     return min(max(f, 0.0), 1.0)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValidationError for a seed that numpy's generators refuse."""
+    if seed < 0:
+        raise ValidationError(f"--seed (config key seed) {seed} is negative")
+
+
 def bootstrap_errors(
     behavior: Behavior,
     n_resamples: int = DEFAULT_RESAMPLES,
@@ -215,6 +221,7 @@ def bootstrap_errors(
     settings instead.  Deterministic for a fixed seed.  Resamples times
     resampled rows may not exceed MAX_RESAMPLED_ROWS.
     """
+    check_seed(seed)
     if n_resamples < 2:
         raise ValidationError("need at least two resamples")
     if n_resamples > MAX_RESAMPLES:

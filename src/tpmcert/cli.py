@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a configuration and certify it")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=["memory_test", "partial_swap"])
+    group.add_argument("--preset", choices=list(dataio.PRESETS))
     group.add_argument("--config", help="YAML configuration file")
     p.add_argument("--alpha", type=float, help="partial-swap angle in radians")
     shots = p.add_mutually_exclusive_group()
@@ -123,11 +124,8 @@ def _cmd_simulate(args) -> int:
     overrides = {key: val for key, val in given.items() if val is not None}
     if args.exact:
         overrides["shots"] = None
-    if args.config:
-        cfg = dataio.load_config(args.config)
-        cfg = dataio.ExperimentConfig(**{**cfg.__dict__, **overrides})
-    else:
-        cfg = dataio.preset_config(args.preset, **overrides)
+    path = args.config or dataio.PRESETS[args.preset]
+    cfg = dataclasses.replace(dataio.load_config(path), **overrides)
     _, _, report = dataio.run_experiment(cfg)
     dataio.emit_report(report, out_dir=args.out)
     d = report.to_json_dict()

@@ -20,9 +20,9 @@ when a curve is exact.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -30,8 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from . import certify, linalg, proclib, process
-from .exceptions import ParseError, ValidationError
+from . import certify, proclib, process
+from .exceptions import DomainError, ParseError, ValidationError
 
 OBS_HEADER = ["x", "a", "b", "count"]
 DO_HEADER = ["do_a", "x", "b", "count"]
@@ -94,21 +94,6 @@ def ingest_counts(path: str | Path) -> process.Behavior | process.DoTable:
 
 # --- experiment configuration -----------------------------------------------
 
-_NAMED_STATES = {"bell": linalg.bell_state}
-_NAMED_REPREPARATIONS = {
-    "plus_minus": lambda: (linalg.dm(linalg.KET_MINUS), linalg.dm(linalg.KET_PLUS)),
-    "plus_minus_i": lambda: (
-        linalg.dm(linalg.KET_PLUS_I),
-        linalg.dm(linalg.KET_MINUS_I),
-    ),
-}
-_NAMED_FINALS = {
-    "xz_diagonal": proclib.memory_final_povm,
-    "x": proclib.swap_final_povm,
-    "z": lambda: linalg.observable_povm(linalg.SIGMA_Z),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one simulated run."""
@@ -142,12 +127,16 @@ def _as_matrix(obj, dim: int, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+# configuration keys that may name a registered component
+_NAMED_KEYS = ("initial_state", "unitary", "repreparations", "final_measurement")
 # scalar configuration keys and their types
 _CONFIG_SCALARS = {"protocol": str, "alpha": float, "shots": int, "seed": int, "resamples": int,
                    "sigma_k": float, "wait_ms": float, "frozen_argmin": bool}
 # NoiseParams field -> key of the YAML noise block
 _NOISE_KEYS = {"t2": "t2_ms", "t1": "t1_ms", "echo_fidelity": "echo_fidelity",
                "echo_interval": "echo_interval_ms", "initial_gamma": "initial_gamma"}
+# preset name -> its shipped configuration file
+PRESETS = {path.stem: path for path in sorted(Path(__file__).with_name("configs").glob("*.yaml"))}
 
 
 def _typed(path: Path, key: str, value, kind: type):
@@ -170,9 +159,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping at top level")
-    known = set(_CONFIG_SCALARS) | {
-        "initial_state", "unitary", "settings", "repreparations", "final_measurement", "noise",
-    }
+    known = set(_CONFIG_SCALARS) | set(_NAMED_KEYS) | {"settings", "noise"}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ParseError(f"{path}: unknown configuration keys {unknown}")
@@ -198,6 +185,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
             kwargs[key] = val if isinstance(val, str) else tuple(
                 _as_matrix(m, 2, f"{path}: {key}") for m in val
             )
+    try:  # every name must be registered, and the partial swap have its angle
+        for key in _NAMED_KEYS:
+            if isinstance(kwargs.get(key), str):
+                proclib.component(key, kwargs[key], kwargs.get("alpha"))
+        for label in kwargs.get("settings", ()):
+            proclib.component("settings", label)
+    except (ValidationError, DomainError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     if "noise" in doc:
         nz = doc["noise"]
         if not isinstance(nz, dict):
@@ -219,59 +214,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
-    """Shipped protocol presets."""
-    if name == "memory_test":
-        base = dict(
-            protocol="memory_test",
-            unitary="cnot_swap",
-            repreparations="plus_minus",
-            final_measurement="xz_diagonal",
-        )
-    elif name == "partial_swap":
-        base = dict(
-            protocol="partial_swap",
-            alpha=overrides.pop("alpha", 3 * math.pi / 4),
-            unitary="partial_swap",
-            repreparations="plus_minus_i",
-            final_measurement="x",
-        )
-    else:
+    """The shipped preset name (src/tpmcert/configs/<name>.yaml), with the
+    given fields replaced."""
+    if name not in PRESETS:
         raise ValidationError(f"unknown preset {name!r}")
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return dataclasses.replace(load_config(PRESETS[name]), **overrides)
 
 
-def _named(value, registry: Mapping, what: str) -> np.ndarray | tuple[np.ndarray, ...]:
-    """The registry entry a name picks, built on use, or an explicit value as
-    one complex array."""
-    if not isinstance(value, str):
-        return np.asarray(value, dtype=complex)
-    if value not in registry:
-        raise ValidationError(f"unknown {what} {value!r}")
-    return registry[value]()
+def _component(cfg: ExperimentConfig, key: str):
+    """The registry entry that cfg names under key, or its explicit matrices
+    as one complex array."""
+    value = getattr(cfg, key)
+    if isinstance(value, str):
+        return proclib.component(key, value, cfg.alpha)
+    return np.asarray(value, dtype=complex)
 
 
 def _resolve(cfg: ExperimentConfig):
-    def swap_gate():
-        if cfg.alpha is None:
-            raise ValidationError("partial_swap unitary needs an alpha")
-        return proclib.partial_swap(cfg.alpha)
-
-    rho = _named(cfg.initial_state, _NAMED_STATES, "initial state")
-    unitaries = {"cnot_swap": proclib.cnot_swap_unitary, "partial_swap": swap_gate}
-    u = _named(cfg.unitary, unitaries, "unitary")
-    reps = _named(cfg.repreparations, _NAMED_REPREPARATIONS, "repreparations")
-    final = _named(cfg.final_measurement, _NAMED_FINALS, "final measurement")
-    standard = proclib.standard_settings_povm()
-    unknown = [x for x in cfg.settings if x not in standard]
-    if unknown:
-        raise ValidationError(f"unknown setting labels {unknown}")
-    inst = process.MpInstrument(
-        settings=tuple(cfg.settings),
-        povm={x: standard[x] for x in cfg.settings},
-        repreparations=reps,
-    )
-    return rho, u, inst, final
+    rho, u, reps, final = (_component(cfg, key) for key in _NAMED_KEYS)
+    return rho, u, proclib.pauli_instrument(cfg.settings, reps), final
 
 
 def run_experiment(
@@ -282,19 +243,28 @@ def run_experiment(
     Exact mode propagates the ideal probabilities; finite shots draw one
     multinomial sample per setting (and per intervention row) with per-row
     seeds derived from the configured seed, so runs are reproducible.
-    A noise block attenuates all correlations by the dephasing-with-echo
-    visibility at the configured waiting time, anchored to initial_gamma.
+    A noise block attenuates all correlations toward the uniform table so
+    that gamma equals the decay_prediction of the noise model at the
+    configured waiting time.
     """
+    certify.check_seed(cfg.seed)
     rho, u, inst, final = _resolve(cfg)
     op = process.build_process(rho, u)
     behavior = process.born_rule(op, inst, final)
     do_exact = process.do_probabilities(op, inst.repreparations, final)
 
     if cfg.noise is not None:
-        # correlator attenuation toward the uniform table, anchored so the
-        # zero-wait gamma of the ideal protocol equals initial_gamma
-        vis = (2.0 - cfg.noise.initial_gamma) / math.sqrt(2.0)
-        vis *= proclib._visibility_decay(cfg.noise, cfg.wait_ms, False)
+        # visibility vis maps the protocol's exact gamma g to 2 - vis (2 - g);
+        # vis may pass 1 by rounding only (the memory test's g is 2 - sqrt(2))
+        try:
+            (_, target), = proclib.decay_prediction(cfg.noise, [cfg.wait_ms])
+        except DomainError as exc:
+            raise DomainError(f"--wait (config key wait_ms): {exc}") from None
+        reach = 2.0 - certify.gamma_functional(behavior)[0]
+        if 2.0 - target > reach * (1.0 + 1e-12):
+            raise ValidationError(f"noise.initial_gamma {cfg.noise.initial_gamma} lies "
+                                  f"below the noiseless protocol's gamma {2.0 - reach!r}")
+        vis = (2.0 - target) / reach if reach > 0.0 else 1.0
         behavior = process.Behavior(
             settings=behavior.settings,
             probs=vis * (behavior.probs - 0.25) + 0.25,

@@ -64,10 +64,6 @@ def bloch_vector(m: np.ndarray) -> np.ndarray:
     )
 
 
-def dag(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def is_hermitian(m: np.ndarray, atol: float = HERM_ATOL) -> bool:
     """True if m, or every matrix of a stack (..., d, d), is Hermitian."""
     return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max() <= atol)

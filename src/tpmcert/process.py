@@ -11,6 +11,8 @@ every contraction transposed.  This is the unique convention under which W is
 PSD, Tr_B W = rho_A' (x) id_A, and the contraction reproduces the step-by-step
 simulation (measure, collapse, re-prepare, evolve, measure) for arbitrary
 complex-valued instruments.
+
+The dataclasses below hold arrays, so they compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ INPUT_ATOL = 1e-10
 QUBIT_TPM_LAYOUT = (2, 2, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MpInstrument:
     """Measure-and-prepare instrument for the first time step.
 
@@ -80,7 +82,7 @@ def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
     return pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessOperator:
     """Operator W on A' (x) A (x) B together with the marginal state on A'."""
 
@@ -123,7 +125,7 @@ def _check_table(table, shape: tuple[int, ...], cells: tuple[int, ...], row_name
         raise ValidationError(f"{what} not normalized per row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Behavior:
     """Observational table P(a, b | x) with binary outcomes.
 
@@ -145,7 +147,7 @@ class Behavior:
         return self.settings.index(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoTable:
     """Interventional table P(B = b | do(A = a, X = x)).
 

@@ -1,12 +1,12 @@
-"""Canonical processes, instruments, channels, and the memory-decay model.
+"""Canonical processes, the registry of named components, instruments,
+channels, and the memory-decay model.
 
-The two shipped experiment configurations share the same four first-time
-measurement settings (x, z, -x, -z, where a negated label means the same
-projectors with outcome labels swapped) and differ in the re-preparation
-family and the final measurement:
+COMPONENTS holds every component a configuration can name.  The shipped
+presets (configs/*.yaml in this package) share the settings x, z, -x, -z:
 
-  memory test    re-prepare |-> for a=0, |+> for a=1; measure (sx+sz)/sqrt(2)
-  partial swap   re-prepare |+i> for a=0, |-i> for a=1; measure sx
+  memory_test   cnot_swap; plus_minus re-prepares |-> for a=0, |+> for a=1;
+                xz_diagonal measures (sx+sz)/sqrt(2)
+  partial_swap  partial_swap; plus_minus_i re-prepares |+i>, |-i>; x measures sx
 """
 
 from __future__ import annotations
@@ -21,57 +21,6 @@ import numpy as np
 from . import certify, linalg, process
 from .exceptions import DomainError, ValidationError
 
-SETTING_LABELS = ("x", "z", "-x", "-z")
-
-_SIGNED_OBSERVABLES = {
-    "x": linalg.SIGMA_X,
-    "z": linalg.SIGMA_Z,
-    "-x": -linalg.SIGMA_X,
-    "-z": -linalg.SIGMA_Z,
-}
-
-
-@functools.cache
-def _standard_povms() -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The signed Pauli POVMs, computed on first use and shared read-only."""
-    povms = {x: linalg.observable_povm(obs) for x, obs in _SIGNED_OBSERVABLES.items()}
-    for pair in povms.values():
-        for e in pair:
-            e.setflags(write=False)
-    return povms
-
-
-def standard_settings_povm() -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """POVMs for the four signed Pauli settings; outcome 0 is the +1 eigenspace
-    of the signed observable.  A fresh dict of shared read-only effects."""
-    return dict(_standard_povms())
-
-
-def memory_instrument() -> process.MpInstrument:
-    """First-time instrument of the memory test."""
-    return process.MpInstrument(
-        settings=SETTING_LABELS,
-        povm=standard_settings_povm(),
-        repreparations=(linalg.dm(linalg.KET_MINUS), linalg.dm(linalg.KET_PLUS)),
-    )
-
-
-def swap_instrument() -> process.MpInstrument:
-    """First-time instrument of the partial-swap protocol."""
-    return process.MpInstrument(
-        settings=SETTING_LABELS,
-        povm=standard_settings_povm(),
-        repreparations=(linalg.dm(linalg.KET_PLUS_I), linalg.dm(linalg.KET_MINUS_I)),
-    )
-
-
-def memory_final_povm() -> tuple[np.ndarray, np.ndarray]:
-    return linalg.observable_povm((linalg.SIGMA_X + linalg.SIGMA_Z) / np.sqrt(2))
-
-
-def swap_final_povm() -> tuple[np.ndarray, np.ndarray]:
-    return linalg.observable_povm(linalg.SIGMA_X)
-
 
 def cnot_swap_unitary() -> np.ndarray:
     """Memory-test interaction: CNOT with the memory qubit as control and the
@@ -81,6 +30,88 @@ def cnot_swap_unitary() -> np.ndarray:
         linalg.SIGMA_X, linalg.dm(linalg.KET_1)
     )
     return linalg.SWAP @ cnot
+
+
+def partial_swap(alpha: float) -> np.ndarray:
+    """Two-qubit gate cos(alpha/2) id + i sin(alpha/2) SWAP."""
+    if not 0.0 <= alpha <= math.pi:
+        raise DomainError(f"swap angle {alpha} outside [0, pi]")
+    return math.cos(alpha / 2) * np.eye(4, dtype=complex) + 1j * math.sin(
+        alpha / 2
+    ) * linalg.SWAP
+
+
+# configuration key -> component name -> builder; only the partial swap takes
+# an argument (alpha).  Outcome 0 of a signed-Pauli setting is the +1
+# eigenspace of the signed observable.
+COMPONENTS = {
+    "initial_state": {"bell": linalg.bell_state},
+    "unitary": {"cnot_swap": cnot_swap_unitary, "partial_swap": partial_swap},
+    "settings": {
+        "x": lambda: linalg.observable_povm(linalg.SIGMA_X),
+        "z": lambda: linalg.observable_povm(linalg.SIGMA_Z),
+        "-x": lambda: linalg.observable_povm(-linalg.SIGMA_X),
+        "-z": lambda: linalg.observable_povm(-linalg.SIGMA_Z),
+    },
+    "repreparations": {
+        "plus_minus": lambda: (linalg.dm(linalg.KET_MINUS), linalg.dm(linalg.KET_PLUS)),
+        "plus_minus_i": lambda: (linalg.dm(linalg.KET_PLUS_I), linalg.dm(linalg.KET_MINUS_I)),
+    },
+    "final_measurement": {
+        "xz_diagonal": lambda: linalg.observable_povm(
+            (linalg.SIGMA_X + linalg.SIGMA_Z) / np.sqrt(2)),
+        "x": lambda: linalg.observable_povm(linalg.SIGMA_X),
+        "z": lambda: linalg.observable_povm(linalg.SIGMA_Z),
+    },
+}
+
+SETTING_LABELS = tuple(COMPONENTS["settings"])
+
+
+def component(key: str, name: str, alpha: float | None = None):
+    """The component registered as name under configuration key key: the
+    partial swap at angle alpha, or else a constant built on first use and
+    shared read-only.  An unknown name, or the partial swap without an angle,
+    raises ValidationError naming the key."""
+    if name not in COMPONENTS[key]:
+        raise ValidationError(f"{key}: unknown name {name!r}, "
+                              f"expected one of {list(COMPONENTS[key])}")
+    if (key, name) == ("unitary", "partial_swap"):
+        if alpha is None:
+            raise ValidationError("alpha: unitary partial_swap needs a swap angle")
+        return partial_swap(alpha)
+    return _constant(key, name)
+
+
+@functools.cache
+def _constant(key: str, name: str):
+    value = COMPONENTS[key][name]()
+    for array in value if isinstance(value, tuple) else (value,):
+        array.setflags(write=False)
+    return value
+
+
+def standard_settings_povm() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """A fresh dict of the shared read-only signed-Pauli POVMs."""
+    return {x: component("settings", x) for x in SETTING_LABELS}
+
+
+def pauli_instrument(settings: Sequence[str], repreparations) -> process.MpInstrument:
+    """First-time instrument of signed-Pauli settings and re-preparations."""
+    return process.MpInstrument(
+        settings=tuple(settings),
+        povm={x: component("settings", x) for x in settings},
+        repreparations=repreparations,
+    )
+
+
+def memory_instrument() -> process.MpInstrument:
+    """First-time instrument of the memory test."""
+    return pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus"))
+
+
+def memory_final_povm() -> tuple[np.ndarray, np.ndarray]:
+    return component("final_measurement", "xz_diagonal")
 
 
 def w222() -> process.ProcessOperator:
@@ -172,27 +203,18 @@ def upsilon_best_gamma(p: float, n_starts: int = 24) -> float:
     return min(gammas)
 
 
-def partial_swap(alpha: float) -> np.ndarray:
-    """Two-qubit gate cos(alpha/2) id + i sin(alpha/2) SWAP."""
-    if not 0.0 <= alpha <= math.pi:
-        raise DomainError(f"swap angle {alpha} outside [0, pi]")
-    return math.cos(alpha / 2) * np.eye(4, dtype=complex) + 1j * math.sin(
-        alpha / 2
-    ) * linalg.SWAP
-
-
 def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float]]:
     """Gamma of the partial-swap protocol at each angle.
 
     Runs the full pipeline (process construction, Born rule, gamma functional)
     for the canonical configuration; the result traces (3 - sin a + cos a)/2.
     """
-    inst = swap_instrument()
-    final = swap_final_povm()
-    bell = linalg.bell_state()
+    inst = pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus_i"))
+    final = component("final_measurement", "x")
+    bell = component("initial_state", "bell")
     out = []
     for alpha in alphas:
-        op = process.build_process(bell, partial_swap(float(alpha)))
+        op = process.build_process(bell, component("unitary", "partial_swap", float(alpha)))
         beh = process.born_rule(op, inst, final)
         out.append((float(alpha), certify.gamma_functional(beh)[0]))
     return out
@@ -290,13 +312,6 @@ class NoiseParams:
                                   f"got {self.initial_gamma}")
 
 
-def _visibility_decay(params: NoiseParams, t: float, include_t1: bool) -> float:
-    d = math.exp(-t / params.t2) * params.echo_fidelity ** (t / params.echo_interval)
-    if include_t1:
-        d *= math.exp(-t / (2.0 * params.t1))
-    return d
-
-
 def decay_prediction(
     params: NoiseParams, times: Sequence[float], include_t1: bool = False
 ) -> list[tuple[float, float]]:
@@ -310,9 +325,11 @@ def decay_prediction(
     out = []
     for t in times:
         t = float(t)
-        if t < 0:
-            raise DomainError("waiting time must be nonnegative")
-        d = _visibility_decay(params, t, include_t1)
+        if not t >= 0.0:
+            raise DomainError(f"waiting time {t} ms is not a nonnegative number")
+        d = math.exp(-t / params.t2) * params.echo_fidelity ** (t / params.echo_interval)
+        if include_t1:
+            d *= math.exp(-t / (2.0 * params.t1))
         out.append((t, params.initial_gamma + (2.0 - params.initial_gamma) * (1.0 - d)))
     return out
 

@@ -15,7 +15,7 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def configs_dir() -> Path:
-    return REPO / "configs"
+    return REPO / "src" / "tpmcert" / "configs"
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tpmcert import certify, classical, cli, dataio, proclib, process
-from tpmcert.exceptions import ParseError, ValidationError
+from tpmcert.exceptions import DomainError, ParseError, ValidationError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,6 +113,28 @@ def test_noise_anchoring_at_zero_wait():
     cfg = dataio.preset_config("memory_test", noise=noise, wait_ms=0.0)
     _, _, report = dataio.run_experiment(cfg)
     assert abs(report.gamma - 0.642) < 1e-9
+
+
+def test_noise_anchoring_follows_the_configured_protocol():
+    # the zero-wait gamma is initial_gamma whatever the protocol reaches
+    # without noise, and a wait gives the decay model's prediction
+    noise = proclib.NoiseParams(
+        t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.9
+    )
+    for wait in (0.0, 10.0):
+        cfg = dataio.preset_config("partial_swap", noise=noise, wait_ms=wait)
+        _, _, report = dataio.run_experiment(cfg)
+        (_, want), = proclib.decay_prediction(noise, [wait])
+        assert abs(report.gamma - want) < 1e-9
+    # without noise the partial swap at 3 pi / 4 reaches (3 - sqrt(2)) / 2 = 0.793 only
+    low = proclib.NoiseParams(
+        t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
+    )
+    with pytest.raises(ValidationError, match="noise.initial_gamma"):
+        dataio.run_experiment(dataio.preset_config("partial_swap", noise=low))
+    for wait in (-50.0, math.nan):
+        with pytest.raises(DomainError, match="wait_ms"):
+            dataio.run_experiment(dataio.preset_config("memory_test", noise=low, wait_ms=wait))
 
 
 def test_sampled_run_is_seed_deterministic():
@@ -442,18 +464,62 @@ def test_cli_shot_limit(tmp_path, capsys):
     ("simulate", "negative_t2.yaml",
      b"noise:\n  t2_ms: -1\n  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n"
      b"  initial_gamma: 0.642\n", "noise.t2_ms must be positive"),
+    # a whole command line: its error names the flag and config key, not a file
+    (f"certify --counts {FIXTURES / 'memory_observational.csv'} --seed -1", None, None,
+     "--seed (config key seed) -1 is negative"),
+    ("simulate --preset memory_test --shots 100 --seed -1", None, None,
+     "--seed (config key seed) -1 is negative"),
+    ("simulate --config {path}", "seed.yaml", b"seed: -3\nshots: 50\n",
+     "--seed (config key seed) -3 is negative"),
 ], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
-        "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2"])
+        "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2",
+        "negative_seed_certify", "negative_seed_preset", "negative_seed_config"])
 def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
-    path = tmp_path / name
+    path = tmp_path / str(name)
     if content is not None:
         path.write_bytes(content)
-    flag = "--config" if command == "simulate" else "--counts"
+    if " " in command:
+        argv, path = command.format(path=path).split(), None
+    else:
+        argv = [command, "--config" if command == "simulate" else "--counts", str(path)]
     out = tmp_path / "out"
-    assert cli.main([command, flag, str(path), "--out", str(out)]) == 2
+    assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err and fragment in err
+    assert err.startswith("error: ") and fragment in err
+    assert path is None or str(path) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("unitary: foo\n", "unitary: unknown name 'foo'"),
+    ("settings: [x, y]\n", "settings: unknown name 'y'"),
+    ("final_measurement: zz\n", "final_measurement: unknown name 'zz'"),
+    ("unitary: partial_swap\n", "alpha: unitary partial_swap needs"),
+], ids=["unitary", "settings", "final_measurement", "partial_swap_without_alpha"])
+def test_config_names_unknown_components_by_file_and_key(tmp_path, capsys, text, key):
+    path = write(tmp_path, "named.yaml", text)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {key}")
+    assert not out.exists()
+
+
+def test_every_registry_entry_builds_and_validates(tmp_path):
+    # a configuration that names one entry loads, and its run validates the
+    # entry: states and unitaries in build_process, settings and
+    # re-preparations in MpInstrument, final measurements in born_rule
+    for key, names in proclib.COMPONENTS.items():
+        for name in names:
+            value = [name] if key == "settings" else name
+            path = write(tmp_path, "entry.yaml", f"alpha: 1.0\n{key}: {value}\n")
+            behavior, _, _ = dataio.run_experiment(dataio.load_config(path))
+            assert np.isfinite(behavior.probs).all(), (key, name)
+            entry = proclib.component(key, name, 1.0)
+            arrays = entry if isinstance(entry, tuple) else (entry,)
+            assert all(a.dtype == complex for a in arrays), (key, name)
+    final = proclib.component("final_measurement", "z")
+    assert [np.diag(e).real.tolist() for e in final] == [[1.0, 0.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("name", ["memory_test", "partial_swap"])

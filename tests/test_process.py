@@ -280,3 +280,16 @@ def test_tables_derive_probabilities_from_counts():
 def test_tables_reject_bad_counts(make, message):
     with pytest.raises(ValidationError, match=message):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: process.Behavior(settings=("u",), counts=np.ones((1, 2, 2), dtype=int)),
+    lambda: process.DoTable(counts=np.ones((2, 1, 2), dtype=int)),
+    proclib.memory_instrument,
+    proclib.w222,
+], ids=["Behavior", "DoTable", "MpInstrument", "ProcessOperator"])
+def test_array_dataclasses_compare_and_hash_by_identity(make):
+    # field-wise == on array fields is ambiguous, so these compare by identity
+    first, second = make(), make()
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2
