@@ -16,8 +16,10 @@ from .certify import (
 from .process import (
     Behavior,
     DoTable,
+    FinalMeasurement,
     MpInstrument,
     ProcessOperator,
+    Repreparations,
     born_rule,
     build_process,
     do_probabilities,
@@ -42,9 +44,11 @@ __all__ = [
     "CertReport",
     "DoTable",
     "EbChannel",
+    "FinalMeasurement",
     "MpInstrument",
     "NoiseParams",
     "ProcessOperator",
+    "Repreparations",
     "S_K",
     "acde",
     "apply_eb_channel",

@@ -16,8 +16,10 @@ import numpy as np
 from .exceptions import DomainError, ResourceLimitError, ValidationError
 from .process import Behavior, DoTable
 
-# Self-testing threshold constant (8 + 7 sqrt(2)) / 17, kept as the exact
-# expression evaluated in double precision.
+# Half of Kaniewski's CHSH self-testing threshold beta* = (16 + 14 sqrt(2)) / 17
+# (PRL 117, 070402 (2016)), the CHSH value above which the singlet fidelity
+# bound is nontrivial; under gamma = 2 - beta / 2 that threshold reads
+# gamma = 2 - S_K.  Kept as the exact expression evaluated in double precision.
 S_K = (8.0 + 7.0 * math.sqrt(2.0)) / 17.0
 
 GAMMA_MAX_VIOLATION = 2.0 - math.sqrt(2.0)
@@ -203,6 +205,25 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"--seed (config key seed) {seed} is negative")
 
 
+def check_resamples(n_resamples: int) -> None:
+    """Raise unless a bootstrap may draw n_resamples resamples: at least two
+    (ValidationError), at most MAX_RESAMPLES (ResourceLimitError)."""
+    if n_resamples < 2:
+        raise ValidationError(f"--resamples (config key resamples) {n_resamples} is below 2")
+    if n_resamples > MAX_RESAMPLES:
+        raise ResourceLimitError(f"--resamples (config key resamples) {n_resamples} "
+                                 f"exceeds the limit of {MAX_RESAMPLES}")
+
+
+def check_sigma_k(sigma_k: float) -> None:
+    """Raise ValidationError unless sigma_k is a positive finite number: a
+    negative margin would certify below the plug-in value, NaN would decide
+    every verdict False."""
+    if not 0.0 < sigma_k < math.inf:
+        raise ValidationError(f"--sigma-k (config key sigma_k) {sigma_k} is not a positive "
+                              f"finite number")
+
+
 def bootstrap_errors(
     behavior: Behavior,
     n_resamples: int = DEFAULT_RESAMPLES,
@@ -222,11 +243,7 @@ def bootstrap_errors(
     resampled rows may not exceed MAX_RESAMPLED_ROWS.
     """
     check_seed(seed)
-    if n_resamples < 2:
-        raise ValidationError("need at least two resamples")
-    if n_resamples > MAX_RESAMPLES:
-        raise ResourceLimitError(f"--resamples (config key resamples) {n_resamples} "
-                                 f"exceeds the limit of {MAX_RESAMPLES}")
+    check_resamples(n_resamples)
     counts = behavior.counts
     if counts is None:
         raise ValidationError("behavior carries no counts to resample")
@@ -300,11 +317,13 @@ def certify_behavior(
     """Evaluate every functional on one data set and assemble the report.
 
     A do-table with a setting index must have the behavior's setting labels.
-    Statistical verdicts use a sigma_k * stderr margin when the behavior
-    carries counts and plain strict inequalities otherwise.  The fidelity
-    bound is evaluated at the gamma estimate clamped into its domain (a
-    sampled gamma can fluctuate slightly past the quantum bound).
+    Statistical verdicts use a sigma_k * stderr margin (sigma_k positive and
+    finite) when the behavior carries counts and plain strict inequalities
+    otherwise.  The fidelity bound is evaluated at the gamma estimate clamped
+    into its domain (a sampled gamma can fluctuate slightly past the quantum
+    bound).
     """
+    check_sigma_k(sigma_k)
     check_do_settings(behavior, do_table)
     gamma, argmin = gamma_functional(behavior)
     delta = pearl_delta(behavior)

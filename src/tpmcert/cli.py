@@ -217,6 +217,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValidationError(f"--{name.replace('_', '-')} must be at least {least}")
         if getattr(args, "points", 0) > MAX_POINTS:
             raise ResourceLimitError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"--{name.replace('_', '-')} must be a finite number, "
+                                      f"got {value}")
         return _COMMANDS[args.command](args)
     except (ParseError, ValidationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

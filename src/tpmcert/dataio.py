@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,7 +32,7 @@ import numpy as np
 import yaml
 
 from . import certify, proclib, process
-from .exceptions import DomainError, ParseError, ValidationError
+from .exceptions import DomainError, ParseError, ResourceLimitError, ValidationError
 
 OBS_HEADER = ["x", "a", "b", "count"]
 DO_HEADER = ["do_a", "x", "b", "count"]
@@ -120,9 +121,9 @@ def _as_matrix(obj, dim: int, where: str) -> np.ndarray:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.shape != (dim, dim, 2):
+    if arr is None or arr.shape != (dim, dim, 2) or not np.isfinite(arr).all():
         raise ValidationError(
-            f"{where}: explicit matrix must be {dim}x{dim} entries of [re, im] pairs"
+            f"{where}: explicit matrix must be {dim}x{dim} entries of finite [re, im] pairs"
         )
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -141,10 +142,16 @@ PRESETS = {path.stem: path for path in sorted(Path(__file__).with_name("configs"
 
 def _typed(path: Path, key: str, value, kind: type):
     """value as kind, or a ParseError naming the file and the key; a bool
-    passes only as a bool, and an int also as a float."""
+    passes only as a bool, an int also as a float, and a float only if finite."""
     allowed = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
         raise ParseError(f"{path}: {key} must be of type {kind.__name__}, got {value!r}")
+    try:
+        finite = kind is not float or math.isfinite(value)
+    except OverflowError:  # an int beyond the range of a float
+        finite = False
+    if not finite:
+        raise ParseError(f"{path}: {key} must be a finite number, got {value!r}")
     return kind(value)
 
 
@@ -210,7 +217,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValidationError(f"{path}: noise.{_NOISE_KEYS[name]} {rule}") from None
         if "wait_ms" in nz:
             kwargs["wait_ms"] = _typed(path, "noise.wait_ms", nz["wait_ms"], float)
-    return ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**kwargs)
+    try:
+        check_config(cfg)
+    except (ValidationError, DomainError, ResourceLimitError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return cfg
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
@@ -235,6 +247,24 @@ def _resolve(cfg: ExperimentConfig):
     return rho, u, proclib.pauli_instrument(cfg.settings, reps), final
 
 
+def check_config(cfg: ExperimentConfig) -> None:
+    """Raise for a value of cfg that no run accepts, naming its flag and
+    config key: a negative seed, shots outside [1, MAX_COUNT], a resample count
+    or sigma_k that certify refuses, a wait without a noise block
+    (ValidationError), or a negative or NaN wait (DomainError)."""
+    certify.check_seed(cfg.seed)
+    if cfg.shots is not None and not 1 <= cfg.shots <= MAX_COUNT:
+        raise ValidationError(f"--shots (config key shots) {cfg.shots} is not between 1 "
+                              f"and {MAX_COUNT}")
+    certify.check_resamples(cfg.resamples)
+    certify.check_sigma_k(cfg.sigma_k)
+    if cfg.noise is None and cfg.wait_ms != 0.0:
+        raise ValidationError(f"--wait (config key wait_ms) {cfg.wait_ms} needs a noise block")
+    if not cfg.wait_ms >= 0.0:
+        raise DomainError(f"--wait (config key wait_ms): waiting time {cfg.wait_ms} ms is "
+                          f"not a nonnegative number")
+
+
 def run_experiment(
     cfg: ExperimentConfig,
 ) -> tuple[process.Behavior, process.DoTable, certify.CertReport]:
@@ -247,19 +277,17 @@ def run_experiment(
     that gamma equals the decay_prediction of the noise model at the
     configured waiting time.
     """
-    certify.check_seed(cfg.seed)
+    check_config(cfg)
     rho, u, inst, final = _resolve(cfg)
     op = process.build_process(rho, u)
+    final = process.FinalMeasurement(final)
     behavior = process.born_rule(op, inst, final)
     do_exact = process.do_probabilities(op, inst.repreparations, final)
 
     if cfg.noise is not None:
         # visibility vis maps the protocol's exact gamma g to 2 - vis (2 - g);
         # vis may pass 1 by rounding only (the memory test's g is 2 - sqrt(2))
-        try:
-            (_, target), = proclib.decay_prediction(cfg.noise, [cfg.wait_ms])
-        except DomainError as exc:
-            raise DomainError(f"--wait (config key wait_ms): {exc}") from None
+        (_, target), = proclib.decay_prediction(cfg.noise, [cfg.wait_ms])
         reach = 2.0 - certify.gamma_functional(behavior)[0]
         if 2.0 - target > reach * (1.0 + 1e-12):
             raise ValidationError(f"noise.initial_gamma {cfg.noise.initial_gamma} lies "
@@ -277,9 +305,6 @@ def run_experiment(
     if cfg.shots is None:
         do_table = do_exact
     else:
-        if not 1 <= cfg.shots <= MAX_COUNT:
-            raise ValidationError(f"--shots (config key shots) {cfg.shots} is not between 1 "
-                                  f"and {MAX_COUNT}")
         counts = np.empty((len(behavior.settings), 2, 2), dtype=np.int64)
         for xi, p in enumerate(behavior.probs.reshape(-1, 4)):
             rng = np.random.default_rng([cfg.seed, xi])

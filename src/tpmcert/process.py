@@ -39,14 +39,15 @@ class MpInstrument:
     on A'.  Re-preparations are indexed by outcome only, never by setting; that
     restriction is what makes the later crosstalk analysis meaningful.
 
-    Construction validates everything once and keeps read-only stacks for the
-    contraction: effects (n_settings, 2, 2, 2) indexed [x, a] in settings
-    order, and reps (2, 2, 2) indexed [a].
+    Construction validates everything once: repreparations is kept as a
+    checked Repreparations, and the contraction reads the read-only stacks
+    effects (n_settings, 2, 2, 2) indexed [x, a] in settings order, and reps
+    (2, 2, 2) indexed [a].
     """
 
     settings: tuple[str, ...]
     povm: Mapping[str, tuple[np.ndarray, np.ndarray]]
-    repreparations: tuple[np.ndarray, np.ndarray]
+    repreparations: Repreparations | tuple[np.ndarray, np.ndarray]
     effects: np.ndarray = field(init=False, repr=False, compare=False)
     reps: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -63,10 +64,10 @@ class MpInstrument:
         )
         effects.setflags(write=False)
         linalg.assert_povm(effects, INPUT_ATOL)
-        reps = _qubit_pair(self.repreparations, "re-preparations")
-        linalg.assert_density_matrix(reps, INPUT_ATOL)
+        reps = Repreparations.of(self.repreparations)
         object.__setattr__(self, "effects", effects)
-        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "repreparations", reps)
+        object.__setattr__(self, "reps", reps.ops)
 
 
 def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
@@ -80,6 +81,49 @@ def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
     pair = np.array(ops)
     pair.setflags(write=False)
     return pair
+
+
+@dataclass(frozen=True, eq=False)
+class _CheckedPair:
+    """Two 2x2 operators indexed by a binary outcome, validated once at
+    construction and then kept as one read-only (2, 2, 2) array, ops.  It
+    indexes like the pair of matrices it was built from."""
+
+    ops: Sequence[np.ndarray] | np.ndarray
+
+    def __post_init__(self):
+        ops = _qubit_pair(self.ops, self.what)
+        self.check(ops)
+        object.__setattr__(self, "ops", ops)
+
+    @classmethod
+    def of(cls, ops):
+        """ops if it is already a checked pair of this kind, else ops checked."""
+        return ops if isinstance(ops, cls) else cls(ops)
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, outcome):
+        return self.ops[outcome]
+
+
+class FinalMeasurement(_CheckedPair):
+    """The effects (outcome 0, outcome 1) of the binary measurement of B."""
+
+    what = "final measurement"
+
+    def check(self, ops):
+        linalg.assert_povm(ops, INPUT_ATOL)
+
+
+class Repreparations(_CheckedPair):
+    """The states re-prepared on A after outcome 0 and after outcome 1."""
+
+    what = "re-preparations"
+
+    def check(self, ops):
+        linalg.assert_density_matrix(ops, INPUT_ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +224,12 @@ def build_process(rho: np.ndarray, u: np.ndarray) -> ProcessOperator:
         W = Tr_{EE'}[ (rho^{T_E} (x) id_{ABE'}) (id_{A'} (x) |U>><<U|) ]
 
     on the factor ordering (A', A, E, B, E'), which lands on A' (x) A (x) B.
+    It runs in two steps that never form those 32x32 operators: one matmul
+    sums over E, the index that rho^{T_E} shares with |U>><<U|, and np.trace
+    then takes E and E' in that order.  Each entry of the 32x32 product has
+    two nonzero terms, the same two products this matmul adds, and the traces
+    add the same entries in the same order, so W equals the explicit
+    kron-permute-matmul-trace evaluation bit for bit.
     """
     rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
@@ -188,15 +238,16 @@ def build_process(rho: np.ndarray, u: np.ndarray) -> ProcessOperator:
     linalg.assert_density_matrix(rho, INPUT_ATOL)
     linalg.assert_unitary(u, INPUT_ATOL)
 
-    uu = linalg.vectorize(u)                      # on (A,E) (x) (B,E')
-    t = np.kron(linalg.ID2, uu @ uu.conj().T)     # A', A, E, B, E'
-    rho_pt = linalg.partial_transpose(rho, (2, 2), 1)
-    s = np.kron(rho_pt, np.eye(8, dtype=complex))         # A', E, A, B, E'
-    s = linalg.permute_factors(s, (2,) * 5, (0, 2, 1, 3, 4))
-    w = linalg.partial_trace(s @ t, (2,) * 5, {2, 4})
+    uu = linalg.vectorize(u)
+    uu = (uu @ uu.conj().T).reshape((2,) * 8)    # A, E, B, E', A~, E~, B~, E'~
+    rho_pt = linalg.partial_transpose(rho, (2, 2), 1).reshape(8, 2)  # [(A', E, A'~), E~]
+    s = rho_pt @ np.moveaxis(uu, 1, 0).reshape(2, 128)
+    s = s.reshape((2,) * 10)                     # A', E, A'~, A, B, E', A~, E~, B~, E'~
+    s = np.trace(np.trace(s, axis1=1, axis2=7), axis1=4, axis2=7)  # A', A'~, A, B, A~, B~
+    w = s.transpose(0, 2, 3, 1, 4, 5).reshape(8, 8)
     w = 0.5 * (w + w.conj().T)
 
-    marginal = linalg.partial_trace(rho, (2, 2), {1})
+    marginal = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
     op = ProcessOperator(w=w, marginal_state=marginal)
     problems = validate_process(op)
     if problems:
@@ -225,9 +276,9 @@ def validate_process(op: ProcessOperator | np.ndarray, atol: float = PROCESS_ATO
         problems.append("positivity violated")
     if abs(np.trace(w).real - 2.0) > atol:
         problems.append(f"trace is {np.trace(w).real:.6g}, expected 2")
-    tr_b = linalg.partial_trace(w, QUBIT_TPM_LAYOUT, {2})
-    derived_marginal = linalg.partial_trace(w, QUBIT_TPM_LAYOUT, {1, 2}) / 2.0
-    if np.abs(tr_b - np.kron(derived_marginal, linalg.ID2)).max() > atol:
+    tr_b = np.trace(w.reshape((2,) * 6), axis1=2, axis2=5)  # A', A, A'~, A~
+    derived_marginal = np.trace(tr_b, axis1=1, axis2=3) / 2.0
+    if np.abs(tr_b - derived_marginal[:, None, :, None] * linalg.ID2[:, None, :]).max() > atol:
         problems.append("marginal violated: Tr_B W is not rho_A' (x) id_A")
     if declared is not None and np.abs(derived_marginal - declared).max() > atol:
         problems.append("declared marginal state disagrees with Tr_{AB} W / 2")
@@ -255,33 +306,33 @@ def _contract(w: np.ndarray, effects: np.ndarray, reps: np.ndarray, final: np.nd
 def born_rule(
     op: ProcessOperator,
     inst: MpInstrument,
-    final_povm: Sequence[np.ndarray],
+    final_povm: FinalMeasurement | Sequence[np.ndarray],
 ) -> Behavior:
     """Observational statistics P(a, b | x) = Tr[(E_{a|x} (x) rho_a^T (x) F_b) W].
 
     The transpose on the re-preparation is the stored-W convention (see module
-    docstring); the result agrees with sequential state-vector simulation.
+    docstring); the result agrees with sequential state-vector simulation.  A
+    final POVM given as raw matrices is validated here, a FinalMeasurement was
+    validated when it was built.
     """
-    final = _qubit_pair(final_povm, "final measurement")
-    linalg.assert_povm(final, INPUT_ATOL)
+    final = FinalMeasurement.of(final_povm).ops
     probs = _contract(op.w, inst.effects, inst.reps, final)
     return Behavior(settings=tuple(inst.settings), probs=probs)
 
 
 def do_probabilities(
     op: ProcessOperator,
-    repreparations: Sequence[np.ndarray],
-    final_povm: Sequence[np.ndarray],
+    repreparations: Repreparations | Sequence[np.ndarray],
+    final_povm: FinalMeasurement | Sequence[np.ndarray],
 ) -> DoTable:
     """Interventional statistics P(b | do(A = a)) = Tr[(id (x) rho_a^T (x) F_b) W].
 
     The intervention discards the first measurement outcome entirely, so with
     setting-independent re-preparations the table carries no x index and its
-    ACDE is identically zero.
+    ACDE is identically zero.  Raw matrices are validated here, as in born_rule;
+    an instrument's repreparations were validated with the instrument.
     """
-    final = _qubit_pair(final_povm, "final measurement")
-    linalg.assert_povm(final, INPUT_ATOL)
-    reps = _qubit_pair(repreparations, "re-preparations")
-    linalg.assert_density_matrix(reps, INPUT_ATOL)
+    final = FinalMeasurement.of(final_povm).ops
+    reps = Repreparations.of(repreparations).ops
     probs = _contract(op.w, np.broadcast_to(linalg.ID2, (2, 2, 2)), reps, final)
     return DoTable(probs=probs[:, None, :], do_settings=None)

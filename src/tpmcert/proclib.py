@@ -210,7 +210,7 @@ def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float
     for the canonical configuration; the result traces (3 - sin a + cos a)/2.
     """
     inst = pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus_i"))
-    final = component("final_measurement", "x")
+    final = process.FinalMeasurement(component("final_measurement", "x"))
     bell = component("initial_state", "bell")
     out = []
     for alpha in alphas:
@@ -303,7 +303,7 @@ class NoiseParams:
     def __post_init__(self):
         # every message starts with the name of the field at fault
         for name in ("t2", "t1", "echo_interval"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.echo_fidelity <= 1.0:
             raise ValidationError(f"echo_fidelity must lie in (0, 1], got {self.echo_fidelity}")

@@ -62,6 +62,25 @@ def explicit_process_contraction(rho, u):
     return w.reshape(8, 8)
 
 
+def build_process_reference(rho, u):
+    """W = Tr_{EE'}[(rho^{T_E} (x) id_{ABE'}) (id_{A'} (x) |U>><<U|)] as
+    explicit 32x32 operators on (A', A, E, B, E'): two np.kron, a factor
+    permutation, one 32x32 matmul, a partial trace over E and then E', and the
+    Hermitian part.  build_process reaches W without these operators and must
+    equal this bit for bit."""
+    rho = np.asarray(rho, dtype=complex)
+    uu = np.asarray(u, dtype=complex).T.reshape(-1, 1)      # |U>> on (A, E, B, E')
+    t = np.kron(I2, uu @ uu.conj().T)                        # A', A, E, B, E'
+    rho_pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)  # transpose on E
+    s = np.kron(rho_pt, np.eye(8, dtype=complex))           # A', E, A, B, E'
+    perm = [0, 2, 1, 3, 4]                                   # to A', A, E, B, E'
+    s = s.reshape((2,) * 10).transpose(perm + [p + 5 for p in perm])
+    x = (np.ascontiguousarray(s.reshape(32, 32)) @ t).reshape((2,) * 10)
+    x = np.trace(x, axis1=2, axis2=7)                        # over E
+    w = np.trace(x, axis1=3, axis2=7).reshape(8, 8)          # over E'
+    return 0.5 * (w + w.conj().T)
+
+
 def swap_assemblage_closed_form(alpha, rho_a, f_b):
     """Effective memory-side effect of the partial-swap protocol,
     cos^2 Tr(F rho) id + sin^2 F - i sin cos [F, rho]."""
@@ -116,8 +135,9 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_density(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def random_density(rng, d, rank=None):
+    """Random d x d density matrix, of full rank unless rank is given."""
+    z = rng.standard_normal((d, rank or d)) + 1j * rng.standard_normal((d, rank or d))
     m = z @ z.conj().T
     return m / np.trace(m)
 

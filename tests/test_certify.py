@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tpmcert import certify, dataio, linalg, proclib, process
-from tpmcert.exceptions import DomainError
+from tpmcert.exceptions import DomainError, ValidationError
 
 from oracles import (bootstrap_errors_reference, random_binary_povm, random_density,
                      random_unitary)
@@ -183,6 +183,15 @@ def test_bootstrap_frozen_argmin_mode(obs_fixture):
     live = certify.bootstrap_errors(beh, n_resamples=500, seed=1)
     frozen = certify.bootstrap_errors(beh, n_resamples=500, seed=1, frozen_argmin=True)
     assert live["gamma"] > 0 and frozen["gamma"] > 0
+
+
+@pytest.mark.parametrize("sigma_k", [math.nan, math.inf, 0.0, -3.0])
+def test_certify_behavior_rejects_a_margin_that_is_not_positive(obs_fixture, sigma_k):
+    # NaN would decide every verdict False, a negative margin certify below
+    # the plug-in value
+    behavior = dataio.ingest_counts(obs_fixture)
+    with pytest.raises(ValidationError, match="sigma_k"):
+        certify.certify_behavior(behavior, n_resamples=20, sigma_k=sigma_k)
 
 
 def test_report_serialization_round_trip(obs_fixture, do_fixture):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpmcert import certify, classical, cli, dataio, proclib, process
+from tpmcert import certify, classical, cli, dataio, linalg, proclib, process
 from tpmcert.exceptions import DomainError, ParseError, ValidationError
 
 SQRT2 = math.sqrt(2.0)
@@ -135,6 +135,20 @@ def test_noise_anchoring_follows_the_configured_protocol():
     for wait in (-50.0, math.nan):
         with pytest.raises(DomainError, match="wait_ms"):
             dataio.run_experiment(dataio.preset_config("memory_test", noise=low, wait_ms=wait))
+
+
+def test_run_experiment_validates_each_input_once(monkeypatch):
+    # the initial state, the instrument's effects and re-preparations and the
+    # final POVM are each checked once per run: born_rule and do_probabilities
+    # take the checked instrument and final measurement as they are
+    calls = {"assert_povm": 0, "assert_density_matrix": 0}
+    for name in calls:
+        def counted(*args, _check=getattr(linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    dataio.run_experiment(dataio.preset_config("memory_test"))
+    assert calls == {"assert_povm": 2, "assert_density_matrix": 2}
 
 
 def test_sampled_run_is_seed_deterministic():
@@ -443,12 +457,14 @@ def test_cli_shot_limit(tmp_path, capsys):
     # a sampled run holds int64 counts: more shots than a cell may count exit 2
     config = write(tmp_path, "shots.yaml", f"shots: {10**20}\n")
     out = tmp_path / "out"
-    for argv in (["simulate", "--preset", "memory_test", "--shots", str(10**20)],
-                 ["simulate", "--config", str(config)],
-                 ["simulate", "--preset", "memory_test", "--shots", "0"]):
+    # a value from a configuration file is reported with the file's name
+    for argv, where in ((["simulate", "--preset", "memory_test", "--shots", str(10**20)], ""),
+                        (["simulate", "--config", str(config)], f"{config}: "),
+                        (["simulate", "--preset", "memory_test", "--shots", "0"], "")):
         assert cli.main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --shots (config key shots) ") and "not between 1" in err
+        assert err.startswith(f"error: {where}--shots (config key shots) ")
+        assert "not between 1" in err
         assert not out.exists()
 
 
@@ -471,9 +487,29 @@ def test_cli_shot_limit(tmp_path, capsys):
      "--seed (config key seed) -1 is negative"),
     ("simulate --config {path}", "seed.yaml", b"seed: -3\nshots: 50\n",
      "--seed (config key seed) -3 is negative"),
+    # a wait without a noise block would print the noiseless gamma
+    ("simulate --preset memory_test --exact --wait 1000", None, None,
+     "--wait (config key wait_ms) 1000.0 needs a noise block"),
+    ("simulate", "wait.yaml", b"wait_ms: 5\n", "--wait (config key wait_ms) 5.0 needs"),
+    # NaN passes every comparison-based check, and report.json cannot hold it
+    ("simulate", "nan_t2.yaml",
+     b"noise:\n  t2_ms: .nan\n  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n"
+     b"  initial_gamma: 0.642\n  wait_ms: 5\n", "noise.t2_ms must be a finite number"),
+    (f"certify --counts {FIXTURES / 'memory_observational.csv'} --sigma-k nan", None, None,
+     "--sigma-k must be a finite number, got nan"),
+    (f"certify --counts {FIXTURES / 'memory_observational.csv'} --sigma-k -3", None, None,
+     "--sigma-k (config key sigma_k) -3.0 is not a positive finite number"),
+    ("decay --t2 nan --echo-fidelity 0.99 --echo-interval 2.5 --initial-gamma 0.7", None,
+     None, "--t2 must be a finite number, got nan"),
+    # a NaN matrix passes the unitarity check, whose comparisons NaN fails
+    ("simulate", "nan_unitary.yaml",
+     f"unitary: {[[[math.nan, 0.0]] * 4] * 4}\n".replace("nan", ".nan").encode(),
+     "unitary: explicit matrix must be 4x4 entries of finite"),
 ], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
         "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2",
-        "negative_seed_certify", "negative_seed_preset", "negative_seed_config"])
+        "negative_seed_certify", "negative_seed_preset", "negative_seed_config",
+        "wait_without_noise", "wait_without_noise_config", "nan_t2", "nan_sigma_k",
+        "negative_sigma_k", "nan_decay_t2", "nan_unitary"])
 def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
     path = tmp_path / str(name)
     if content is not None:

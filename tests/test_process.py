@@ -8,6 +8,7 @@ from tpmcert import certify, linalg, proclib, process
 from tpmcert.exceptions import ValidationError
 
 from oracles import (
+    build_process_reference,
     explicit_process_contraction,
     kron_born_probs,
     kron_do_probs,
@@ -59,6 +60,19 @@ def test_build_process_matches_explicit_contraction():
         u = random_unitary(RNG, 4)
         op = process.build_process(rho, u)
         assert np.abs(op.w - explicit_process_contraction(rho, u)).max() < 1e-12
+
+
+def test_build_process_equals_the_reference_bit_for_bit():
+    # the 1e-12 comparison above cannot see a changed summation order, which
+    # moves the golden swap curve and report bytes by an ulp
+    rng = np.random.default_rng(1107)
+    cases = [(random_density(rng, 4, rank), random_unitary(rng, 4))
+             for rank in (1, 2, 4) for _ in range(100)]
+    bell = proclib.component("initial_state", "bell")
+    cases += [(bell, proclib.component("unitary", "partial_swap", float(alpha)))
+              for alpha in np.linspace(0.0, math.pi, 64)]  # swap-curve --points 64
+    for rho, u in cases:
+        assert np.array_equal(process.build_process(rho, u).w, build_process_reference(rho, u))
 
 
 def test_build_process_marginal_and_trace():
@@ -179,6 +193,30 @@ def test_instrument_rejects_setting_dependent_structure():
             povm={"z": (effects[0], effects[0])},  # does not sum to id
             repreparations=(linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1)),
         )
+
+
+_NOT_PSD = (np.diag([1.2, 0.5]).astype(complex), np.diag([-0.2, 0.5]).astype(complex))
+_TRACE_2 = (2.0 * linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda op, inst: process.born_rule(op, inst, _NOT_PSD), "negative eigenvalue"),
+    (lambda op, inst: process.do_probabilities(op, inst.repreparations, _NOT_PSD),
+     "negative eigenvalue"),
+    (lambda op, inst: process.do_probabilities(op, _TRACE_2, proclib.memory_final_povm()),
+     "state trace 2.0 != 1"),
+    (lambda op, inst: process.FinalMeasurement(_NOT_PSD), "negative eigenvalue"),
+    (lambda op, inst: process.Repreparations(_TRACE_2), "state trace 2.0 != 1"),
+    # a checked POVM is not a checked pair of states: (id, 0) has trace 2
+    (lambda op, inst: process.do_probabilities(
+        op, process.FinalMeasurement((linalg.ID2, 0 * linalg.ID2)), proclib.memory_final_povm()),
+     "state trace 2.0 != 1"),
+], ids=["born_final_not_psd", "do_final_not_psd", "do_reps_trace_2",
+        "final_measurement_not_psd", "repreparations_trace_2", "do_reps_a_povm"])
+def test_born_and_do_validate_raw_inputs(call, message):
+    # raw matrices from outside callers are still checked where they enter
+    with pytest.raises(ValidationError, match=message):
+        call(proclib.w222(), proclib.memory_instrument())
 
 
 def _pure_state(rng):
