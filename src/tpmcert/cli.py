@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jm-scan", help="joint-measurability margin per angle")
     p.add_argument("--points", type=int, default=33, help="alpha grid points")
-    p.add_argument("--grid-density", type=int, default=20)
     p.add_argument("--out", default=None, help="write jm_scan.csv here")
 
     return parser
@@ -186,7 +185,7 @@ def _cmd_classical_bound(args) -> int:
 
 def _cmd_jm_scan(args) -> int:
     alphas = np.linspace(0.0, math.pi, args.points)
-    region = compat.partial_swap_compat_region(alphas, args.grid_density)
+    region = compat.partial_swap_compat_region(alphas)
     rows = []
     for alpha in alphas:
         margin = region[float(alpha)]
@@ -212,9 +211,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name, least in (("points", 1), ("grid_density", 2)):
-            if getattr(args, name, least) < least:
-                raise ValidationError(f"--{name.replace('_', '-')} must be at least {least}")
+        if getattr(args, "points", 1) < 1:
+            raise ValidationError("--points must be at least 1")
         if getattr(args, "points", 0) > MAX_POINTS:
             raise ResourceLimitError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
         for name, value in vars(args).items():

@@ -5,7 +5,7 @@ final POVM realizes an effective POVM assemblage on the memory qubit; quantum
 violations require that assemblage to be incompatible (not jointly
 measurable).  Pairs of binary qubit POVMs are decided by the closed-form
 sharpness criterion (Busch & Schmidt 2010; Yu, Liu, Li & Oh 2010); the
-partial-swap scan's margins are witnesses, not certified optima.
+partial-swap scan's margin at each angle is its exact minimum.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .exceptions import DomainError, ResourceLimitError, ValidationError
+from .exceptions import DomainError, ValidationError
 
 EFFECT_ATOL = 1e-10
 MARGIN_ATOL = 1e-10
-MAX_GRID_POINTS = 1_000_000  # density^3 of one jm-scan angle
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ class QubitEffectParams:
     def __post_init__(self):
         r = np.linalg.norm(self.bloch)
         g = self.gamma_bias
-        # both the effect and its complement must be PSD
-        if r > min(1.0 + g, 1.0 - g) + EFFECT_ATOL:
+        # both the effect and its complement must be PSD; NaN fails the test
+        if not r <= min(1.0 + g, 1.0 - g) + EFFECT_ATOL:
             raise ValidationError(
                 f"parameters (gamma={g}, |r|={r}) do not define a valid effect"
             )
@@ -176,81 +175,84 @@ def partial_swap_effect_params(
                  for rv in (r0, unit(theta_s, phi_s)))
 
 
-def _swap_scalars(alpha: float, ts, te, dphi):
-    """(g0, g1, r0.r1) of `partial_swap_effect_params` in closed form, with
-    dphi = phi_s - phi_e, c, s = cos, sin(alpha/2), f.r0 = cos(theta_e) and
-    f.r1 = sin(theta_e) sin(theta_s) cos(dphi) + cos(theta_e) cos(theta_s):
-    g_a = c^2 f.r_a and r0.r1 = s^4 + s^2 c^2 (cos(theta_s) - f.r0 f.r1)."""
+def _swap_scalars(alpha: float, u, v, y):
+    """(g0, g1, r0.r1) of `partial_swap_effect_params` in closed form, from the
+    Gram entries u = z.r1 = cos(theta_s), v = z.f = cos(theta_e) and y = f.r1
+    of the preparation and final Bloch vectors; with c, s = cos, sin(alpha/2),
+    g_a = c^2 f.r_a and r0.r1 = s^4 + s^2 c^2 (u - v y)."""
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     c2, s2 = c * c, s * s
-    cte, cts = np.cos(te), np.cos(ts)
-    fr1 = np.sin(te) * np.sin(ts) * np.cos(dphi) + cte * cts
-    return c2 * cte, c2 * fr1, s2 * s2 + s2 * c2 * (cts - cte * fr1)
+    return c2 * v, c2 * y, s2 * s2 + s2 * c2 * (u - v * y)
 
 
-def _swap_margin(alpha: float, ts, te, dphi):
+def _swap_margin(alpha: float, u, v, y):
     """Margin of the partial-swap pair; both sharpnesses equal cos(alpha/2)."""
     c = math.cos(alpha / 2)
-    return _margin(*_swap_scalars(alpha, ts, te, dphi), c, c)
+    return _margin(*_swap_scalars(alpha, u, v, y), c, c)
 
 
-# per sweep: (coordinate, signs of its two trial moves) for theta_s, theta_e,
-# dphi, and dphi again reversed, as the four-angle search moved phi_e last
-_SWEEP = tuple((i, np.array([[d], [-d]])) for i, d in ((0, 1.0), (1, 1.0), (2, 1.0), (2, -1.0)))
+def _swap_minimum(alpha: float) -> float:
+    """Least `_swap_margin` at one angle, from finitely many candidates that
+    include the minimiser.
 
-
-def _descend(alpha: float, starts: tuple[np.ndarray, ...]) -> float:
-    """Lockstep first-improvement coordinate descent from the (theta_s,
-    theta_e, dphi) start arrays, both trial moves of all starts in one kernel
-    call.  Each step starts at 0.15 and halves after a sweep without gain,
-    until all are below 1e-9 or for 100 sweeps.  The lowest margin is a
-    witness, not an optimum."""
-    pts = list(starts)
-    best = _swap_margin(alpha, *pts)
-    step = np.full(len(best), 0.15)
-    for _ in range(100):
-        before = best
-        for i, signs in _SWEEP:
-            trial = pts[i] + signs * step
-            val = _swap_margin(alpha, *pts[:i], trial, *pts[i + 1:])
-            first = val[0] < best
-            take = first | (val[1] < best)
-            pts[i] = np.where(first, trial[0], np.where(take, trial[1], pts[i]))
-            best = np.where(first, val[0], np.where(take, val[1], best))
-        step = np.where(best < before, step, step / 2.0)
-        if (step < 1e-9).all():
-            break
-    return float(best.min())
+    With v = cos p and y = cos q, u ranges over [Y, X] for X = cos(p - q) and
+    Y = cos(p + q), and enters only the cross term s^4 + s^2 c^2 u - c^2 v y.
+    On the triangle -1 <= Y <= X <= 1 the least margin over u is
+    dist(0, [lo, hi])^2 - first * second, with lo, hi the cross term at u = Y,
+    X and second = 1 - c^2 (1 + X Y), clipped at 0 where first <= 0.  That is
+    one quadratic on each piece cut out by the lines lo = 0, hi = 0 and the
+    hyperbola second = 0, so the minimiser is a stationary point of a piece's
+    quadratic in the plane or along a line (those two or an edge), of lo^2 or
+    hi^2 along the hyperbola, or a crossing of two of these curves.  Points
+    (X, Y, 1) are homogeneous: two lines cross at their cross product, and a
+    quadratic Q is stationary along a line with direction d where it meets
+    the line Q d.  Each candidate is clipped into the triangle and evaluated
+    at a configuration that realises it, so the minimum is attained.
+    """
+    if not 0.0 <= alpha <= math.pi:
+        raise DomainError(f"swap angle {alpha} outside [0, pi]")
+    c2, s2, k = math.cos(alpha / 2) ** 2, math.sin(alpha / 2) ** 2, math.cos(alpha)
+    lo, hi = np.array([[-c2 / 2, -c2 * k / 2, s2 * s2], [-c2 * k / 2, -c2 / 2, s2 * s2]])
+    lines = np.array([lo, hi, [1.0, 0.0, -1.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    hyperbola = np.array([[0.0, c2 / 2, 0.0], [c2 / 2, 0.0, 0.0], [0.0, 0.0, -s2]])  # -second
+    # lo^2 or hi^2 alone is stationary along a line only where it meets lo = 0 or hi = 0
+    quads = np.stack([np.outer(lo, lo), np.outer(hi, hi), np.zeros((3, 3))])
+    quads += (1.0 - 2.0 * c2) * hyperbola
+    # lo^2 and hi^2 are stationary along the hyperbola where X = k Y and Y = k X
+    through = np.concatenate([lines, [[1.0, -k, 0.0], [k, -1.0, 0.0]]])
+    direction = np.stack([-through[:, 1], through[:, 0], np.zeros(len(through))], axis=-1)
+    foot = np.cross(through, direction)  # foot + t direction sweeps the line
+    qa, qb, qc = (np.einsum("li,ij,lj->l", m, hyperbola, n)
+                  for m, n in ((direction, direction), (direction, foot), (foot, foot)))
+    root = -(qb + np.copysign(np.sqrt(np.maximum(qb * qb - qa * qc, 0.0)), qb))
+    i, j = np.triu_indices(len(lines), 1)
+    points = np.concatenate([
+        np.cross(quads[:, 0], quads[:, 1]),  # stationary in the plane
+        np.cross(lines, np.einsum("qij,lj->qli", quads, direction[:len(lines)])).reshape(-1, 3),
+        np.cross(lines[i], lines[j]),
+        qa[:, None] * foot + root[:, None] * direction,  # roots of qa t^2 + 2 qb t + qc
+        root[:, None] * foot + qc[:, None] * direction,
+    ])
+    # points at infinity or far outside the triangle cannot be the minimiser
+    points = points[np.abs(points[:, :2]).max(axis=1) < 2.0 * np.abs(points[:, 2])]
+    X = np.clip(points[:, 0] / points[:, 2], -1.0, 1.0)
+    Y = np.clip(points[:, 1] / points[:, 2], -1.0, X)
+    lo_at, hi_at = lines[:2] @ np.stack([X, Y, np.ones_like(X)])
+    t = np.divide(lo_at, lo_at - hi_at, out=np.zeros_like(X), where=lo_at < hi_at)
+    p_minus_q, p_plus_q = np.arccos(X), np.arccos(Y)
+    v, y = np.cos((p_plus_q + p_minus_q) / 2), np.cos((p_plus_q - p_minus_q) / 2)
+    return float(_swap_margin(alpha, Y + (X - Y) * np.clip(t, 0.0, 1.0), v, y).min())
 
 
 def partial_swap_compat_region(
     alpha_grid: Sequence[float], angle_grid_density: int = 20
 ) -> dict[float, float]:
-    """Worst-case compatibility margin of the partial-swap assemblage per angle.
+    """Minimum compatibility margin of the partial-swap assemblage per angle.
 
-    r0 = z is fixed, so the margin depends on dphi = phi_s - phi_e only: each
-    angle scans a density^3 grid in (theta_s, theta_e, dphi), then descends
-    from the 8 best grid points, or from the points tied with the minimum (up
-    to 4 * density; tied copies descend apart).  Each margin is a witness, an
-    upper bound on the minimum, not a certified optimum.  Margins >= 0 for
-    alpha <= pi/2 and alpha = pi, and < 0 between, give the boundary.
+    Margins >= 0 for alpha <= pi/2 and alpha = pi, and < 0 between, give the
+    boundary; above pi/2 the minimum is sin^4(alpha/2) cos^2(alpha) + cos(alpha),
+    at theta_s = pi, theta_e = pi/2.  `angle_grid_density` is ignored.
     """
-    if not len(alpha_grid) or angle_grid_density < 2:
+    if not len(alpha_grid):
         raise ValidationError("empty scan grids")
-    n = int(angle_grid_density)
-    if n**3 > MAX_GRID_POINTS:
-        raise ResourceLimitError(f"grid density {n} exceeds the limit of {MAX_GRID_POINTS} points")
-    thetas = np.linspace(0.0, math.pi, n)
-    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    axes = (thetas[:, None, None], thetas[None, :, None], phis[None, None, :])
-    result = {}
-    for alpha in alpha_grid:
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= math.pi:
-            raise DomainError(f"swap angle {alpha} outside [0, pi]")
-        grid = _swap_margin(alpha, *axes).ravel()
-        order = np.argsort(grid, kind="stable")
-        tied = int(np.count_nonzero(grid <= grid[order[0]] + 1e-12))
-        idx = np.unravel_index(order[: max(8, min(tied, 4 * n))], (n, n, n))
-        result[alpha] = _descend(alpha, (thetas[idx[0]], thetas[idx[1]], phis[idx[2]]))
-    return result
+    return {float(alpha): _swap_minimum(float(alpha)) for alpha in alpha_grid}

@@ -179,7 +179,7 @@ def assert_density_matrix(rho: np.ndarray, atol: float = HERM_ATOL) -> None:
 
 def assert_unitary(u: np.ndarray, atol: float = HERM_ATOL) -> None:
     d = u.shape[0]
-    if u.shape != (d, d) or np.abs(u.conj().T @ u - np.eye(d)).max() > atol:
+    if u.shape != (d, d) or not np.abs(u.conj().T @ u - np.eye(d)).max() <= atol:
         raise ValidationError("matrix is not unitary within tolerance")
 
 

@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from tpmcert import compat, linalg, proclib
-from tpmcert.exceptions import DomainError, ResourceLimitError, ValidationError
+from tpmcert.exceptions import DomainError, ValidationError
 
 from oracles import (
     random_binary_povm,
@@ -185,6 +184,15 @@ def test_invalid_effect_params_rejected():
         compat.QubitEffectParams(0.5, np.array([0.9, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("gamma, bloch", [
+    (math.nan, [0.0, 0.0, 0.0]), (math.inf, [0.0, 0.0, 0.0]), (-math.inf, [0.0, 0.0, 0.0]),
+    (0.0, [math.nan, 0.0, 0.0]), (0.0, [0.0, math.inf, 0.0]), (0.0, [0.0, 0.0, -math.inf]),
+])
+def test_non_finite_effect_params_rejected(gamma, bloch):
+    with pytest.raises(ValidationError):
+        compat.QubitEffectParams(gamma, np.array(bloch))
+
+
 def test_compat_region_boundary():
     region = compat.partial_swap_compat_region(
         [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi], angle_grid_density=12
@@ -224,7 +232,8 @@ def test_scan_scalars_match_effect_params():
         ts, te = rng.uniform(0.0, math.pi, (2, 2000))
         ps, pe = rng.uniform(0.0, 2 * math.pi, (2, 2000))
         (g0, r0), (g1, r1) = compat.partial_swap_effect_params(alpha, ts, te, ps, pe)
-        got = compat._swap_scalars(alpha, ts, te, ps - pe)
+        fr1 = np.sin(te) * np.sin(ts) * np.cos(ps - pe) + np.cos(te) * np.cos(ts)
+        got = compat._swap_scalars(alpha, np.cos(ts), np.cos(te), fr1)
         want = (g0, g1, np.einsum("...i,...i->...", r0, r1))
         for a, b in zip(got, want):
             assert np.abs(a - b).max() < 1e-15
@@ -233,10 +242,12 @@ def test_scan_scalars_match_effect_params():
 @pytest.mark.parametrize("density", [8, 12])
 def test_reduced_grid_minimum_matches_four_angle_oracle(density):
     # dropping phi_e loses no grid point: the density^3 minimum equals the
-    # density^4 one, and the descent can only go lower
+    # density^4 one, and the exact scan can only go lower
     thetas = np.linspace(0.0, math.pi, density)
     phis = np.linspace(0.0, 2 * math.pi, density, endpoint=False)
-    axes = (thetas[:, None, None], thetas[None, :, None], phis[None, None, :])
+    ts, te, dphi = thetas[:, None, None], thetas[None, :, None], phis[None, None, :]
+    fr1 = np.sin(te) * np.sin(ts) * np.cos(dphi) + np.cos(te) * np.cos(ts)
+    axes = (np.cos(ts), np.cos(te), fr1)
     alphas = [0.3, 0.9, 1.4, 1.9, 2.4, 2.9]
     region = compat.partial_swap_compat_region(alphas, density)
     for alpha in alphas:
@@ -245,12 +256,9 @@ def test_reduced_grid_minimum_matches_four_angle_oracle(density):
         assert region[alpha] <= want + 1e-15
 
 
-def test_scan_work_is_grid_cube_plus_descent_budget(monkeypatch):
-    # one angle costs the density^3 grid plus the descent: at most 4 * 20
-    # starts, each evaluated once and then twice per sweep entry (4 per
-    # sweep) for at most 100 sweeps.  The four-angle scan evaluated
-    # density^4 = 160 000 grid points alone.  0.8132 has 42 grid points tied
-    # with the minimum.
+def test_scan_evaluates_at_most_64_points_per_angle(monkeypatch):
+    # the scan's work is its candidate set: one `_margin` call of at most 64
+    # points per angle, and the ignored density argument changes nothing
     kernel = compat._margin
     points = []
 
@@ -259,21 +267,33 @@ def test_scan_work_is_grid_cube_plus_descent_budget(monkeypatch):
         return kernel(g0, g1, r01, f0, f1)
 
     monkeypatch.setattr(compat, "_margin", counting)
-    for alpha in (0.8132119355333707, 3 * math.pi / 4):
+    alphas = [0.0, 0.0982, 0.8132119355333707, math.pi / 2, 3 * math.pi / 4, math.pi]
+    for density in (2, 20, 10**6):
         points.clear()
-        compat.partial_swap_compat_region([alpha], 20)
-        assert points[0] == 20**3
-        assert sum(points) <= 20**3 + 80 * (1 + 100 * 4 * 2)
+        compat.partial_swap_compat_region(alphas, density)
+        assert len(points) == len(alphas) and max(points) <= 64
 
 
-def test_scan_grid_limit_allocates_nothing():
-    tracemalloc.start()
-    try:
-        for density in (compat.MAX_GRID_POINTS, 101):
-            with pytest.raises(ResourceLimitError):
-                compat.partial_swap_compat_region([1.0], density)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 100**3 <= compat.MAX_GRID_POINTS < 101**3
-    assert peak < 64 * 1024
+@pytest.mark.parametrize("alpha", [
+    math.pi / 2 + 1e-9, 1.6, 1.8, 2.0, 3 * math.pi / 4, 2.6, 2.9, math.pi - 1e-9, math.pi,
+])
+def test_scan_minimum_in_closed_form_above_half_pi(alpha):
+    # above pi/2 the minimiser is theta_s = pi, theta_e = pi/2 at any dphi
+    want = math.sin(alpha / 2) ** 4 * math.cos(alpha) ** 2 + math.cos(alpha)
+    assert abs(compat.partial_swap_compat_region([alpha])[alpha] - want) <= 1e-15
+
+
+def test_no_sampled_configuration_lies_below_the_scan():
+    # 10^5 random (theta_s, theta_e, phi_s, phi_e) per angle through the
+    # public effect map; the margin of every one is at least the scan's
+    rng = np.random.default_rng(12)
+    alphas = [0.0, 0.0982, 0.3, 0.8836, 1.2, math.pi / 2 - 1e-9, math.pi / 2,
+              math.pi / 2 + 1e-9, 2.0, 2.5, 3.0, math.pi]
+    region = compat.partial_swap_compat_region(alphas)
+    for alpha in alphas:
+        ts, te = np.arccos(rng.uniform(-1.0, 1.0, (2, 100_000)))
+        ps, pe = rng.uniform(0.0, 2 * math.pi, (2, 100_000))
+        (g0, r0), (g1, r1) = compat.partial_swap_effect_params(alpha, ts, te, ps, pe)
+        c = math.cos(alpha / 2)
+        sampled = compat._margin(g0, g1, np.einsum("...i,...i->...", r0, r1), c, c)
+        assert sampled.min() >= region[alpha] - 1e-12, alpha

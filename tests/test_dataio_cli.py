@@ -340,10 +340,10 @@ def _scan_flags(stdout):
 def test_jm_scan_no_higher_than_the_four_angle_scan(tmp_path, capsys):
     # tests/golden/jm_scan/ holds what `tpmcert jm-scan --points 33
     # --grid-density 20 --out <out>` wrote with the density^4 grid and the
-    # scalar descent.  The density^3 scan may find lower margins, so the
-    # digits may move, but no margin may rise and no flag may change.
-    assert cli.main(["jm-scan", "--points", "33", "--grid-density", "20",
-                     "--out", str(tmp_path)]) == 0
+    # scalar descent.  The exact scan finds lower margins where those were
+    # not minima, so the digits may move, but no margin may rise and no flag
+    # may change.
+    assert cli.main(["jm-scan", "--points", "33", "--out", str(tmp_path)]) == 0
     pinned = GOLDEN / "jm_scan"
     got_flags = _scan_flags(capsys.readouterr().out)
     assert got_flags == _scan_flags((pinned / "stdout.txt").read_text())
@@ -357,7 +357,6 @@ def test_jm_scan_no_higher_than_the_four_angle_scan(tmp_path, capsys):
       "--initial-gamma", "0.642", "--points", "-1"], "--points"),
     (["swap-curve", "--points", "0"], "--points"),
     (["jm-scan", "--points", "-1"], "--points"),
-    (["jm-scan", "--grid-density", "1"], "--grid-density"),
 ])
 def test_cli_rejects_empty_scans(tmp_path, capsys, argv, flag):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -371,11 +370,6 @@ DECAY_ARGV = ["decay", "--t2", "364", "--echo-fidelity", "0.995", "--echo-interv
 
 
 def test_cli_jm_scan_grid_limit(tmp_path, capsys, monkeypatch):
-    rc = cli.main(["jm-scan", "--points", "3", "--grid-density", "1000000",
-                   "--out", str(tmp_path)])
-    assert rc == 2
-    assert "exceeds the limit" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
     # --points is capped for every curve and scan before its grid is built
     assert cli.main(DECAY_ARGV + ["--points", str(cli.MAX_POINTS)]) == 0
     capsys.readouterr()

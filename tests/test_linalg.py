@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tpmcert import linalg
+from tpmcert import compat, linalg, process
 from tpmcert.exceptions import ValidationError
 
 from oracles import random_unitary
@@ -108,6 +108,19 @@ def test_herm_eigenvalues_sum_is_trace():
 def test_herm_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         linalg.herm_eigenvalues(rand_complex(3))
+
+
+def test_unitary_check_rejects_nan_in_every_caller():
+    # NaN fails every comparison, so the check must not pass on "max > atol"
+    one_nan = np.eye(4, dtype=complex)
+    one_nan[2, 1] = np.nan
+    reps = (linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1))
+    for u in (np.full((4, 4), np.nan), one_nan):
+        for call in (lambda: linalg.assert_unitary(u),
+                     lambda: process.build_process(linalg.bell_state(), u),
+                     lambda: compat.induced_assemblage(u, reps, linalg.observable_povm(linalg.SIGMA_Z))):
+            with pytest.raises(ValidationError, match="not unitary"):
+                call()
 
 
 def test_stacked_checks_reject_any_bad_member():
