@@ -72,7 +72,8 @@ class CertReport:
 
 # The kernels below work on [..., b0, b1] cell slices: numpy adds or compares
 # long strided slices far faster than it reduces over a trailing axis of length
-# 2 or 4.  They reduce over settings fastest with settings outermost in memory.
+# 2 or 4.  They reduce over settings fastest with settings outermost in memory,
+# the layout of the stacks that bootstrap_errors and classical._tables build.
 
 
 def _pair_terms(probs: np.ndarray) -> np.ndarray:

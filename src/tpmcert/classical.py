@@ -44,7 +44,10 @@ class VertexSet:
 
     a_response has shape (V, X); b_response has shape (V, 2, X) in crosstalk
     mode, indexed [v, a, x], and (V, 2, 1) without it.  Indexing yields the
-    ClassicalStrategy of one vertex.
+    ClassicalStrategy of one vertex.  From enumerate_strategies both are
+    (V, ...) views of settings-major storage, the vertex axis innermost in
+    memory; the vertex-major stacks that _as_vertices builds from strategy
+    lists are accepted too.
     """
 
     a_response: np.ndarray
@@ -82,10 +85,11 @@ def enumerate_strategies(x_alphabet_size: int, crosstalk: bool = False) -> Verte
         raise ResourceLimitError(
             f"{total} strategies at |X| = {n} exceeds the desk-scale limit"
         )
-    # vertex v spells its responses in binary, most significant bit first
-    shifts = np.arange(bits - 1, -1, -1)
-    flat = ((np.arange(total, dtype=np.int32)[:, None] >> shifts) & 1).astype(np.int8)
-    return VertexSet(flat[:, :n], flat[:, n:].reshape(total, 2, k), crosstalk)
+    # vertex v spells its responses in binary, most significant bit first;
+    # digit d of every vertex is one contiguous row
+    shifts = np.arange(bits - 1, -1, -1)[:, None]
+    digits = ((np.arange(total, dtype=np.int32) >> shifts) & 1).astype(np.int8)
+    return VertexSet(digits[:n].T, digits[n:].reshape(2, k, total).transpose(2, 0, 1), crosstalk)
 
 
 def _as_vertices(strategies: VertexSet | ClassicalStrategy | list[ClassicalStrategy]) -> VertexSet:
@@ -107,27 +111,44 @@ def _as_vertices(strategies: VertexSet | ClassicalStrategy | list[ClassicalStrat
 
 
 def _onehot(values: np.ndarray, size: int) -> np.ndarray:
-    # one comparison per value, stacked: much faster than broadcasting
-    # against np.arange(size) when size is this small
-    return np.stack([values == k for k in range(size)], axis=-1).view(np.int8)
+    """int8 one-hot of values (..., V) along a new axis before the last,
+    shape (..., size, V), C-contiguous whatever the layout of values."""
+    # one comparison per value: much faster than broadcasting against
+    # np.arange(size) when size is this small
+    out = np.empty((*values.shape[:-1], size, values.shape[-1]), dtype=bool)
+    for k in range(size):
+        np.equal(values, k, out=out[..., k, :])
+    return out.view(np.int8)
 
 
 def _tables(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     """Stacked 0/1 behavior probs (V, X, 2, 2) and do-table probs (V, 2, K, 2),
     as int8 so that every functional of them is exact.
 
-    The intervention severs the dependence of A on X, so the do-table is read
-    directly off b_response; without crosstalk it carries no setting index.
+    Both are views of settings-major storage, the layout the certify kernels
+    reduce fastest: probs is stored as (X, 2, 2, V) and do as (K, 2, 2, V),
+    so every cell slice is one contiguous run of vertices.  The intervention
+    severs the dependence of A on X, so the do-table is read directly off
+    b_response; without crosstalk it carries no setting index.
     """
-    a, b = vertices.a_response, vertices.b_response
+    a, b = vertices.a_response.T, vertices.b_response.transpose(2, 1, 0)  # (X, V), (K, 2, V)
     cell = 2 * a + np.where(a, b[:, 1], b[:, 0])  # setting x lands in cell (a, b(a, x))
-    probs = _onehot(cell, 4).reshape(len(a), -1, 2, 2)
-    # settings outermost in memory, where certify.acde_values reduces fastest
-    do = np.moveaxis(_onehot(np.ascontiguousarray(np.moveaxis(b, -1, 0)), 2), 0, -2)
-    for name, table, totals in (("behavior", probs, "...ij->..."), ("do-table", do, "...i->...")):
-        if table.min() < -PROCESS_ATOL or np.abs(np.einsum(totals, table) - 1).max() > PROCESS_ATOL:
+    probs = _onehot(cell, 4).reshape(len(cell), 2, 2, -1)
+    do = _onehot(b, 2)
+    # a response outside {0, 1} leaves a row of one of the tables without its 1
+    for name, table, total in (
+        ("behavior", probs, probs[:, 0, 0] + probs[:, 0, 1] + probs[:, 1, 0] + probs[:, 1, 1]),
+        ("do-table", do, do[:, :, 0] + do[:, :, 1]),
+    ):
+        if table.min() < -PROCESS_ATOL or np.abs(total - 1).max() > PROCESS_ATOL:
             raise ValidationError(f"{name} of a strategy is not a normalized distribution")
-    return probs, do
+    return probs.transpose(3, 0, 1, 2), do.transpose(3, 1, 0, 2)
+
+
+def _mix(w: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Mixtures w (..., V) of the stacked tables (V, ...); the vertex-major copy
+    fixes the order of the sums, so the rounding does not depend on the layout."""
+    return np.tensordot(w, np.ascontiguousarray(table), 1)
 
 
 def _labels(n: int) -> tuple[str, ...]:
@@ -160,8 +181,8 @@ def mix_behaviors(
         raise ValidationError("weights must be a probability vector over strategies")
     probs, do = _tables(vertices)
     return (
-        Behavior(settings=_labels(vertices.n_settings), probs=np.tensordot(w, probs, 1)),
-        DoTable(probs=np.tensordot(w, do, 1), do_settings=_do_settings(vertices)),
+        Behavior(settings=_labels(vertices.n_settings), probs=_mix(w, probs)),
+        DoTable(probs=_mix(w, do), do_settings=_do_settings(vertices)),
     )
 
 
@@ -205,12 +226,12 @@ def lemma1_check(
     probs, do = _tables(vertices)
     # joint counterfactual P(b0, b1) of each vertex: b0 = b(0, x=0), b1 = b(1, x=0)
     b = vertices.b_response[:, :, 0]
-    joint = _onehot(2 * b[:, 0] + b[:, 1], 4).reshape(-1, 2, 2)
+    joint = _onehot(2 * b[:, 0] + b[:, 1], 4).T.reshape(-1, 2, 2)
     if mixtures:
         rng = np.random.default_rng(seed)
         n = len(vertices)
         w = np.array([rng.dirichlet(np.ones(n)) for _ in range(mixtures)])
-        probs, do, joint = (np.tensordot(w, t, 1) for t in (probs, do, joint))
+        probs, do, joint = (_mix(w, t) for t in (probs, do, joint))
 
     # (1): the do-table's worst case over the (possibly trivial) x index
     if (do.min(axis=-2) - probs.max(axis=-3)).min() < -atol:

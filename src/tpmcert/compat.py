@@ -21,6 +21,8 @@ from .exceptions import DomainError, ValidationError
 
 EFFECT_ATOL = 1e-10
 MARGIN_ATOL = 1e-10
+# the pairs of the five lines whose crossings `_swap_minimum` takes
+_LINE_PAIRS = np.triu_indices(5, 1)
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,14 @@ def jointly_measurable(
     return margin >= -MARGIN_ATOL, margin
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of 3-vectors along the last axis, broadcasting the others:
+    the same products and differences, without its wrapper overhead."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def partial_swap_effect_params(
     alpha: float,
     theta_s: np.ndarray,
@@ -171,7 +181,7 @@ def partial_swap_effect_params(
                          np.cos(theta) + 0 * phi], axis=-1)
 
     f, r0 = unit(theta_e, phi_e), unit(0 * theta_e, 0 * phi_e)  # r0 = z, shaped like f
-    return tuple((c * c * np.einsum("...i,...i->...", f, rv), s * s * f + s * c * np.cross(f, rv))
+    return tuple((c * c * np.einsum("...i,...i->...", f, rv), s * s * f + s * c * _cross(f, rv))
                  for rv in (r0, unit(theta_s, phi_s)))
 
 
@@ -221,15 +231,15 @@ def _swap_minimum(alpha: float) -> float:
     # lo^2 and hi^2 are stationary along the hyperbola where X = k Y and Y = k X
     through = np.concatenate([lines, [[1.0, -k, 0.0], [k, -1.0, 0.0]]])
     direction = np.stack([-through[:, 1], through[:, 0], np.zeros(len(through))], axis=-1)
-    foot = np.cross(through, direction)  # foot + t direction sweeps the line
+    foot = _cross(through, direction)  # foot + t direction sweeps the line
     qa, qb, qc = (np.einsum("li,ij,lj->l", m, hyperbola, n)
                   for m, n in ((direction, direction), (direction, foot), (foot, foot)))
     root = -(qb + np.copysign(np.sqrt(np.maximum(qb * qb - qa * qc, 0.0)), qb))
-    i, j = np.triu_indices(len(lines), 1)
+    i, j = _LINE_PAIRS
     points = np.concatenate([
-        np.cross(quads[:, 0], quads[:, 1]),  # stationary in the plane
-        np.cross(lines, np.einsum("qij,lj->qli", quads, direction[:len(lines)])).reshape(-1, 3),
-        np.cross(lines[i], lines[j]),
+        _cross(quads[:, 0], quads[:, 1]),  # stationary in the plane
+        _cross(lines, np.einsum("qij,lj->qli", quads, direction[:len(lines)])).reshape(-1, 3),
+        _cross(lines[i], lines[j]),
         qa[:, None] * foot + root[:, None] * direction,  # roots of qa t^2 + 2 qb t + qc
         root[:, None] * foot + qc[:, None] * direction,
     ])

@@ -164,3 +164,35 @@ def test_malformed_strategy_responses_are_rejected():
             classical.strategy_behavior(s)
     with pytest.raises(ValidationError):
         classical.check_corrected_bound([classical.ClassicalStrategy((0, 1), (0, 1), True)])
+
+
+@pytest.mark.parametrize("crosstalk", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_values_do_not_depend_on_the_vertex_layout(n, crosstalk):
+    # enumerate_strategies stores its vertices settings-major; a list of
+    # strategies is stacked vertex-major by _as_vertices
+    vertices = classical.enumerate_strategies(n, crosstalk=crosstalk)
+    listed = list(vertices)
+    assert vertices.a_response.strides[0] == 1
+    assert classical._as_vertices(listed).a_response.strides[0] == n
+    _, gammas, corrected = classical_vertex_values(n, crosstalk)
+    for strategies in (vertices, listed):
+        gamma, lhs = classical.vertex_values(strategies)
+        assert gamma.tolist() == gammas
+        assert lhs.tolist() == corrected
+    w = np.random.default_rng(n).dirichlet(np.ones(len(vertices)))
+    for got, want in zip(classical.mix_behaviors(vertices, w), classical.mix_behaviors(listed, w)):
+        assert np.array_equal(got.probs, want.probs)
+    for kwargs in ({}, {"mixtures": 20, "seed": n}):
+        assert classical.lemma1_check(vertices, **kwargs) == classical.lemma1_check(listed, **kwargs)
+
+
+def test_tables_keep_the_settings_axis_outermost():
+    # certify.gamma_only and certify.acde_values reduce over settings fastest
+    # with settings outermost in memory; at |X| = 4 with crosstalk they run
+    # tens of times slower on vertex-major tables, so a refactor that loses
+    # the layout must fail here rather than go unnoticed
+    probs, do = classical._tables(classical.enumerate_strategies(4, crosstalk=True))
+    assert probs.shape == (4096, 4, 2, 2) and do.shape == (4096, 2, 4, 2)
+    assert np.argmax(probs.strides) == 1
+    assert np.argmax(do.strides) == 2

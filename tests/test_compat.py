@@ -297,3 +297,22 @@ def test_no_sampled_configuration_lies_below_the_scan():
         c = math.cos(alpha / 2)
         sampled = compat._margin(g0, g1, np.einsum("...i,...i->...", r0, r1), c, c)
         assert sampled.min() >= region[alpha] - 1e-12, alpha
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((1000, 3), (1000, 3)),
+    # the shapes of _swap_minimum's crosses
+    ((7, 3), (7, 3)), ((3, 3), (3, 3)), ((5, 3), (3, 5, 3)), ((10, 3), (10, 3)),
+    # and of partial_swap_effect_params on angle arrays
+    ((4, 6, 3), (4, 6, 3)), ((6, 3), (4, 1, 3)),
+])
+def test_cross_equals_numpy_cross_bit_for_bit(shape_a, shape_b):
+    rng = np.random.default_rng(len(shape_a) * 100 + shape_a[0])
+
+    def draw(shape):  # magnitudes spread over 16 decades to make rounding matter
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+    a, b = draw(shape_a), draw(shape_b)
+    got, want = compat._cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

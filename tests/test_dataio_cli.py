@@ -625,3 +625,14 @@ def test_sampled_gamma_converges_at_large_shots():
         if abs(report.gamma - exact) <= 3.0 * report.std_errors["gamma"]:
             hits += 1
     assert hits >= 19
+
+
+def test_cli_classical_bound_at_the_largest_admitted_alphabet(capsys):
+    # |X| = 6 is the largest alphabet whose 2^18 crosstalk vertices the
+    # enumeration limit admits
+    assert 2**18 <= classical.MAX_STRATEGIES < 2**21
+    assert cli.main(["classical-bound", "--x", "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "min gamma over 256 no-crosstalk vertices: 1.000000000000",
+        "min (gamma + 2 ACDE) over 262144 crosstalk vertices: 1.000000000000",
+    ]
