@@ -15,6 +15,7 @@ from .certify import (
 )
 from .process import (
     Behavior,
+    BinaryPovm,
     DoTable,
     FinalMeasurement,
     MpInstrument,
@@ -41,6 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Behavior",
+    "BinaryPovm",
     "CertReport",
     "DoTable",
     "EbChannel",

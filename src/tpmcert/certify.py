@@ -257,14 +257,15 @@ def bootstrap_errors(
             f"is {n_resamples * rows} resampled rows, which exceeds the limit of "
             f"{MAX_RESAMPLED_ROWS}")
     rng = np.random.default_rng(seed)
-    # settings first: one contiguous (R, 2, 2) slab of frequencies per setting
-    slabs = np.empty((len(behavior.settings), n_resamples, 2, 2))
+    # settings-major, as classical._tables: one (2, 2, R) slab of frequencies
+    # per setting, so every cell slice the kernels read is contiguous
+    slabs = np.empty((len(behavior.settings), 2, 2, n_resamples))
     for xi, slab in enumerate(slabs):
         n = int(counts[xi].sum())
         pvals = counts[xi].reshape(-1) / counts[xi].sum()
         draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
-        np.divide(draws.reshape(n_resamples, 2, 2), n, out=slab)
-    resampled = np.moveaxis(slabs, 0, -3)
+        np.divide(draws.T.reshape(2, 2, n_resamples), n, out=slab)
+    resampled = np.moveaxis(slabs, -1, 0)
 
     if frozen_argmin:
         frozen_idx = gamma_values(np.asarray(behavior.probs, dtype=float))[1]
@@ -280,15 +281,18 @@ def bootstrap_errors(
     if resample_do:
         dcounts = do_table.counts
         k = len(do_table.do_settings)
-        # one contiguous (R, 2) slab per intervention row (a, k)
-        dslabs = np.empty((2, k, n_resamples, 2))
+        # one (2, R) slab per intervention row (a, k).  A two-cell multinomial
+        # draws one binomial of its first cell, so this binomial draws the
+        # same counts from the same stream.
+        dslabs = np.empty((2, k, 2, n_resamples))
         for a in (0, 1):
             for ki in range(k):
                 n = int(dcounts[a, ki].sum())
                 pvals = dcounts[a, ki] / dcounts[a, ki].sum()
-                draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
-                np.divide(draws, n, out=dslabs[a, ki])
-        acdes = acde_values(np.moveaxis(dslabs, -2, 0))
+                draws = rng.binomial(n, (pvals / pvals.sum())[0], size=n_resamples)
+                np.divide(draws, n, out=dslabs[a, ki, 0])
+                np.divide(n - draws, n, out=dslabs[a, ki, 1])
+        acdes = acde_values(np.moveaxis(dslabs, -1, 0))
         errors["acde"] = float(acdes.std(ddof=1))
         errors["corrected_lhs"] = float((gammas + 2.0 * acdes).std(ddof=1))
     elif do_table is not None:

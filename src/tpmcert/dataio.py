@@ -128,8 +128,10 @@ def _as_matrix(obj, dim: int, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-# configuration keys that may name a registered component
-_NAMED_KEYS = ("initial_state", "unitary", "repreparations", "final_measurement")
+# configuration keys that may name a registered component; the last two name
+# a pair of 2x2 operators, or give it as a list of two matrices
+_PAIR_KEYS = ("repreparations", "final_measurement")
+_NAMED_KEYS = ("initial_state", "unitary") + _PAIR_KEYS
 # scalar configuration keys and their types
 _CONFIG_SCALARS = {"protocol": str, "alpha": float, "shots": int, "seed": int, "resamples": int,
                    "sigma_k": float, "wait_ms": float, "frozen_argmin": bool}
@@ -184,7 +186,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not isinstance(doc["settings"], list):
             raise ParseError(f"{path}: settings must be a list of labels")
         kwargs["settings"] = tuple(str(x) for x in doc["settings"])
-    for key in ("repreparations", "final_measurement"):
+    for key in _PAIR_KEYS:
         if key in doc:
             val = doc[key]
             if not isinstance(val, (str, list)):
@@ -234,12 +236,14 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
 
 
 def _component(cfg: ExperimentConfig, key: str):
-    """The registry entry that cfg names under key, or its explicit matrices
-    as one complex array."""
+    """The registry entry that cfg names under key, a named pair in its
+    checked form, or else cfg's explicit matrices as one complex array."""
     value = getattr(cfg, key)
-    if isinstance(value, str):
-        return proclib.component(key, value, cfg.alpha)
-    return np.asarray(value, dtype=complex)
+    if not isinstance(value, str):
+        return np.asarray(value, dtype=complex)
+    if key in _PAIR_KEYS:
+        return proclib.checked_pair(key, value)
+    return proclib.component(key, value, cfg.alpha)
 
 
 def _resolve(cfg: ExperimentConfig):
@@ -280,7 +284,7 @@ def run_experiment(
     check_config(cfg)
     rho, u, inst, final = _resolve(cfg)
     op = process.build_process(rho, u)
-    final = process.FinalMeasurement(final)
+    final = process.FinalMeasurement.of(final)
     behavior = process.born_rule(op, inst, final)
     do_exact = process.do_probabilities(op, inst.repreparations, final)
 

@@ -8,6 +8,7 @@ slowest-varying index (row-major), matching ``numpy.kron``.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,9 +178,17 @@ def assert_density_matrix(rho: np.ndarray, atol: float = HERM_ATOL) -> None:
         raise ValidationError("state has a negative eigenvalue")
 
 
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    """The shared read-only d x d identity of the checks below."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def assert_unitary(u: np.ndarray, atol: float = HERM_ATOL) -> None:
     d = u.shape[0]
-    if u.shape != (d, d) or not np.abs(u.conj().T @ u - np.eye(d)).max() <= atol:
+    if u.shape != (d, d) or not np.abs(u.conj().T @ u - _eye(d)).max() <= atol:
         raise ValidationError("matrix is not unitary within tolerance")
 
 
@@ -194,7 +203,7 @@ def assert_povm(effects: Sequence[np.ndarray], atol: float = HERM_ATOL) -> None:
         raise ValidationError("POVM effect is not Hermitian")
     if np.linalg.eigvalsh(e).min() < -atol:
         raise ValidationError("POVM effect has a negative eigenvalue")
-    if np.abs(e.sum(axis=-3) - np.eye(e.shape[-1])).max() > atol:
+    if np.abs(e.sum(axis=-3) - _eye(e.shape[-1])).max() > atol:
         raise ValidationError("POVM effects do not sum to the identity")
 
 

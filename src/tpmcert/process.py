@@ -29,6 +29,8 @@ PROCESS_ATOL = 1e-9
 INPUT_ATOL = 1e-10
 
 QUBIT_TPM_LAYOUT = (2, 2, 2)
+# the discarded first measurement of an intervention: id for both outcomes
+_ID_PAIR = np.broadcast_to(linalg.ID2, (2, 2, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,14 +41,17 @@ class MpInstrument:
     on A'.  Re-preparations are indexed by outcome only, never by setting; that
     restriction is what makes the later crosstalk analysis meaningful.
 
-    Construction validates everything once: repreparations is kept as a
-    checked Repreparations, and the contraction reads the read-only stacks
-    effects (n_settings, 2, 2, 2) indexed [x, a] in settings order, and reps
+    Construction validates everything once: a setting's pair that arrives as
+    a BinaryPovm (the registry's, see proclib.checked_pair) was checked when
+    it was built and is taken as it is, the raw pairs are checked together in
+    one stacked POVM check, and repreparations is kept as a checked
+    Repreparations.  The contraction reads the read-only stacks effects
+    (n_settings, 2, 2, 2) indexed [x, a] in settings order, and reps
     (2, 2, 2) indexed [a].
     """
 
     settings: tuple[str, ...]
-    povm: Mapping[str, tuple[np.ndarray, np.ndarray]]
+    povm: Mapping[str, BinaryPovm | tuple[np.ndarray, np.ndarray]]
     repreparations: Repreparations | tuple[np.ndarray, np.ndarray]
     effects: np.ndarray = field(init=False, repr=False, compare=False)
     reps: np.ndarray = field(init=False, repr=False, compare=False)
@@ -59,15 +64,35 @@ class MpInstrument:
         for x in self.settings:
             if x not in self.povm:
                 raise ValidationError(f"no POVM declared for setting {x!r}")
-        effects = np.array(
-            [_qubit_pair(self.povm[x], f"POVM of setting {x!r}") for x in self.settings]
-        )
+        pairs, raw = [], []  # raw: indices of the settings still to check
+        for i, x in enumerate(self.settings):
+            pair = self.povm[x]
+            if isinstance(pair, BinaryPovm):
+                pairs.append(pair.ops)
+            else:
+                pairs.append(_qubit_pair(pair, f"POVM of setting {x!r}"))
+                raw.append(i)
+        effects = np.array(pairs)
         effects.setflags(write=False)
-        linalg.assert_povm(effects, INPUT_ATOL)
+        if raw:
+            self._check_raw(effects if len(raw) == len(pairs) else effects[raw], raw)
         reps = Repreparations.of(self.repreparations)
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "repreparations", reps)
         object.__setattr__(self, "reps", reps.ops)
+
+    def _check_raw(self, stack: np.ndarray, raw: list[int]) -> None:
+        """One POVM check of the raw settings' stack; when it fails, the
+        settings are checked one by one to name the first bad one."""
+        try:
+            linalg.assert_povm(stack, INPUT_ATOL)
+        except ValidationError:
+            for pair, i in zip(stack, raw):
+                try:
+                    linalg.assert_povm(pair, INPUT_ATOL)
+                except ValidationError as exc:
+                    raise ValidationError(f"POVM of setting {self.settings[i]!r}: {exc}") from None
+            raise
 
 
 def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
@@ -87,13 +112,21 @@ def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
 class _CheckedPair:
     """Two 2x2 operators indexed by a binary outcome, validated once at
     construction and then kept as one read-only (2, 2, 2) array, ops.  It
-    indexes like the pair of matrices it was built from."""
+    indexes like the pair of matrices it was built from, and a failed check
+    names what the pair is.
+
+    The registry's pairs arrive checked: proclib.checked_pair builds each
+    once per process.  A pair of raw matrices is checked where it enters
+    (MpInstrument, born_rule, do_probabilities, or run_experiment's .of)."""
 
     ops: Sequence[np.ndarray] | np.ndarray
 
     def __post_init__(self):
         ops = _qubit_pair(self.ops, self.what)
-        self.check(ops)
+        try:
+            self.check(ops)
+        except ValidationError as exc:
+            raise ValidationError(f"{self.what}: {exc}") from None
         object.__setattr__(self, "ops", ops)
 
     @classmethod
@@ -108,13 +141,19 @@ class _CheckedPair:
         return self.ops[outcome]
 
 
-class FinalMeasurement(_CheckedPair):
-    """The effects (outcome 0, outcome 1) of the binary measurement of B."""
+class BinaryPovm(_CheckedPair):
+    """The effects (outcome 0, outcome 1) of a binary measurement."""
 
-    what = "final measurement"
+    what = "POVM"
 
     def check(self, ops):
         linalg.assert_povm(ops, INPUT_ATOL)
+
+
+class FinalMeasurement(BinaryPovm):
+    """The effects (outcome 0, outcome 1) of the binary measurement of B."""
+
+    what = "final measurement"
 
 
 class Repreparations(_CheckedPair):
@@ -235,8 +274,12 @@ def build_process(rho: np.ndarray, u: np.ndarray) -> ProcessOperator:
     u = np.asarray(u, dtype=complex)
     if rho.shape != (4, 4) or u.shape != (4, 4):
         raise ValidationError("expected 4x4 state and 4x4 unitary")
-    linalg.assert_density_matrix(rho, INPUT_ATOL)
-    linalg.assert_unitary(u, INPUT_ATOL)
+    for check, m, what in ((linalg.assert_density_matrix, rho, "initial state"),
+                           (linalg.assert_unitary, u, "unitary")):
+        try:
+            check(m, INPUT_ATOL)
+        except ValidationError as exc:
+            raise ValidationError(f"{what}: {exc}") from None
 
     uu = linalg.vectorize(u)
     uu = (uu @ uu.conj().T).reshape((2,) * 8)    # A, E, B, E', A~, E~, B~, E'~
@@ -334,5 +377,5 @@ def do_probabilities(
     """
     final = FinalMeasurement.of(final_povm).ops
     reps = Repreparations.of(repreparations).ops
-    probs = _contract(op.w, np.broadcast_to(linalg.ID2, (2, 2, 2)), reps, final)
+    probs = _contract(op.w, _ID_PAIR, reps, final)
     return DoTable(probs=probs[:, None, :], do_settings=None)

@@ -72,7 +72,9 @@ def component(key: str, name: str, alpha: float | None = None):
     """The component registered as name under configuration key key: the
     partial swap at angle alpha, or else a constant built on first use and
     shared read-only.  An unknown name, or the partial swap without an angle,
-    raises ValidationError naming the key."""
+    raises ValidationError naming the key.  A pair returned here is raw
+    matrices, checked again wherever it enters; checked_pair gives its
+    checked form."""
     if name not in COMPONENTS[key]:
         raise ValidationError(f"{key}: unknown name {name!r}, "
                               f"expected one of {list(COMPONENTS[key])}")
@@ -91,23 +93,37 @@ def _constant(key: str, name: str):
     return value
 
 
+# configuration key -> the checked process pair its registered entries become
+_PAIR_KINDS = {"settings": process.BinaryPovm, "repreparations": process.Repreparations,
+               "final_measurement": process.FinalMeasurement}
+
+
+@functools.cache
+def checked_pair(key: str, name: str) -> process.BinaryPovm | process.Repreparations:
+    """The pair registered as name under key settings, repreparations or
+    final_measurement, checked once per process and shared: MpInstrument,
+    born_rule and do_probabilities take it as it is."""
+    return _PAIR_KINDS[key](component(key, name))
+
+
 def standard_settings_povm() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """A fresh dict of the shared read-only signed-Pauli POVMs."""
     return {x: component("settings", x) for x in SETTING_LABELS}
 
 
 def pauli_instrument(settings: Sequence[str], repreparations) -> process.MpInstrument:
-    """First-time instrument of signed-Pauli settings and re-preparations."""
+    """First-time instrument of signed-Pauli settings and re-preparations;
+    the settings' POVMs arrive checked (checked_pair)."""
     return process.MpInstrument(
         settings=tuple(settings),
-        povm={x: component("settings", x) for x in settings},
+        povm={x: checked_pair("settings", x) for x in settings},
         repreparations=repreparations,
     )
 
 
 def memory_instrument() -> process.MpInstrument:
     """First-time instrument of the memory test."""
-    return pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus"))
+    return pauli_instrument(SETTING_LABELS, checked_pair("repreparations", "plus_minus"))
 
 
 def memory_final_povm() -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +225,8 @@ def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float
     Runs the full pipeline (process construction, Born rule, gamma functional)
     for the canonical configuration; the result traces (3 - sin a + cos a)/2.
     """
-    inst = pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus_i"))
-    final = process.FinalMeasurement(component("final_measurement", "x"))
+    inst = pauli_instrument(SETTING_LABELS, checked_pair("repreparations", "plus_minus_i"))
+    final = checked_pair("final_measurement", "x")
     bell = component("initial_state", "bell")
     out = []
     for alpha in alphas:

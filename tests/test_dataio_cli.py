@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -138,17 +139,30 @@ def test_noise_anchoring_follows_the_configured_protocol():
 
 
 def test_run_experiment_validates_each_input_once(monkeypatch):
-    # the initial state, the instrument's effects and re-preparations and the
-    # final POVM are each checked once per run: born_rule and do_probabilities
-    # take the checked instrument and final measurement as they are
+    # a named pair is checked once per process, on first use, and an explicit
+    # input once per run: born_rule and do_probabilities take the checked
+    # instrument and final measurement as they are
     calls = {"assert_povm": 0, "assert_density_matrix": 0}
     for name in calls:
         def counted(*args, _check=getattr(linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _check(*args, **kwargs)
         monkeypatch.setattr(linalg, name, counted)
-    dataio.run_experiment(dataio.preset_config("memory_test"))
-    assert calls == {"assert_povm": 2, "assert_density_matrix": 2}
+
+    def counts(cfg):
+        calls.update(dict.fromkeys(calls, 0))
+        dataio.run_experiment(cfg)
+        return dict(calls)
+
+    named = dataio.preset_config("memory_test")
+    proclib.checked_pair.cache_clear()
+    # cold: four settings and the final POVM, the re-preparations and the state
+    assert counts(named) == {"assert_povm": 5, "assert_density_matrix": 2}
+    # warm: the initial state alone
+    assert counts(named) == {"assert_povm": 0, "assert_density_matrix": 1}
+    # explicit state, unitary, re-preparations and final POVM; named settings
+    explicit = dataio.load_config(FIXTURES / "explicit_partial_swap.yaml")
+    assert counts(explicit) == {"assert_povm": 1, "assert_density_matrix": 2}
 
 
 def test_sampled_run_is_seed_deterministic():
@@ -312,6 +326,9 @@ GOLDEN_RUNS = {
     "swap_curve": ["swap-curve", "--points", "64"],
     "certify_fixtures": CERTIFY_ARGV,
     "certify_frozen": CERTIFY_ARGV + ["--frozen-argmin"],
+    # every component an explicit matrix, none named from the registry
+    "explicit_exact": ["simulate", "--config", str(FIXTURES / "explicit_partial_swap.yaml"),
+                       "--exact"],
 }
 
 
@@ -550,6 +567,42 @@ def test_every_registry_entry_builds_and_validates(tmp_path):
             assert all(a.dtype == complex for a in arrays), (key, name)
     final = proclib.component("final_measurement", "z")
     assert [np.diag(e).real.tolist() for e in final] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _explicit(cfg):
+    """cfg with every named component replaced by the registry's matrices."""
+    keys = ("initial_state", "unitary", "repreparations", "final_measurement")
+    return dataclasses.replace(cfg, **{
+        key: np.array(proclib.component(key, getattr(cfg, key), cfg.alpha)) for key in keys})
+
+
+def _assert_same_run(named, explicit):
+    behavior, do, report = dataio.run_experiment(named)
+    want_behavior, want_do, want_report = dataio.run_experiment(explicit)
+    assert behavior.probs.tobytes() == want_behavior.probs.tobytes()
+    assert do.probs.tobytes() == want_do.probs.tobytes()
+    assert report.to_json_dict() == want_report.to_json_dict()
+
+
+@pytest.mark.parametrize("name", ["memory_test", "partial_swap"])
+def test_named_and_explicit_components_run_bit_identically(name):
+    # a checked registry pair enters the contraction as the same array that
+    # its raw matrices would, so outputs do not depend on how it was given
+    _assert_same_run(dataio.preset_config(name), _explicit(dataio.preset_config(name)))
+
+
+def test_every_registry_entry_runs_as_its_explicit_matrices():
+    for key, names in proclib.COMPONENTS.items():
+        for name in names:
+            if key == "settings":  # settings are named only; compare the instruments
+                reps = proclib.component("repreparations", "plus_minus")
+                named = proclib.pauli_instrument((name,), reps)
+                raw = process.MpInstrument(settings=(name,), repreparations=reps,
+                                           povm={name: proclib.component(key, name)})
+                assert named.effects.tobytes() == raw.effects.tobytes(), name
+                continue
+            cfg = dataio.ExperimentConfig(alpha=1.0, **{key: name})
+            _assert_same_run(cfg, _explicit(cfg))
 
 
 @pytest.mark.parametrize("name", ["memory_test", "partial_swap"])

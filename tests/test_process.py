@@ -93,6 +93,16 @@ def test_build_process_rejects_bad_inputs():
         process.build_process(np.eye(4), np.eye(4))  # trace-4 "state"
 
 
+@pytest.mark.parametrize("rho, u, message", [
+    (np.diag([2.0, 0.0, 0.0, 0.0]), np.eye(4), "initial state: state trace 2.0 != 1"),
+    (linalg.bell_state(), 2.0 * np.eye(4), "unitary: matrix is not unitary within tolerance"),
+], ids=["state", "unitary"])
+def test_build_process_names_the_bad_input(rho, u, message):
+    with pytest.raises(ValidationError) as err:
+        process.build_process(rho, u)
+    assert str(err.value) == message
+
+
 def test_born_rule_bell_correlations():
     # common-cause process, both measurements sigma_z: perfectly correlated
     op = process.build_process(linalg.bell_state(), linalg.SWAP)
@@ -217,6 +227,67 @@ def test_born_and_do_validate_raw_inputs(call, message):
     # raw matrices from outside callers are still checked where they enter
     with pytest.raises(ValidationError, match=message):
         call(proclib.w222(), proclib.memory_instrument())
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: process.FinalMeasurement(_NOT_PSD),
+     "final measurement: POVM effect has a negative eigenvalue"),
+    (lambda: process.BinaryPovm((linalg.ID2, linalg.ID2)),
+     "POVM: POVM effects do not sum to the identity"),
+    (lambda: process.Repreparations(_TRACE_2), "re-preparations: state trace 2.0 != 1"),
+    (lambda: process.do_probabilities(proclib.w222(), _TRACE_2, proclib.memory_final_povm()),
+     "re-preparations: state trace 2.0 != 1"),
+    (lambda: process.born_rule(proclib.w222(), proclib.memory_instrument(), _NOT_PSD),
+     "final measurement: POVM effect has a negative eigenvalue"),
+], ids=["final_measurement", "binary_povm", "repreparations", "do_reps", "born_final"])
+def test_checked_pair_errors_start_with_what_the_pair_is(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == message
+
+
+_Z = linalg.observable_povm(linalg.SIGMA_Z)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_NOT_PSD, "POVM effect has a negative eigenvalue"),
+    ((_Z[0], _Z[0]), "POVM effects do not sum to the identity"),
+    ((_Z[0], 1j * _Z[1]), "POVM effect is not Hermitian"),
+], ids=["not_psd", "not_complete", "not_hermitian"])
+@pytest.mark.parametrize("labels", [("x", "q", "z"), ("z", "x", "q"), ("q",)])
+def test_instrument_names_the_bad_raw_setting_beside_registry_pairs(bad, message, labels):
+    # x is the registry's checked pair, z and q raw; the error names q
+    povm = {"x": proclib.checked_pair("settings", "x"), "z": _Z, "q": bad}
+    with pytest.raises(ValidationError) as err:
+        process.MpInstrument(settings=labels, povm=povm,
+                             repreparations=proclib.checked_pair("repreparations", "plus_minus"))
+    assert str(err.value) == f"POVM of setting 'q': {message}"
+
+
+def test_mixed_instrument_checks_its_raw_pairs_once_and_equals_the_raw_one(monkeypatch):
+    labels = proclib.SETTING_LABELS
+    raw = proclib.standard_settings_povm()
+    checked = {x: proclib.checked_pair("settings", x) for x in labels}
+    mixed = {x: (checked if i % 2 else raw)[x] for i, x in enumerate(labels)}
+    reps = proclib.component("repreparations", "plus_minus")
+    stacks = []
+
+    def counted(effects, atol, _check=linalg.assert_povm):
+        stacks.append(np.shape(effects))
+        return _check(effects, atol)
+
+    monkeypatch.setattr(linalg, "assert_povm", counted)
+    want = process.MpInstrument(settings=labels, povm=raw, repreparations=reps)
+    assert stacks == [(4, 2, 2, 2)]
+    got = process.MpInstrument(settings=labels, povm=mixed,
+                               repreparations=proclib.checked_pair("repreparations", "plus_minus"))
+    assert stacks == [(4, 2, 2, 2), (2, 2, 2, 2)]
+    process.MpInstrument(settings=labels, povm=checked, repreparations=got.repreparations)
+    assert len(stacks) == 2
+    assert got.effects.dtype == want.effects.dtype
+    assert got.effects.tobytes() == want.effects.tobytes()
+    assert got.reps.tobytes() == want.reps.tobytes()
+    assert not got.effects.flags.writeable
 
 
 def _pure_state(rng):
