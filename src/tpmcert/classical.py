@@ -15,7 +15,7 @@ import numpy as np
 
 from . import certify
 from .exceptions import ResourceLimitError, ValidationError
-from .process import PROCESS_ATOL, Behavior, DoTable
+from .process import Behavior, DoTable
 
 MAX_STRATEGIES = 1_000_000
 
@@ -47,7 +47,8 @@ class VertexSet:
     ClassicalStrategy of one vertex.  From enumerate_strategies both are
     (V, ...) views of settings-major storage, the vertex axis innermost in
     memory; the vertex-major stacks that _as_vertices builds from strategy
-    lists are accepted too.
+    lists are accepted too.  Construction rejects a response other than 0 or
+    1, so every table built from the vertices is a normalized distribution.
     """
 
     a_response: np.ndarray
@@ -56,6 +57,8 @@ class VertexSet:
 
     def __post_init__(self):
         for arr in (self.a_response, self.b_response):
+            if arr.size and (arr.min() < 0 or arr.max() > 1):
+                raise ValidationError("a strategy's response is not 0 or 1")
             arr.flags.writeable = False
 
     @property
@@ -123,7 +126,9 @@ def _onehot(values: np.ndarray, size: int) -> np.ndarray:
 
 def _tables(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     """Stacked 0/1 behavior probs (V, X, 2, 2) and do-table probs (V, 2, K, 2),
-    as int8 so that every functional of them is exact.
+    as int8 so that every functional of them is exact.  Each row holds one 1,
+    as the responses are 0 or 1 (checked by VertexSet), so nothing here is
+    checked again.
 
     Both are views of settings-major storage, the layout the certify kernels
     reduce fastest: probs is stored as (X, 2, 2, V) and do as (K, 2, 2, V),
@@ -135,13 +140,6 @@ def _tables(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     cell = 2 * a + np.where(a, b[:, 1], b[:, 0])  # setting x lands in cell (a, b(a, x))
     probs = _onehot(cell, 4).reshape(len(cell), 2, 2, -1)
     do = _onehot(b, 2)
-    # a response outside {0, 1} leaves a row of one of the tables without its 1
-    for name, table, total in (
-        ("behavior", probs, probs[:, 0, 0] + probs[:, 0, 1] + probs[:, 1, 0] + probs[:, 1, 1]),
-        ("do-table", do, do[:, :, 0] + do[:, :, 1]),
-    ):
-        if table.min() < -PROCESS_ATOL or np.abs(total - 1).max() > PROCESS_ATOL:
-            raise ValidationError(f"{name} of a strategy is not a normalized distribution")
     return probs.transpose(3, 0, 1, 2), do.transpose(3, 1, 0, 2)
 
 

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from . import certify, proclib, process
+from . import certify, linalg, proclib, process
 from .exceptions import DomainError, ParseError, ResourceLimitError, ValidationError
 
 OBS_HEADER = ["x", "a", "b", "count"]
@@ -104,8 +104,9 @@ class ExperimentConfig:
     initial_state: str | np.ndarray = "bell"
     unitary: str | np.ndarray = "cnot_swap"
     settings: tuple[str, ...] = proclib.SETTING_LABELS
-    repreparations: str | tuple[np.ndarray, np.ndarray] = "plus_minus"
-    final_measurement: str | tuple[np.ndarray, np.ndarray] = "xz_diagonal"
+    # explicit pairs: two matrices, or their checked form (load_config keeps that)
+    repreparations: str | process.Repreparations | Sequence[np.ndarray] = "plus_minus"
+    final_measurement: str | process.FinalMeasurement | Sequence[np.ndarray] = "xz_diagonal"
     shots: int | None = None
     seed: int = 0
     resamples: int = certify.DEFAULT_RESAMPLES
@@ -115,23 +116,22 @@ class ExperimentConfig:
     frozen_argmin: bool = False
 
 
-def _as_matrix(obj, dim: int, where: str) -> np.ndarray:
-    """Explicit matrix from nested [re, im] entry lists; where names it in errors."""
+def _as_matrix(obj, dim: int) -> np.ndarray:
+    """Explicit matrix from nested [re, im] entry lists."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.shape != (dim, dim, 2) or not np.isfinite(arr).all():
         raise ValidationError(
-            f"{where}: explicit matrix must be {dim}x{dim} entries of finite [re, im] pairs"
+            f"explicit matrix must be {dim}x{dim} entries of finite [re, im] pairs"
         )
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-# configuration keys that may name a registered component; the last two name
-# a pair of 2x2 operators, or give it as a list of two matrices
-_PAIR_KEYS = ("repreparations", "final_measurement")
-_NAMED_KEYS = ("initial_state", "unitary") + _PAIR_KEYS
+# configuration keys that may name a registered component or give explicit
+# matrices; the last two give a pair of 2x2 operators
+_NAMED_KEYS = ("initial_state", "unitary", "repreparations", "final_measurement")
 # scalar configuration keys and their types
 _CONFIG_SCALARS = {"protocol": str, "alpha": float, "shots": int, "seed": int, "resamples": int,
                    "sigma_k": float, "wait_ms": float, "frozen_argmin": bool}
@@ -157,6 +157,27 @@ def _typed(path: Path, key: str, value, kind: type):
     return kind(value)
 
 
+def _named_or_explicit(path: Path, key: str, val):
+    """A component name as it is, or the explicit matrices that the file path
+    gives under key, checked where they enter: a pair becomes its checked
+    form, which no run checks again, and a 4x4 state or unitary passes the
+    check of build_process.  Errors start with the file and the key."""
+    if isinstance(val, str):
+        return val
+    kind = proclib.PAIR_KINDS.get(key)
+    if kind and not isinstance(val, list):
+        raise ParseError(f"{path}: {key} must be a name or a list of matrices")
+    try:
+        if kind:
+            return kind(tuple(_as_matrix(m, 2) for m in val))
+        m = _as_matrix(val, 4)
+        check = linalg.assert_unitary if key == "unitary" else linalg.assert_density_matrix
+        check(m, process.INPUT_ATOL)
+        return m
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {key}: {exc}") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an experiment configuration from a UTF-8 YAML document.  A null
     value keeps the default of its key; a bad document raises ParseError or
@@ -178,22 +199,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if key in doc:
             exact = key == "shots" and doc[key] == "exact"
             kwargs[key] = None if exact else _typed(path, key, doc[key], kind)
-    for key, dim in (("initial_state", 4), ("unitary", 4)):
-        if key in doc:
-            val = doc[key]
-            kwargs[key] = val if isinstance(val, str) else _as_matrix(val, dim, f"{path}: {key}")
     if "settings" in doc:
         if not isinstance(doc["settings"], list):
             raise ParseError(f"{path}: settings must be a list of labels")
         kwargs["settings"] = tuple(str(x) for x in doc["settings"])
-    for key in _PAIR_KEYS:
+    for key in _NAMED_KEYS:
         if key in doc:
-            val = doc[key]
-            if not isinstance(val, (str, list)):
-                raise ParseError(f"{path}: {key} must be a name or a list of matrices")
-            kwargs[key] = val if isinstance(val, str) else tuple(
-                _as_matrix(m, 2, f"{path}: {key}") for m in val
-            )
+            kwargs[key] = _named_or_explicit(path, key, doc[key])
     try:  # every name must be registered, and the partial swap have its angle
         for key in _NAMED_KEYS:
             if isinstance(kwargs.get(key), str):
@@ -236,14 +248,14 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
 
 
 def _component(cfg: ExperimentConfig, key: str):
-    """The registry entry that cfg names under key, a named pair in its
-    checked form, or else cfg's explicit matrices as one complex array."""
+    """The registry entry that cfg names under key, or else cfg's explicit
+    matrices: a checked pair as it is, raw ones as one complex array."""
     value = getattr(cfg, key)
-    if not isinstance(value, str):
-        return np.asarray(value, dtype=complex)
-    if key in _PAIR_KEYS:
-        return proclib.checked_pair(key, value)
-    return proclib.component(key, value, cfg.alpha)
+    if isinstance(value, str):
+        return proclib.component(key, value, cfg.alpha)
+    if isinstance(value, (process.Repreparations, process.FinalMeasurement)):
+        return value
+    return np.asarray(value, dtype=complex)
 
 
 def _resolve(cfg: ExperimentConfig):

@@ -41,9 +41,9 @@ class MpInstrument:
     on A'.  Re-preparations are indexed by outcome only, never by setting; that
     restriction is what makes the later crosstalk analysis meaningful.
 
-    Construction validates everything once: a setting's pair that arrives as
-    a BinaryPovm (the registry's, see proclib.checked_pair) was checked when
-    it was built and is taken as it is, the raw pairs are checked together in
+    Construction validates each input once: a setting's pair that arrives as
+    a BinaryPovm (a registry entry, see proclib.component) was checked when it
+    was built and is taken as it is, the raw pairs are checked together in
     one stacked POVM check, and repreparations is kept as a checked
     Repreparations.  The contraction reads the read-only stacks effects
     (n_settings, 2, 2, 2) indexed [x, a] in settings order, and reps
@@ -115,8 +115,9 @@ class _CheckedPair:
     indexes like the pair of matrices it was built from, and a failed check
     names what the pair is.
 
-    The registry's pairs arrive checked: proclib.checked_pair builds each
-    once per process.  A pair of raw matrices is checked where it enters
+    The registry's pairs arrive checked: proclib.component builds each once
+    per process, and dataio.load_config checks a configuration file's
+    explicit pairs.  A pair of raw matrices is checked where it enters
     (MpInstrument, born_rule, do_probabilities, or run_experiment's .of)."""
 
     ops: Sequence[np.ndarray] | np.ndarray

@@ -70,11 +70,13 @@ SETTING_LABELS = tuple(COMPONENTS["settings"])
 
 def component(key: str, name: str, alpha: float | None = None):
     """The component registered as name under configuration key key: the
-    partial swap at angle alpha, or else a constant built on first use and
-    shared read-only.  An unknown name, or the partial swap without an angle,
-    raises ValidationError naming the key.  A pair returned here is raw
-    matrices, checked again wherever it enters; checked_pair gives its
-    checked form."""
+    partial swap at angle alpha, or else a constant built and checked on
+    first use and then shared.  A setting comes back as a checked
+    process.BinaryPovm, re-preparations as a Repreparations and a final
+    measurement as a FinalMeasurement, which every caller takes as they are;
+    a state or unitary is a read-only array, checked by build_process.  An
+    unknown name, or the partial swap without an angle, raises
+    ValidationError naming the key."""
     if name not in COMPONENTS[key]:
         raise ValidationError(f"{key}: unknown name {name!r}, "
                               f"expected one of {list(COMPONENTS[key])}")
@@ -85,63 +87,45 @@ def component(key: str, name: str, alpha: float | None = None):
     return _constant(key, name)
 
 
+# configuration key -> the checked process pair that its registered entries,
+# and a configuration file's explicit matrices, become
+PAIR_KINDS = {"settings": process.BinaryPovm, "repreparations": process.Repreparations,
+              "final_measurement": process.FinalMeasurement}
+
+
 @functools.cache
 def _constant(key: str, name: str):
     value = COMPONENTS[key][name]()
-    for array in value if isinstance(value, tuple) else (value,):
-        array.setflags(write=False)
+    if key in PAIR_KINDS:
+        return PAIR_KINDS[key](value)
+    value.setflags(write=False)
     return value
 
 
-# configuration key -> the checked process pair its registered entries become
-_PAIR_KINDS = {"settings": process.BinaryPovm, "repreparations": process.Repreparations,
-               "final_measurement": process.FinalMeasurement}
-
-
-@functools.cache
-def checked_pair(key: str, name: str) -> process.BinaryPovm | process.Repreparations:
-    """The pair registered as name under key settings, repreparations or
-    final_measurement, checked once per process and shared: MpInstrument,
-    born_rule and do_probabilities take it as it is."""
-    return _PAIR_KINDS[key](component(key, name))
-
-
-def standard_settings_povm() -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """A fresh dict of the shared read-only signed-Pauli POVMs."""
-    return {x: component("settings", x) for x in SETTING_LABELS}
-
-
 def pauli_instrument(settings: Sequence[str], repreparations) -> process.MpInstrument:
-    """First-time instrument of signed-Pauli settings and re-preparations;
-    the settings' POVMs arrive checked (checked_pair)."""
+    """First-time instrument of signed-Pauli settings and re-preparations."""
     return process.MpInstrument(
         settings=tuple(settings),
-        povm={x: checked_pair("settings", x) for x in settings},
+        povm={x: component("settings", x) for x in settings},
         repreparations=repreparations,
     )
 
 
 def memory_instrument() -> process.MpInstrument:
     """First-time instrument of the memory test."""
-    return pauli_instrument(SETTING_LABELS, checked_pair("repreparations", "plus_minus"))
+    return pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus"))
 
 
-def memory_final_povm() -> tuple[np.ndarray, np.ndarray]:
+def memory_final_povm() -> process.FinalMeasurement:
     return component("final_measurement", "xz_diagonal")
 
 
 def w222() -> process.ProcessOperator:
-    """The canonical rank-2 maximally violating process: a three-qubit GHZ
-    projector plus its bit-flip image on the middle (re-preparation) slot.
-
-    Identical to build_process(bell_state, cnot_swap_unitary)."""
-    ghz = (
-        linalg.kron_all([linalg.KET_0.reshape(2, 1)] * 3)
-        + linalg.kron_all([linalg.KET_1.reshape(2, 1)] * 3)
-    ).reshape(-1) / np.sqrt(2)
-    flip = linalg.kron_all([linalg.ID2, linalg.SIGMA_X, linalg.ID2])
-    w = linalg.dm(ghz) + flip @ linalg.dm(ghz) @ flip
-    return process.ProcessOperator(w=w, marginal_state=linalg.ID2 / 2)
+    """The canonical rank-2 maximally violating process of the memory test:
+    the Bell state through cnot_swap_unitary.  W is a three-qubit GHZ
+    projector plus its bit-flip image on the middle (re-preparation) slot."""
+    return process.build_process(component("initial_state", "bell"),
+                                 component("unitary", "cnot_swap"))
 
 
 def upsilon(p: float) -> process.ProcessOperator:
@@ -192,7 +176,8 @@ def upsilon_best_gamma(p: float, n_starts: int = 24) -> float:
     w6 = op.w.reshape((2,) * 6)  # [i, j, c, l, m, n]: rows A', A, B, then columns
     dirs = np.random.default_rng(0).standard_normal((n_starts, 3, 3))
     starts = [[linalg.bloch_projector(n / np.linalg.norm(n)) for n in d] for d in dirs]
-    rho_t = np.array([memory_instrument().reps] + [s[:2] for s in starts]).swapaxes(-1, -2)
+    rho_t = np.array([component("repreparations", "plus_minus").ops]
+                     + [s[:2] for s in starts]).swapaxes(-1, -2)
     final = _binary(np.array([memory_final_povm()[0]] + [s[2] for s in starts]))
     # outcome o of the setting of pair k = (b0, b1) meets F_b with b = (b0, b1)[o]
     meets = np.array([[[1 - b0, b0], [1 - b1, b1]] for b0 in (0, 1) for b1 in (0, 1)])
@@ -225,8 +210,8 @@ def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float
     Runs the full pipeline (process construction, Born rule, gamma functional)
     for the canonical configuration; the result traces (3 - sin a + cos a)/2.
     """
-    inst = pauli_instrument(SETTING_LABELS, checked_pair("repreparations", "plus_minus_i"))
-    final = checked_pair("final_measurement", "x")
+    inst = pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus_i"))
+    final = component("final_measurement", "x")
     bell = component("initial_state", "bell")
     out = []
     for alpha in alphas:

@@ -166,6 +166,19 @@ def test_malformed_strategy_responses_are_rejected():
         classical.check_corrected_bound([classical.ClassicalStrategy((0, 1), (0, 1), True)])
 
 
+@pytest.mark.parametrize("bad", [2, -1])
+@pytest.mark.parametrize("crosstalk", [False, True])
+def test_vertex_set_rejects_a_response_outside_0_1_at_construction(bad, crosstalk):
+    # the tables of the vertices are built from the responses unchecked
+    good_a, good_b = np.array([[0, 1, 1]]), np.zeros((1, 2, 3 if crosstalk else 1))
+    bad_a, bad_b = good_a.copy(), good_b.copy()
+    bad_a[0, 0] = bad_b[0, 1, 0] = bad
+    for a, b in ((bad_a, good_b), (good_a, bad_b)):
+        with pytest.raises(ValidationError, match="not 0 or 1"):
+            classical.VertexSet(a.astype(np.int8), b.astype(np.int8), crosstalk)
+    assert len(classical.VertexSet(good_a.astype(np.int8), good_b.astype(np.int8), crosstalk)) == 1
+
+
 @pytest.mark.parametrize("crosstalk", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_values_do_not_depend_on_the_vertex_layout(n, crosstalk):

@@ -139,9 +139,10 @@ def test_noise_anchoring_follows_the_configured_protocol():
 
 
 def test_run_experiment_validates_each_input_once(monkeypatch):
-    # a named pair is checked once per process, on first use, and an explicit
-    # input once per run: born_rule and do_probabilities take the checked
-    # instrument and final measurement as they are
+    # a named pair is checked once per process, on first use, and a config
+    # file's explicit pair once, as the file loads: born_rule and
+    # do_probabilities take the checked instrument and final measurement as
+    # they are
     calls = {"assert_povm": 0, "assert_density_matrix": 0}
     for name in calls:
         def counted(*args, _check=getattr(linalg, name), _name=name, **kwargs):
@@ -155,14 +156,18 @@ def test_run_experiment_validates_each_input_once(monkeypatch):
         return dict(calls)
 
     named = dataio.preset_config("memory_test")
-    proclib.checked_pair.cache_clear()
+    proclib._constant.cache_clear()
     # cold: four settings and the final POVM, the re-preparations and the state
     assert counts(named) == {"assert_povm": 5, "assert_density_matrix": 2}
     # warm: the initial state alone
     assert counts(named) == {"assert_povm": 0, "assert_density_matrix": 1}
-    # explicit state, unitary, re-preparations and final POVM; named settings
+    # explicit state, unitary, re-preparations and final POVM; named settings.
+    # Loading checks the final POVM, the re-preparations and the state; a run
+    # checks the state alone, in build_process
+    calls.update(dict.fromkeys(calls, 0))
     explicit = dataio.load_config(FIXTURES / "explicit_partial_swap.yaml")
-    assert counts(explicit) == {"assert_povm": 1, "assert_density_matrix": 2}
+    assert calls == {"assert_povm": 1, "assert_density_matrix": 2}
+    assert counts(explicit) == {"assert_povm": 0, "assert_density_matrix": 1}
 
 
 def test_sampled_run_is_seed_deterministic():
@@ -479,6 +484,12 @@ def test_cli_shot_limit(tmp_path, capsys):
         assert not out.exists()
 
 
+def _explicit_yaml(key, *matrices):
+    """A configuration line giving key as explicit real matrices of [re, im] entries."""
+    value = [[[[float(x), 0.0] for x in row] for row in m] for m in matrices]
+    return f"{key}: {value if len(value) > 1 else value[0]}\n".encode()
+
+
 @pytest.mark.parametrize("command, name, content, fragment", [
     ("simulate", "noise.yaml",
      b"noise:\n  t2_ms: 364.0\n  echo_interval_ms: 2.5\n  initial_gamma: 0.642\n",
@@ -516,11 +527,25 @@ def test_cli_shot_limit(tmp_path, capsys):
     ("simulate", "nan_unitary.yaml",
      f"unitary: {[[[math.nan, 0.0]] * 4] * 4}\n".replace("nan", ".nan").encode(),
      "unitary: explicit matrix must be 4x4 entries of finite"),
+    # an explicit matrix is checked as the file loads, and its error names the key
+    ("simulate", "final_not_psd.yaml",
+     _explicit_yaml("final_measurement", np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])),
+     "final_measurement: final measurement: POVM effect has a negative eigenvalue"),
+    ("simulate", "reps_trace_2.yaml",
+     _explicit_yaml("repreparations", np.diag([2.0, 0.0]), np.diag([0.0, 1.0])),
+     "repreparations: re-preparations: state trace 2.0 != 1"),
+    ("simulate", "four_reps.yaml", _explicit_yaml("repreparations", *[np.diag([1.0, 0.0])] * 4),
+     "repreparations: re-preparations must be binary: got 4 entries"),
+    ("simulate", "state_trace_2.yaml", _explicit_yaml("initial_state", np.diag([2.0, 0, 0, 0])),
+     "initial_state: state trace 2.0 != 1"),
+    ("simulate", "not_unitary.yaml", _explicit_yaml("unitary", 2 * np.eye(4)),
+     "unitary: matrix is not unitary"),
 ], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
         "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2",
         "negative_seed_certify", "negative_seed_preset", "negative_seed_config",
         "wait_without_noise", "wait_without_noise_config", "nan_t2", "nan_sigma_k",
-        "negative_sigma_k", "nan_decay_t2", "nan_unitary"])
+        "negative_sigma_k", "nan_decay_t2", "nan_unitary", "final_not_psd", "reps_trace_2",
+        "four_reps", "state_trace_2", "not_unitary"])
 def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
     path = tmp_path / str(name)
     if content is not None:
@@ -553,9 +578,9 @@ def test_config_names_unknown_components_by_file_and_key(tmp_path, capsys, text,
 
 
 def test_every_registry_entry_builds_and_validates(tmp_path):
-    # a configuration that names one entry loads, and its run validates the
-    # entry: states and unitaries in build_process, settings and
-    # re-preparations in MpInstrument, final measurements in born_rule
+    # a configuration that names one entry loads and runs: states and
+    # unitaries are validated in build_process, and the registry checks each
+    # setting, re-preparation pair and final measurement when it builds it
     for key, names in proclib.COMPONENTS.items():
         for name in names:
             value = [name] if key == "settings" else name
@@ -563,8 +588,7 @@ def test_every_registry_entry_builds_and_validates(tmp_path):
             behavior, _, _ = dataio.run_experiment(dataio.load_config(path))
             assert np.isfinite(behavior.probs).all(), (key, name)
             entry = proclib.component(key, name, 1.0)
-            arrays = entry if isinstance(entry, tuple) else (entry,)
-            assert all(a.dtype == complex for a in arrays), (key, name)
+            assert getattr(entry, "ops", entry).dtype == complex, (key, name)
     final = proclib.component("final_measurement", "z")
     assert [np.diag(e).real.tolist() for e in final] == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -597,8 +621,8 @@ def test_every_registry_entry_runs_as_its_explicit_matrices():
             if key == "settings":  # settings are named only; compare the instruments
                 reps = proclib.component("repreparations", "plus_minus")
                 named = proclib.pauli_instrument((name,), reps)
-                raw = process.MpInstrument(settings=(name,), repreparations=reps,
-                                           povm={name: proclib.component(key, name)})
+                raw = process.MpInstrument(settings=(name,), repreparations=tuple(reps),
+                                           povm={name: tuple(proclib.component(key, name))})
                 assert named.effects.tobytes() == raw.effects.tobytes(), name
                 continue
             cfg = dataio.ExperimentConfig(alpha=1.0, **{key: name})

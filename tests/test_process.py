@@ -257,19 +257,19 @@ _Z = linalg.observable_povm(linalg.SIGMA_Z)
 @pytest.mark.parametrize("labels", [("x", "q", "z"), ("z", "x", "q"), ("q",)])
 def test_instrument_names_the_bad_raw_setting_beside_registry_pairs(bad, message, labels):
     # x is the registry's checked pair, z and q raw; the error names q
-    povm = {"x": proclib.checked_pair("settings", "x"), "z": _Z, "q": bad}
+    povm = {"x": proclib.component("settings", "x"), "z": _Z, "q": bad}
     with pytest.raises(ValidationError) as err:
         process.MpInstrument(settings=labels, povm=povm,
-                             repreparations=proclib.checked_pair("repreparations", "plus_minus"))
+                             repreparations=proclib.component("repreparations", "plus_minus"))
     assert str(err.value) == f"POVM of setting 'q': {message}"
 
 
 def test_mixed_instrument_checks_its_raw_pairs_once_and_equals_the_raw_one(monkeypatch):
     labels = proclib.SETTING_LABELS
-    raw = proclib.standard_settings_povm()
-    checked = {x: proclib.checked_pair("settings", x) for x in labels}
+    checked = {x: proclib.component("settings", x) for x in labels}
+    raw = {x: tuple(pair) for x, pair in checked.items()}
     mixed = {x: (checked if i % 2 else raw)[x] for i, x in enumerate(labels)}
-    reps = proclib.component("repreparations", "plus_minus")
+    reps = tuple(proclib.component("repreparations", "plus_minus"))
     stacks = []
 
     def counted(effects, atol, _check=linalg.assert_povm):
@@ -280,7 +280,7 @@ def test_mixed_instrument_checks_its_raw_pairs_once_and_equals_the_raw_one(monke
     want = process.MpInstrument(settings=labels, povm=raw, repreparations=reps)
     assert stacks == [(4, 2, 2, 2)]
     got = process.MpInstrument(settings=labels, povm=mixed,
-                               repreparations=proclib.checked_pair("repreparations", "plus_minus"))
+                               repreparations=proclib.component("repreparations", "plus_minus"))
     assert stacks == [(4, 2, 2, 2), (2, 2, 2, 2)]
     process.MpInstrument(settings=labels, povm=checked, repreparations=got.repreparations)
     assert len(stacks) == 2

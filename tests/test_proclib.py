@@ -152,17 +152,16 @@ def test_all_instrument_pair_bounds_against_born_rule():
         assert abs(bounds.sum() - certify.gamma_functional(beh)[0]) < 1e-12
 
 
-def test_standard_povms_are_shared_read_only_in_fresh_dicts():
-    first, second = proclib.standard_settings_povm(), proclib.standard_settings_povm()
-    assert first is not second and list(first) == list(proclib.SETTING_LABELS)
-    first.pop("x")
-    assert "x" in second
-    for label, obs in (("z", linalg.SIGMA_Z), ("-z", -linalg.SIGMA_Z)):
-        assert first[label][0] is second[label][0]
-        for got, want in zip(first[label], linalg.observable_povm(obs)):
-            assert np.array_equal(got, want)
+def test_registry_pairs_are_shared_read_only_checked_objects():
+    kinds = {"settings": process.BinaryPovm, "repreparations": process.Repreparations,
+             "final_measurement": process.FinalMeasurement}
+    for key, kind in kinds.items():
+        for name, build in proclib.COMPONENTS[key].items():
+            first, second = proclib.component(key, name), proclib.component(key, name)
+            assert first is second and type(first) is kind, name
+            assert np.array_equal(first.ops, build()), name
             with pytest.raises(ValueError):
-                got[0, 0] = 2.0
+                first.ops[0, 0, 0] = 2.0
 
 
 def test_partial_swap_endpoints_and_unitarity():
