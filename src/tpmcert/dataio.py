@@ -24,14 +24,13 @@ import dataclasses
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import yaml
 
-from . import certify, linalg, proclib, process
+from . import certify, proclib, process
 from .exceptions import DomainError, ParseError, ResourceLimitError, ValidationError
 
 OBS_HEADER = ["x", "a", "b", "count"]
@@ -97,14 +96,24 @@ def ingest_counts(path: str | Path) -> process.Behavior | process.DoTable:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one simulated run."""
+    """Full description of one simulated run, checked once, when it is built.
+
+    initial_state, unitary, repreparations and final_measurement each name a
+    registry entry (proclib.COMPONENTS) or give explicit matrices: a 4x4
+    array, or a pair of 2x2 ones.  Construction turns explicit matrices into
+    their checked forms (proclib.FORMS), checks the scalars (check_config),
+    and resolves the components once into components: the state, the
+    unitary, the instrument of the settings and the final measurement.  A
+    bad value raises ValidationError, DomainError or ResourceLimitError
+    naming its key; dataclasses.replace builds and checks a new
+    configuration.
+    """
 
     protocol: str = "memory_test"  # memory_test | partial_swap | custom
     alpha: float | None = None
-    initial_state: str | np.ndarray = "bell"
-    unitary: str | np.ndarray = "cnot_swap"
+    initial_state: str | process.InitialState | np.ndarray = "bell"
+    unitary: str | process.Unitary | np.ndarray = "cnot_swap"
     settings: tuple[str, ...] = proclib.SETTING_LABELS
-    # explicit pairs: two matrices, or their checked form (load_config keeps that)
     repreparations: str | process.Repreparations | Sequence[np.ndarray] = "plus_minus"
     final_measurement: str | process.FinalMeasurement | Sequence[np.ndarray] = "xz_diagonal"
     shots: int | None = None
@@ -114,6 +123,32 @@ class ExperimentConfig:
     noise: proclib.NoiseParams | None = None
     wait_ms: float = 0.0
     frozen_argmin: bool = False
+    components: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        check_config(self)
+        parts = []
+        for key in _NAMED_KEYS:
+            value = getattr(self, key)
+            if isinstance(value, str):
+                value = proclib.component(key, value, self.alpha)
+            else:  # explicit matrices, kept in their checked form
+                value = _checked(key, value)
+                object.__setattr__(self, key, value)
+            parts.append(value)
+        state, unitary, reps, final = parts
+        object.__setattr__(self, "components",
+                           (state, unitary, proclib.pauli_instrument(self.settings, reps), final))
+
+
+def _checked(key: str, value):
+    """The explicit matrices value given under key, in their checked form; a
+    failed check names the key instead of the form."""
+    form = proclib.FORMS[key]
+    try:
+        return form.of(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{key}: {str(exc).removeprefix(form.what).lstrip(': ')}") from None
 
 
 def _as_matrix(obj, dim: int) -> np.ndarray:
@@ -159,21 +194,15 @@ def _typed(path: Path, key: str, value, kind: type):
 
 def _named_or_explicit(path: Path, key: str, val):
     """A component name as it is, or the explicit matrices that the file path
-    gives under key, checked where they enter: a pair becomes its checked
-    form, which no run checks again, and a 4x4 state or unitary passes the
-    check of build_process.  Errors start with the file and the key."""
+    gives under key as complex arrays: one 4x4 matrix, or a pair of 2x2 ones
+    for the keys of the last two.  ExperimentConfig checks them."""
     if isinstance(val, str):
         return val
-    kind = proclib.PAIR_KINDS.get(key)
-    if kind and not isinstance(val, list):
+    pair = key in _NAMED_KEYS[2:]
+    if pair and not isinstance(val, list):
         raise ParseError(f"{path}: {key} must be a name or a list of matrices")
     try:
-        if kind:
-            return kind(tuple(_as_matrix(m, 2) for m in val))
-        m = _as_matrix(val, 4)
-        check = linalg.assert_unitary if key == "unitary" else linalg.assert_density_matrix
-        check(m, process.INPUT_ATOL)
-        return m
+        return tuple(_as_matrix(m, 2) for m in val) if pair else _as_matrix(val, 4)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {key}: {exc}") from None
 
@@ -182,6 +211,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Read an experiment configuration from a UTF-8 YAML document.  A null
     value keeps the default of its key; a bad document raises ParseError or
     ValidationError."""
+    import yaml  # only configuration files need it
+
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -206,14 +237,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in _NAMED_KEYS:
         if key in doc:
             kwargs[key] = _named_or_explicit(path, key, doc[key])
-    try:  # every name must be registered, and the partial swap have its angle
-        for key in _NAMED_KEYS:
-            if isinstance(kwargs.get(key), str):
-                proclib.component(key, kwargs[key], kwargs.get("alpha"))
-        for label in kwargs.get("settings", ()):
-            proclib.component("settings", label)
-    except (ValidationError, DomainError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
     if "noise" in doc:
         nz = doc["noise"]
         if not isinstance(nz, dict):
@@ -231,12 +254,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValidationError(f"{path}: noise.{_NOISE_KEYS[name]} {rule}") from None
         if "wait_ms" in nz:
             kwargs["wait_ms"] = _typed(path, "noise.wait_ms", nz["wait_ms"], float)
-    cfg = ExperimentConfig(**kwargs)
     try:
-        check_config(cfg)
+        return ExperimentConfig(**kwargs)
     except (ValidationError, DomainError, ResourceLimitError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    return cfg
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
@@ -245,22 +266,6 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     if name not in PRESETS:
         raise ValidationError(f"unknown preset {name!r}")
     return dataclasses.replace(load_config(PRESETS[name]), **overrides)
-
-
-def _component(cfg: ExperimentConfig, key: str):
-    """The registry entry that cfg names under key, or else cfg's explicit
-    matrices: a checked pair as it is, raw ones as one complex array."""
-    value = getattr(cfg, key)
-    if isinstance(value, str):
-        return proclib.component(key, value, cfg.alpha)
-    if isinstance(value, (process.Repreparations, process.FinalMeasurement)):
-        return value
-    return np.asarray(value, dtype=complex)
-
-
-def _resolve(cfg: ExperimentConfig):
-    rho, u, reps, final = (_component(cfg, key) for key in _NAMED_KEYS)
-    return rho, u, proclib.pauli_instrument(cfg.settings, reps), final
 
 
 def check_config(cfg: ExperimentConfig) -> None:
@@ -293,10 +298,8 @@ def run_experiment(
     that gamma equals the decay_prediction of the noise model at the
     configured waiting time.
     """
-    check_config(cfg)
-    rho, u, inst, final = _resolve(cfg)
+    rho, u, inst, final = cfg.components
     op = process.build_process(rho, u)
-    final = process.FinalMeasurement.of(final)
     behavior = process.born_rule(op, inst, final)
     do_exact = process.do_probabilities(op, inst.repreparations, final)
 

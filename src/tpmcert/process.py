@@ -109,21 +109,20 @@ def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _CheckedPair:
-    """Two 2x2 operators indexed by a binary outcome, validated once at
-    construction and then kept as one read-only (2, 2, 2) array, ops.  It
-    indexes like the pair of matrices it was built from, and a failed check
-    names what the pair is.
+class _Checked:
+    """An input validated once at construction and then kept as one read-only
+    array, ops; a failed check names what the input is.  np.asarray reads it
+    as that array.
 
-    The registry's pairs arrive checked: proclib.component builds each once
-    per process, and dataio.load_config checks a configuration file's
-    explicit pairs.  A pair of raw matrices is checked where it enters
-    (MpInstrument, born_rule, do_probabilities, or run_experiment's .of)."""
+    Registry entries arrive checked: proclib.component builds each constant
+    once per process and the partial swap per call.  So do a configuration's
+    explicit matrices: ExperimentConfig checks them when it is built.  Raw matrices are checked where they enter
+    (build_process, MpInstrument, born_rule, do_probabilities)."""
 
     ops: Sequence[np.ndarray] | np.ndarray
 
     def __post_init__(self):
-        ops = _qubit_pair(self.ops, self.what)
+        ops = self.form(self.ops)
         try:
             self.check(ops)
         except ValidationError as exc:
@@ -132,14 +131,56 @@ class _CheckedPair:
 
     @classmethod
     def of(cls, ops):
-        """ops if it is already a checked pair of this kind, else ops checked."""
+        """ops if it is already checked as this kind, else ops checked."""
         return ops if isinstance(ops, cls) else cls(ops)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.ops, dtype=dtype, copy=copy)
+
+
+class _CheckedPair(_Checked):
+    """Two 2x2 operators indexed by a binary outcome, kept as one (2, 2, 2)
+    array of their common dtype; it indexes like the pair of matrices it was
+    built from."""
+
+    def form(self, ops):
+        return _qubit_pair(ops, self.what)
 
     def __len__(self):
         return 2
 
     def __getitem__(self, outcome):
         return self.ops[outcome]
+
+
+class _TwoQubitOperator(_Checked):
+    """One 4x4 operator, kept as a complex copy, so that later changes to the
+    caller's array do not reach it."""
+
+    def form(self, m):
+        m = np.array(m, dtype=complex)
+        if m.shape != (4, 4):
+            raise ValidationError(f"{self.what} must be a 4x4 (two-qubit) matrix")
+        m.setflags(write=False)
+        return m
+
+
+class InitialState(_TwoQubitOperator):
+    """The initial two-qubit state on A' (x) E."""
+
+    what = "initial state"
+
+    def check(self, m):
+        linalg.assert_density_matrix(m, INPUT_ATOL)
+
+
+class Unitary(_TwoQubitOperator):
+    """The interaction U: A (x) E -> B (x) E'."""
+
+    what = "unitary"
+
+    def check(self, m):
+        linalg.assert_unitary(m, INPUT_ATOL)
 
 
 class BinaryPovm(_CheckedPair):
@@ -256,10 +297,13 @@ class DoTable:
                      "do-table")
 
 
-def build_process(rho: np.ndarray, u: np.ndarray) -> ProcessOperator:
+def build_process(rho: InitialState | np.ndarray, u: Unitary | np.ndarray) -> ProcessOperator:
     """Compile (initial state, interaction) into a process operator.
 
-    rho lives on A' (x) E, u maps A (x) E to B (x) E'.  The contraction is
+    rho lives on A' (x) E, u maps A (x) E to B (x) E'.  An InitialState or a
+    Unitary was checked when it was built and is taken as it is; a raw array
+    is checked here.  The result is validated on every build.  The
+    contraction is
 
         W = Tr_{EE'}[ (rho^{T_E} (x) id_{ABE'}) (id_{A'} (x) |U>><<U|) ]
 
@@ -271,17 +315,8 @@ def build_process(rho: np.ndarray, u: np.ndarray) -> ProcessOperator:
     add the same entries in the same order, so W equals the explicit
     kron-permute-matmul-trace evaluation bit for bit.
     """
-    rho = np.asarray(rho, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if rho.shape != (4, 4) or u.shape != (4, 4):
-        raise ValidationError("expected 4x4 state and 4x4 unitary")
-    for check, m, what in ((linalg.assert_density_matrix, rho, "initial state"),
-                           (linalg.assert_unitary, u, "unitary")):
-        try:
-            check(m, INPUT_ATOL)
-        except ValidationError as exc:
-            raise ValidationError(f"{what}: {exc}") from None
-
+    rho = InitialState.of(rho).ops
+    u = Unitary.of(u).ops
     uu = linalg.vectorize(u)
     uu = (uu @ uu.conj().T).reshape((2,) * 8)    # A, E, B, E', A~, E~, B~, E'~
     rho_pt = linalg.partial_transpose(rho, (2, 2), 1).reshape(8, 2)  # [(A', E, A'~), E~]

@@ -69,12 +69,10 @@ SETTING_LABELS = tuple(COMPONENTS["settings"])
 
 
 def component(key: str, name: str, alpha: float | None = None):
-    """The component registered as name under configuration key key: the
-    partial swap at angle alpha, or else a constant built and checked on
-    first use and then shared.  A setting comes back as a checked
-    process.BinaryPovm, re-preparations as a Repreparations and a final
-    measurement as a FinalMeasurement, which every caller takes as they are;
-    a state or unitary is a read-only array, checked by build_process.  An
+    """The component registered as name under configuration key key, in its
+    checked form (FORMS[key]), which every caller takes as it is: the
+    partial swap at angle alpha as a Unitary built and checked per call, or
+    else a constant built and checked on first use and then shared.  An
     unknown name, or the partial swap without an angle, raises
     ValidationError naming the key."""
     if name not in COMPONENTS[key]:
@@ -83,23 +81,20 @@ def component(key: str, name: str, alpha: float | None = None):
     if (key, name) == ("unitary", "partial_swap"):
         if alpha is None:
             raise ValidationError("alpha: unitary partial_swap needs a swap angle")
-        return partial_swap(alpha)
+        return process.Unitary(partial_swap(alpha))
     return _constant(key, name)
 
 
-# configuration key -> the checked process pair that its registered entries,
-# and a configuration file's explicit matrices, become
-PAIR_KINDS = {"settings": process.BinaryPovm, "repreparations": process.Repreparations,
-              "final_measurement": process.FinalMeasurement}
+# configuration key -> the checked process form that its registered entries,
+# and a configuration's explicit matrices, become
+FORMS = {"initial_state": process.InitialState, "unitary": process.Unitary,
+         "settings": process.BinaryPovm, "repreparations": process.Repreparations,
+         "final_measurement": process.FinalMeasurement}
 
 
 @functools.cache
 def _constant(key: str, name: str):
-    value = COMPONENTS[key][name]()
-    if key in PAIR_KINDS:
-        return PAIR_KINDS[key](value)
-    value.setflags(write=False)
-    return value
+    return FORMS[key](COMPONENTS[key][name]())
 
 
 def pauli_instrument(settings: Sequence[str], repreparations) -> process.MpInstrument:

@@ -138,36 +138,74 @@ def test_noise_anchoring_follows_the_configured_protocol():
             dataio.run_experiment(dataio.preset_config("memory_test", noise=low, wait_ms=wait))
 
 
+_RAW = dict(initial_state=linalg.bell_state(), unitary=proclib.partial_swap(1.0),
+            repreparations=(linalg.dm(linalg.KET_PLUS_I), linalg.dm(linalg.KET_MINUS_I)),
+            final_measurement=linalg.observable_povm(linalg.SIGMA_X))
+
+
 def test_run_experiment_validates_each_input_once(monkeypatch):
-    # a named pair is checked once per process, on first use, and a config
-    # file's explicit pair once, as the file loads: born_rule and
-    # do_probabilities take the checked instrument and final measurement as
-    # they are
-    calls = {"assert_povm": 0, "assert_density_matrix": 0}
+    # every input is checked once, when its configuration is built: a named
+    # component on first use in the process, explicit matrices as the
+    # configuration is built (from a file or from arrays); a run takes the
+    # checked forms as they are
+    calls = dict.fromkeys(("assert_povm", "assert_density_matrix", "assert_unitary"), 0)
     for name in calls:
         def counted(*args, _check=getattr(linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _check(*args, **kwargs)
         monkeypatch.setattr(linalg, name, counted)
 
-    def counts(cfg):
+    def counts(make):
         calls.update(dict.fromkeys(calls, 0))
-        dataio.run_experiment(cfg)
-        return dict(calls)
+        return make(), dict(calls)
 
-    named = dataio.preset_config("memory_test")
+    def checks(povms, states, unitaries):
+        return dict(zip(calls, (povms, states, unitaries)))
+
     proclib._constant.cache_clear()
-    # cold: four settings and the final POVM, the re-preparations and the state
-    assert counts(named) == {"assert_povm": 5, "assert_density_matrix": 2}
-    # warm: the initial state alone
-    assert counts(named) == {"assert_povm": 0, "assert_density_matrix": 1}
-    # explicit state, unitary, re-preparations and final POVM; named settings.
-    # Loading checks the final POVM, the re-preparations and the state; a run
-    # checks the state alone, in build_process
-    calls.update(dict.fromkeys(calls, 0))
-    explicit = dataio.load_config(FIXTURES / "explicit_partial_swap.yaml")
-    assert calls == {"assert_povm": 1, "assert_density_matrix": 2}
-    assert counts(explicit) == {"assert_povm": 0, "assert_density_matrix": 1}
+    # cold: four settings and the final POVM, the re-preparations and the
+    # state, the unitary
+    named, made = counts(lambda: dataio.preset_config("memory_test"))
+    assert made == checks(5, 2, 1)
+    assert counts(lambda: dataio.run_experiment(named))[1] == checks(0, 0, 0)
+    # warm: building and running check nothing
+    named, made = counts(lambda: dataio.preset_config("memory_test"))
+    assert made == checks(0, 0, 0)
+    assert counts(lambda: dataio.run_experiment(named))[1] == checks(0, 0, 0)
+    # explicit state, unitary, re-preparations and final POVM; named settings
+    explicit, made = counts(lambda: dataio.load_config(FIXTURES / "explicit_partial_swap.yaml"))
+    assert made == checks(1, 2, 1)
+    assert counts(lambda: dataio.run_experiment(explicit))[1] == checks(0, 0, 0)
+    arrays, made = counts(lambda: dataio.ExperimentConfig(protocol="custom", **_RAW))
+    assert made == checks(1, 2, 1)
+    assert counts(lambda: dataio.run_experiment(arrays))[1] == checks(0, 0, 0)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("initial_state", np.diag([2.0, 0.0, 0.0, 0.0]), "initial_state: state trace 2.0 != 1"),
+    ("unitary", 2.0 * np.eye(4), "unitary: matrix is not unitary within tolerance"),
+    ("unitary", np.full((4, 4), np.nan), "unitary: matrix is not unitary within tolerance"),
+    ("final_measurement", (np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])),
+     "final_measurement: POVM effect has a negative eigenvalue"),
+    ("repreparations", (np.diag([2.0, 0.0]), np.diag([0.0, 1.0])),
+     "repreparations: state trace 2.0 != 1"),
+], ids=["state_trace_2", "not_unitary", "nan_unitary", "final_not_psd", "reps_trace_2"])
+def test_config_from_arrays_names_the_bad_key_when_built(key, value, message):
+    with pytest.raises(ValidationError) as err:
+        dataio.ExperimentConfig(protocol="custom", **dict(_RAW, **{key: value}))
+    assert str(err.value) == message
+
+
+def test_config_keeps_its_inputs_when_the_caller_changes_them():
+    raw = {key: np.array(value) for key, value in _RAW.items()}
+    cfg = dataio.ExperimentConfig(protocol="custom", **raw)
+    behavior, do, report = dataio.run_experiment(cfg)
+    for value in raw.values():
+        value[...] = 0.0
+    again = dataio.run_experiment(cfg)
+    assert again[0].probs.tobytes() == behavior.probs.tobytes()
+    assert again[1].probs.tobytes() == do.probs.tobytes()
+    assert again[2].to_json_dict() == report.to_json_dict()
 
 
 def test_sampled_run_is_seed_deterministic():
@@ -305,8 +343,8 @@ _KET1 = "[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]"
 
 
 @pytest.mark.parametrize("text, message", [
-    (f"repreparations:\n  - {_KET0}\n", "re-preparations must be binary"),
-    (f"repreparations: [{_KET0}, {_KET1}, {_KET0}]\n", "re-preparations must be binary"),
+    (f"repreparations:\n  - {_KET0}\n", "repreparations: must be binary"),
+    (f"repreparations: [{_KET0}, {_KET1}, {_KET0}]\n", "repreparations: must be binary"),
     ("settings: []\n", "instrument declares no settings"),
 ], ids=["one_repreparation", "three_repreparations", "no_settings"])
 def test_cli_rejects_malformed_instrument_configs(tmp_path, capsys, text, message):
@@ -530,12 +568,12 @@ def _explicit_yaml(key, *matrices):
     # an explicit matrix is checked as the file loads, and its error names the key
     ("simulate", "final_not_psd.yaml",
      _explicit_yaml("final_measurement", np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])),
-     "final_measurement: final measurement: POVM effect has a negative eigenvalue"),
+     "final_measurement: POVM effect has a negative eigenvalue"),
     ("simulate", "reps_trace_2.yaml",
      _explicit_yaml("repreparations", np.diag([2.0, 0.0]), np.diag([0.0, 1.0])),
-     "repreparations: re-preparations: state trace 2.0 != 1"),
+     "repreparations: state trace 2.0 != 1"),
     ("simulate", "four_reps.yaml", _explicit_yaml("repreparations", *[np.diag([1.0, 0.0])] * 4),
-     "repreparations: re-preparations must be binary: got 4 entries"),
+     "repreparations: must be binary: got 4 entries"),
     ("simulate", "state_trace_2.yaml", _explicit_yaml("initial_state", np.diag([2.0, 0, 0, 0])),
      "initial_state: state trace 2.0 != 1"),
     ("simulate", "not_unitary.yaml", _explicit_yaml("unitary", 2 * np.eye(4)),
@@ -641,6 +679,17 @@ def test_cli_import_leaves_out_scipy_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     code = "import sys, tpmcert.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_yaml():
+    # only load_config reads YAML, and it imports yaml when called
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = "import sys, tpmcert.cli; print('yaml' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"

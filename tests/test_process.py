@@ -103,6 +103,46 @@ def test_build_process_names_the_bad_input(rho, u, message):
     assert str(err.value) == message
 
 
+def test_checked_state_and_unitary_build_bit_identically():
+    # a checked form enters build_process as the same complex array that the
+    # raw matrix would, so W does not depend on how the input was given
+    rng = np.random.default_rng(1109)
+    cases = [(random_density(rng, 4, rank), random_unitary(rng, 4)) for rank in (1, 2, 4)]
+    cases += [(linalg.bell_state(), proclib.partial_swap(alpha)) for alpha in (0.0, 1.0, math.pi)]
+    cases += [(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(4))]  # real arrays
+    for rho, u in cases:
+        checked = process.build_process(process.InitialState(rho), process.Unitary(u))
+        assert checked.w.tobytes() == process.build_process(rho, u).w.tobytes()
+        assert checked.marginal_state.tobytes() == process.build_process(rho, u).marginal_state.tobytes()
+
+
+def test_checked_state_and_unitary_are_read_only_copies():
+    rho, u = linalg.bell_state(), proclib.cnot_swap_unitary()
+    state, unitary = process.InitialState(rho), process.Unitary(u)
+    for form, raw in ((state, rho), (unitary, u)):
+        assert type(form).of(form) is form
+        assert form.ops.dtype == complex and not form.ops.flags.writeable
+        assert np.array_equal(np.asarray(form), raw)
+        assert raw.flags.writeable and not np.shares_memory(form.ops, raw)
+        with pytest.raises(ValueError):
+            form.ops[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: process.InitialState(np.diag([2.0, 0.0, 0.0, 0.0])),
+     "initial state: state trace 2.0 != 1"),
+    (lambda: process.InitialState(np.eye(2) / 2), "initial state must be a 4x4 (two-qubit) matrix"),
+    (lambda: process.Unitary(2.0 * np.eye(4)), "unitary: matrix is not unitary within tolerance"),
+    (lambda: process.Unitary(np.full((4, 4), np.nan)),
+     "unitary: matrix is not unitary within tolerance"),
+    (lambda: process.Unitary(np.eye(8)), "unitary must be a 4x4 (two-qubit) matrix"),
+], ids=["state_trace_2", "state_2x2", "not_unitary", "nan_unitary", "unitary_8x8"])
+def test_checked_state_and_unitary_errors_start_with_what_they_are(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_born_rule_bell_correlations():
     # common-cause process, both measurements sigma_z: perfectly correlated
     op = process.build_process(linalg.bell_state(), linalg.SWAP)

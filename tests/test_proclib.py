@@ -164,6 +164,24 @@ def test_registry_pairs_are_shared_read_only_checked_objects():
                 first.ops[0, 0, 0] = 2.0
 
 
+def test_registry_states_and_unitaries_are_checked_forms():
+    # constants are built and checked once and then shared; the partial swap
+    # is built and checked per call, at its angle
+    kinds = {"initial_state": process.InitialState, "unitary": process.Unitary}
+    for key, kind in kinds.items():
+        for name, build in proclib.COMPONENTS[key].items():
+            if name == "partial_swap":
+                continue
+            first, second = proclib.component(key, name), proclib.component(key, name)
+            assert first is second and type(first) is kind, name
+            assert first.ops.tobytes() == np.asarray(build(), dtype=complex).tobytes(), name
+            assert not first.ops.flags.writeable, name
+    for alpha in (0.0, 1.0, math.pi):
+        u = proclib.component("unitary", "partial_swap", alpha)
+        assert type(u) is process.Unitary
+        assert u.ops.tobytes() == proclib.partial_swap(alpha).tobytes()
+
+
 def test_partial_swap_endpoints_and_unitarity():
     assert np.abs(proclib.partial_swap(0.0) - np.eye(4)).max() < 1e-15
     ket01 = np.kron(linalg.KET_0, linalg.KET_1)
