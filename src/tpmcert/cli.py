@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 parse/validation error, 3 domain error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -124,7 +123,7 @@ def _cmd_simulate(args) -> int:
     if args.exact:
         overrides["shots"] = None
     path = args.config or dataio.PRESETS[args.preset]
-    cfg = dataclasses.replace(dataio.load_config(path), **overrides)
+    cfg = dataio.load_config(path, **overrides)
     _, _, report = dataio.run_experiment(cfg)
     dataio.emit_report(report, out_dir=args.out)
     d = report.to_json_dict()

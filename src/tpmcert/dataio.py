@@ -20,7 +20,6 @@ when a curve is exact.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -207,10 +206,11 @@ def _named_or_explicit(path: Path, key: str, val):
         raise ValidationError(f"{path}: {key}: {exc}") from None
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read an experiment configuration from a UTF-8 YAML document.  A null
-    value keeps the default of its key; a bad document raises ParseError or
-    ValidationError."""
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """Read an experiment configuration from a UTF-8 YAML document and build
+    it once, with the given fields replaced.  A null value keeps the default
+    of its key.  A bad document raises ParseError or ValidationError naming
+    the file; a bad override raises without the file's name."""
     import yaml  # only configuration files need it
 
     path = Path(path)
@@ -254,10 +254,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValidationError(f"{path}: noise.{_NOISE_KEYS[name]} {rule}") from None
         if "wait_ms" in nz:
             kwargs["wait_ms"] = _typed(path, "noise.wait_ms", nz["wait_ms"], float)
+    errors = (ValidationError, DomainError, ResourceLimitError)
     try:
-        return ExperimentConfig(**kwargs)
-    except (ValidationError, DomainError, ResourceLimitError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        return ExperimentConfig(**{**kwargs, **overrides})
+    except errors:
+        # the file is named only if its own values fail without the overrides
+        try:
+            ExperimentConfig(**kwargs)
+        except errors as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+        raise
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
@@ -265,7 +271,7 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     given fields replaced."""
     if name not in PRESETS:
         raise ValidationError(f"unknown preset {name!r}")
-    return dataclasses.replace(load_config(PRESETS[name]), **overrides)
+    return load_config(PRESETS[name], **overrides)
 
 
 def check_config(cfg: ExperimentConfig) -> None:

@@ -143,7 +143,7 @@ _RAW = dict(initial_state=linalg.bell_state(), unitary=proclib.partial_swap(1.0)
             final_measurement=linalg.observable_povm(linalg.SIGMA_X))
 
 
-def test_run_experiment_validates_each_input_once(monkeypatch):
+def test_run_experiment_validates_each_input_once(monkeypatch, tmp_path, capsys):
     # every input is checked once, when its configuration is built: a named
     # component on first use in the process, explicit matrices as the
     # configuration is built (from a file or from arrays); a run takes the
@@ -172,6 +172,13 @@ def test_run_experiment_validates_each_input_once(monkeypatch):
     named, made = counts(lambda: dataio.preset_config("memory_test"))
     assert made == checks(0, 0, 0)
     assert counts(lambda: dataio.run_experiment(named))[1] == checks(0, 0, 0)
+    # a warm preset with overrides is built once: one partial swap, checked
+    # once, also by a whole simulate command line
+    dataio.preset_config("partial_swap")
+    assert counts(lambda: dataio.preset_config("partial_swap", alpha=2.0))[1] == checks(0, 0, 1)
+    argv = ["simulate", "--preset", "partial_swap", "--alpha", "2.0", "--exact", "--resamples",
+            "2", "--out", str(tmp_path)]
+    assert counts(lambda: cli.main(argv)) == (0, checks(0, 0, 1))
     # explicit state, unitary, re-preparations and final POVM; named settings
     explicit, made = counts(lambda: dataio.load_config(FIXTURES / "explicit_partial_swap.yaml"))
     assert made == checks(1, 2, 1)
@@ -522,6 +529,20 @@ def test_cli_shot_limit(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_flags_replace_file_values_before_the_config_is_built(tmp_path, capsys):
+    # the configuration is built once, with the flags in it: a flag replaces a
+    # bad value of the file, and only a value of the file names the file
+    bad = write(tmp_path, "bad.yaml", "seed: -3\nshots: 50\nresamples: 20\n")
+    good = write(tmp_path, "good.yaml", "shots: 50\nresamples: 20\n")
+    for config, seed, rc, err in ((bad, "4", 0, ""),
+                                  (bad, None, 2, f"error: {bad}: --seed (config key seed) -3 "),
+                                  (bad, "-1", 2, f"error: {bad}: --seed (config key seed) -3 "),
+                                  (good, "-1", 2, "error: --seed (config key seed) -1 ")):
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main(argv + (["--seed", seed] if seed else [])) == rc
+        assert capsys.readouterr().err.startswith(err)
+
+
 def _explicit_yaml(key, *matrices):
     """A configuration line giving key as explicit real matrices of [re, im] entries."""
     value = [[[[float(x), 0.0] for x in row] for row in m] for m in matrices]
@@ -616,9 +637,8 @@ def test_config_names_unknown_components_by_file_and_key(tmp_path, capsys, text,
 
 
 def test_every_registry_entry_builds_and_validates(tmp_path):
-    # a configuration that names one entry loads and runs: states and
-    # unitaries are validated in build_process, and the registry checks each
-    # setting, re-preparation pair and final measurement when it builds it
+    # a configuration that names one entry loads and runs: the registry
+    # checks every entry, states and unitaries included, once when it builds it
     for key, names in proclib.COMPONENTS.items():
         for name in names:
             value = [name] if key == "settings" else name
