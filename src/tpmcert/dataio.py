@@ -142,12 +142,16 @@ class ExperimentConfig:
 
 def _checked(key: str, value):
     """The explicit matrices value given under key, in their checked form; a
-    failed check names the key instead of the form."""
+    failed check names the key instead of the form.  A configuration is one
+    process, so a stack of states or unitaries is refused."""
     form = proclib.FORMS[key]
     try:
-        return form.of(value)
+        checked = form.of(value)
     except ValidationError as exc:
         raise ValidationError(f"{key}: {str(exc).removeprefix(form.what).lstrip(': ')}") from None
+    if key in ("initial_state", "unitary") and checked.ops.ndim != 2:
+        raise ValidationError(f"{key}: must be a 4x4 (two-qubit) matrix")
+    return checked
 
 
 def _as_matrix(obj, dim: int) -> np.ndarray:

@@ -187,8 +187,9 @@ def _eye(d: int) -> np.ndarray:
 
 
 def assert_unitary(u: np.ndarray, atol: float = HERM_ATOL) -> None:
-    d = u.shape[0]
-    if u.shape != (d, d) or not np.abs(u.conj().T @ u - _eye(d)).max() <= atol:
+    """Raise unless u, or every matrix of a stack (..., d, d), is unitary."""
+    d = u.shape[-1]
+    if u.shape[-2:] != (d, d) or not np.abs(u.conj().swapaxes(-1, -2) @ u - _eye(d)).max() <= atol:
         raise ValidationError("matrix is not unitary within tolerance")
 
 

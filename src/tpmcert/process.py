@@ -126,8 +126,12 @@ class _Checked:
         try:
             self.check(ops)
         except ValidationError as exc:
-            raise ValidationError(f"{self.what}: {exc}") from None
+            raise ValidationError(f"{self.what}{self.where(ops)}: {exc}") from None
         object.__setattr__(self, "ops", ops)
+
+    def where(self, ops) -> str:
+        """What a failed check's message adds after what: nothing here."""
+        return ""
 
     @classmethod
     def of(cls, ops):
@@ -154,15 +158,27 @@ class _CheckedPair(_Checked):
 
 
 class _TwoQubitOperator(_Checked):
-    """One 4x4 operator, kept as a complex copy, so that later changes to the
-    caller's array do not reach it."""
+    """One 4x4 operator, or a stack (..., 4, 4) of them, kept as a complex
+    copy, so that later changes to the caller's array do not reach it.  A
+    stack is checked at once; when that fails, its members are checked in
+    order to name the first bad one by its index."""
 
     def form(self, m):
         m = np.array(m, dtype=complex)
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise ValidationError(f"{self.what} must be a 4x4 (two-qubit) matrix")
         m.setflags(write=False)
         return m
+
+    def where(self, ops) -> str:
+        if ops.ndim == 2:
+            return ""
+        for index in np.ndindex(ops.shape[:-2]):
+            try:
+                self.check(ops[index])
+            except ValidationError:
+                return f" {list(index)}"
+        return ""
 
 
 class InitialState(_TwoQubitOperator):
@@ -209,7 +225,10 @@ class Repreparations(_CheckedPair):
 
 @dataclass(frozen=True, eq=False)
 class ProcessOperator:
-    """Operator W on A' (x) A (x) B together with the marginal state on A'."""
+    """Operator W on A' (x) A (x) B together with the marginal state on A'.
+
+    A stack of processes holds w (..., 8, 8) and marginal_state (..., 2, 2),
+    whose leading axes broadcast against those of w."""
 
     w: np.ndarray
     marginal_state: np.ndarray
@@ -244,6 +263,13 @@ def _check_table(table, shape: tuple[int, ...], cells: tuple[int, ...], row_name
     p = np.asarray(table.probs, dtype=float)
     if p.shape != shape:
         raise ValidationError(f"{what} has shape {p.shape}, expected {shape}")
+    check_probabilities(p, cells, what)
+
+
+def check_probabilities(p: np.ndarray, cells: tuple[int, ...], what: str) -> None:
+    """Raise unless no probability in p lies below -PROCESS_ATOL and each
+    row, p summed over the axes cells, sums to one within PROCESS_ATOL.  The
+    tables of a stack are checked at once."""
     if p.min() < -PROCESS_ATOL:
         raise ValidationError(f"negative probability in {what}")
     if np.abs(p.sum(axis=cells) - 1.0).max() > PROCESS_ATOL:
@@ -302,31 +328,40 @@ def build_process(rho: InitialState | np.ndarray, u: Unitary | np.ndarray) -> Pr
 
     rho lives on A' (x) E, u maps A (x) E to B (x) E'.  An InitialState or a
     Unitary was checked when it was built and is taken as it is; a raw array
-    is checked here.  The result is validated on every build.  The
-    contraction is
+    is checked here.  Either may be a stack (..., 4, 4): their leading axes
+    broadcast, and W gets them.  The result is validated on every build, a
+    stack at once.  The contraction is
 
         W = Tr_{EE'}[ (rho^{T_E} (x) id_{ABE'}) (id_{A'} (x) |U>><<U|) ]
 
     on the factor ordering (A', A, E, B, E'), which lands on A' (x) A (x) B.
     It runs in two steps that never form those 32x32 operators: one matmul
-    sums over E, the index that rho^{T_E} shares with |U>><<U|, and np.trace
-    then takes E and E' in that order.  Each entry of the 32x32 product has
-    two nonzero terms, the same two products this matmul adds, and the traces
-    add the same entries in the same order, so W equals the explicit
-    kron-permute-matmul-trace evaluation bit for bit.
+    sums over E, the index that rho^{T_E} shares with |U>><<U|, with the
+    traced indices laid out first, and the traces over E and then E' are
+    sums of diagonal slices.  Each entry of the 32x32 product has two
+    nonzero terms, the same two products this matmul adds, and np.trace
+    over an axis pair of length 2 adds the same two slices in the same
+    order, so W equals the explicit kron-permute-matmul-trace evaluation
+    bit for bit, for each member of a stack as for one process.  Only
+    reshapes and transposes of the checked arrays lay the factors out.
     """
     rho = InitialState.of(rho).ops
     u = Unitary.of(u).ops
-    uu = linalg.vectorize(u)
-    uu = (uu @ uu.conj().T).reshape((2,) * 8)    # A, E, B, E', A~, E~, B~, E'~
-    rho_pt = linalg.partial_transpose(rho, (2, 2), 1).reshape(8, 2)  # [(A', E, A'~), E~]
-    s = rho_pt @ np.moveaxis(uu, 1, 0).reshape(2, 128)
-    s = s.reshape((2,) * 10)                     # A', E, A'~, A, B, E', A~, E~, B~, E'~
-    s = np.trace(np.trace(s, axis1=1, axis2=7), axis1=4, axis2=7)  # A', A'~, A, B, A~, B~
-    w = s.transpose(0, 2, 3, 1, 4, 5).reshape(8, 8)
-    w = 0.5 * (w + w.conj().T)
+    v = u.swapaxes(-1, -2).reshape(u.shape[:-2] + (16, 1))  # |U>> on (A, E, B, E')
+    uu = (v @ v.conj().swapaxes(-1, -2)).reshape((-1,) + (2,) * 8)  # A, E, B, E', A~, E~, B~, E'~
+    # the matmul's rows and columns lead with the indices that the traces pair
+    uu = uu.transpose(0, 2, 6, 4, 8, 1, 3, 5, 7).reshape(u.shape[:-2] + (2, 128))
+    rho4 = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # A', E, A'~, E~
+    rho_pt = rho4.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 1, 3, 2)  # rho^{T_E} as E, A', A'~, E~
+    s = rho_pt.reshape(rho.shape[:-2] + (8, 2)) @ uu  # [(E, A', A'~), (E~, E', E'~, A, B, A~, B~)]
+    lead = s.shape[:-2]
+    s = s.reshape(-1, 2, 4, 2, 2, 2, 16)
+    w = (s[:, 0, :, 0, 0, 0] + s[:, 1, :, 1, 0, 0]) + (s[:, 0, :, 0, 1, 1] + s[:, 1, :, 1, 1, 1])
+    w = w.reshape(-1, 2, 2, 2, 2, 2, 2).transpose(0, 1, 3, 4, 2, 5, 6)  # A', A, B, A'~, A~, B~
+    w = w.reshape(lead + (8, 8))
+    w = 0.5 * (w + w.conj().swapaxes(-1, -2))
 
-    marginal = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    marginal = rho4[..., :, 0, :, 0] + rho4[..., :, 1, :, 1]
     op = ProcessOperator(w=w, marginal_state=marginal)
     problems = validate_process(op)
     if problems:
@@ -339,47 +374,73 @@ def validate_process(op: ProcessOperator | np.ndarray, atol: float = PROCESS_ATO
 
     Checks Hermiticity, positivity, Tr W = 2, and the causality marginal
     Tr_B W = rho_A' (x) id_A.  When a declared marginal state is available it
-    must agree with the marginal derived from W itself.
+    must agree with the marginal derived from W itself.  A stack (..., 8, 8)
+    is checked at once, with one Hermiticity max and one eigvalsh; its
+    problems are those of its first invalid member in C order, each led by
+    that member's index, such as "[3]: positivity violated".
     """
     if isinstance(op, ProcessOperator):
         w, declared = op.w, op.marginal_state
     else:
         w, declared = np.asarray(op, dtype=complex), None
-    problems: list[str] = []
-    if w.shape != (8, 8):
+    if w.shape[-2:] != (8, 8):
         return [f"wrong shape {w.shape}, expected (8, 8)"]
-    if not linalg.is_hermitian(w, atol):
-        problems.append("not Hermitian")
-        w = 0.5 * (w + w.conj().T)
-    if np.linalg.eigvalsh(w).min() < -atol:
-        problems.append("positivity violated")
-    if abs(np.trace(w).real - 2.0) > atol:
-        problems.append(f"trace is {np.trace(w).real:.6g}, expected 2")
-    tr_b = np.trace(w.reshape((2,) * 6), axis1=2, axis2=5)  # A', A, A'~, A~
-    derived_marginal = np.trace(tr_b, axis1=1, axis2=3) / 2.0
-    if np.abs(tr_b - derived_marginal[:, None, :, None] * linalg.ID2[:, None, :]).max() > atol:
-        problems.append("marginal violated: Tr_B W is not rho_A' (x) id_A")
-    if declared is not None and np.abs(derived_marginal - declared).max() > atol:
-        problems.append("declared marginal state disagrees with Tr_{AB} W / 2")
-    return problems
+    w_dag = w.conj().swapaxes(-1, -2)
+    hermitian = np.abs(w - w_dag).max(axis=(-2, -1)) <= atol
+    if not hermitian.all():
+        w = np.where(hermitian[..., None, None], w, 0.5 * (w + w_dag))
+    w6 = w.reshape(w.shape[:-2] + (2,) * 6)             # A', A, B, A'~, A~, B~
+    tr_b = w6[..., 0, :, :, 0] + w6[..., 1, :, :, 1]    # A', A, A'~, A~
+    tr_ab = tr_b[..., :, 0, :, 0] + tr_b[..., :, 1, :, 1]
+    trace = (tr_ab[..., 0, 0] + tr_ab[..., 1, 1]).real
+    derived_marginal = tr_ab / 2.0
+    marginal_off = tr_b - derived_marginal[..., :, None, :, None] * linalg.ID2[:, None, :]
+    faults = [
+        (~hermitian, "not Hermitian"),
+        (np.linalg.eigvalsh(w)[..., 0] < -atol, "positivity violated"),
+        (np.abs(trace - 2.0) > atol, None),  # the message names the trace
+        (np.abs(marginal_off).max(axis=(-4, -3, -2, -1)) > atol,
+         "marginal violated: Tr_B W is not rho_A' (x) id_A"),
+    ]
+    if declared is not None:
+        faults.append((np.abs(derived_marginal - declared).max(axis=(-2, -1)) > atol,
+                       "declared marginal state disagrees with Tr_{AB} W / 2"))
+    bad = faults[0][0]
+    for fault, _ in faults[1:]:
+        bad = bad | fault
+    if not bad.any():
+        return []
+    index = tuple(np.argwhere(bad)[0].tolist())
+    lead = f"{list(index)}: " if index else ""
+    return [lead + (problem or f"trace is {trace[index]:.6g}, expected 2")
+            for fault, problem in faults if fault[index]]
 
 
-def _contract(w: np.ndarray, effects: np.ndarray, reps: np.ndarray, final: np.ndarray) -> np.ndarray:
-    """Tr[(E_a (x) rho_a^T (x) F_b) W] for every leading index and (a, b).
+def contract(w: np.ndarray, effects: np.ndarray, reps: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """Tr[(E_a (x) rho_a^T (x) F_b) W] for every process in w and every event.
 
-    effects has shape (..., 2, 2, 2) indexed [..., a], reps and final have
-    shape (2, 2, 2) indexed [a] and [b]; the result has shape (..., 2, 2),
-    clipped at zero.  The operator stack is built by broadcasting, with the
-    same products in the same order as np.kron(np.kron(E, rho^T), F), and
-    reduced against W by one einsum, so every entry equals the per-event
+    w is one process (8, 8) or a stack (..., 8, 8); effects has shape
+    (..., 2, 2, 2) indexed [..., a], reps and final have shape (2, 2, 2)
+    indexed [a] and [b].  The result has w's leading axes, then effects'
+    leading axes and (a, b), clipped at zero.  The operator of each event
+    holds the same products, taken in the same order, as
+    np.kron(np.kron(E, rho^T), F).  One einsum adds each trace's 64 products
+    as the per-event kron-and-trace does, row sums first, only over one axis
+    of (process, event) pairs; so a stack of processes is laid out as that
+    one axis, a copy of each operand, and every entry equals the per-event
     kron-and-trace bit for bit.
     """
     rho_t = reps.swapaxes(-1, -2)
     m = effects[..., :, :, None, :, None] * rho_t[:, None, :, None, :]
-    m = m.reshape(m.shape[:-4] + (4, 4))
-    m = m[..., :, None, :, None, :, None] * final[:, None, :, None, :]
-    m = m.reshape(m.shape[:-4] + (8, 8))
-    return np.einsum("...ij,ji->...", m, w).real.clip(min=0.0)
+    m = m.reshape(-1, 1, 1, 1, 4, 4) * final[:, :, :, None, None]  # [(..., a), b, r, c, ik, jl]
+    m = m.transpose(0, 1, 4, 2, 5, 3).reshape(-1, 8, 8)
+    shape = w.shape[:-2] + effects.shape[:-3] + (2, 2)
+    events = len(m)
+    w = w.reshape(-1, 8, 8)
+    if len(w) != 1:
+        m = np.tile(m, (len(w), 1, 1))
+        w = np.repeat(w, events, axis=0)
+    return np.einsum("kij,kji->k", m, w).real.clip(min=0.0).reshape(shape)
 
 
 def born_rule(
@@ -395,7 +456,7 @@ def born_rule(
     validated when it was built.
     """
     final = FinalMeasurement.of(final_povm).ops
-    probs = _contract(op.w, inst.effects, inst.reps, final)
+    probs = contract(op.w, inst.effects, inst.reps, final)
     return Behavior(settings=tuple(inst.settings), probs=probs)
 
 
@@ -413,5 +474,5 @@ def do_probabilities(
     """
     final = FinalMeasurement.of(final_povm).ops
     reps = Repreparations.of(repreparations).ops
-    probs = _contract(op.w, _ID_PAIR, reps, final)
+    probs = contract(op.w, _ID_PAIR, reps, final)
     return DoTable(probs=probs[:, None, :], do_settings=None)

@@ -32,13 +32,21 @@ def cnot_swap_unitary() -> np.ndarray:
     return linalg.SWAP @ cnot
 
 
-def partial_swap(alpha: float) -> np.ndarray:
-    """Two-qubit gate cos(alpha/2) id + i sin(alpha/2) SWAP."""
-    if not 0.0 <= alpha <= math.pi:
-        raise DomainError(f"swap angle {alpha} outside [0, pi]")
-    return math.cos(alpha / 2) * np.eye(4, dtype=complex) + 1j * math.sin(
-        alpha / 2
-    ) * linalg.SWAP
+def partial_swap(alpha: float | Sequence[float]) -> np.ndarray:
+    """Two-qubit gate cos(alpha/2) id + i sin(alpha/2) SWAP; a sequence of
+    angles gives the stack (n, 4, 4) of their gates.
+
+    cos and sin come from math, angle by angle, and every product and sum
+    that follows is exact, so a gate of a stack equals the gate of its angle
+    alone bit for bit."""
+    alphas = np.asarray(alpha)
+    halves = []
+    for a in alphas.ravel().tolist():
+        if not 0.0 <= a <= math.pi:
+            raise DomainError(f"swap angle {a} outside [0, pi]")
+        halves.append((math.cos(a / 2), math.sin(a / 2)))
+    cos, sin = np.array(halves).T.reshape((2,) + alphas.shape + (1, 1))
+    return cos * np.eye(4, dtype=complex) + 1j * sin * linalg.SWAP
 
 
 # configuration key -> component name -> builder; only the partial swap takes
@@ -68,11 +76,12 @@ COMPONENTS = {
 SETTING_LABELS = tuple(COMPONENTS["settings"])
 
 
-def component(key: str, name: str, alpha: float | None = None):
+def component(key: str, name: str, alpha: float | Sequence[float] | None = None):
     """The component registered as name under configuration key key, in its
     checked form (FORMS[key]), which every caller takes as it is: the
-    partial swap at angle alpha as a Unitary built and checked per call, or
-    else a constant built and checked on first use and then shared.  An
+    partial swap at angle alpha as a Unitary built and checked per call (a
+    sequence of angles gives one Unitary stack, checked at once), or else a
+    constant built and checked on first use and then shared.  An
     unknown name, or the partial swap without an angle, raises
     ValidationError naming the key."""
     if name not in COMPONENTS[key]:
@@ -199,20 +208,34 @@ def upsilon_best_gamma(p: float, n_starts: int = 24) -> float:
     return min(gammas)
 
 
-def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float]]:
-    """Gamma of the partial-swap protocol at each angle.
+# angles per block of partial_swap_gamma_curve: a block peaks at about 34 KB
+# an angle, most of it the contraction's flat (process, event) stacks, so it
+# holds about 9 MB however long the curve; larger blocks run no faster
+CURVE_BLOCK = 256
 
-    Runs the full pipeline (process construction, Born rule, gamma functional)
-    for the canonical configuration; the result traces (3 - sin a + cos a)/2.
+
+def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float]]:
+    """Gamma of the partial-swap protocol at each angle, for the canonical
+    configuration; the result traces (3 - sin a + cos a)/2.
+
+    The angles run in blocks of CURVE_BLOCK.  Each block makes one stack of
+    partial swaps, which the registry checks at once, and one build_process,
+    which validates every process of the stack; one contraction gives the
+    block's tables, which are checked as a Behavior checks its table, and
+    certify.gamma_only their gammas.  Each gamma equals, bit for bit, the
+    one that born_rule and gamma_functional give at that angle alone.
     """
     inst = pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus_i"))
-    final = component("final_measurement", "x")
+    final = component("final_measurement", "x").ops
     bell = component("initial_state", "bell")
+    alphas = [float(alpha) for alpha in alphas]
     out = []
-    for alpha in alphas:
-        op = process.build_process(bell, component("unitary", "partial_swap", float(alpha)))
-        beh = process.born_rule(op, inst, final)
-        out.append((float(alpha), certify.gamma_functional(beh)[0]))
+    for start in range(0, len(alphas), CURVE_BLOCK):
+        block = alphas[start:start + CURVE_BLOCK]
+        op = process.build_process(bell, component("unitary", "partial_swap", block))
+        probs = process.contract(op.w, inst.effects, inst.reps, final)
+        process.check_probabilities(probs, (-2, -1), "behavior")
+        out += zip(block, certify.gamma_only(probs).tolist())
     return out
 
 

@@ -192,11 +192,13 @@ def test_run_experiment_validates_each_input_once(monkeypatch, tmp_path, capsys)
     ("initial_state", np.diag([2.0, 0.0, 0.0, 0.0]), "initial_state: state trace 2.0 != 1"),
     ("unitary", 2.0 * np.eye(4), "unitary: matrix is not unitary within tolerance"),
     ("unitary", np.full((4, 4), np.nan), "unitary: matrix is not unitary within tolerance"),
+    ("unitary", np.array([np.eye(4)] * 2), "unitary: must be a 4x4 (two-qubit) matrix"),
     ("final_measurement", (np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])),
      "final_measurement: POVM effect has a negative eigenvalue"),
     ("repreparations", (np.diag([2.0, 0.0]), np.diag([0.0, 1.0])),
      "repreparations: state trace 2.0 != 1"),
-], ids=["state_trace_2", "not_unitary", "nan_unitary", "final_not_psd", "reps_trace_2"])
+], ids=["state_trace_2", "not_unitary", "nan_unitary", "unitary_stack", "final_not_psd",
+        "reps_trace_2"])
 def test_config_from_arrays_names_the_bad_key_when_built(key, value, message):
     with pytest.raises(ValidationError) as err:
         dataio.ExperimentConfig(protocol="custom", **dict(_RAW, **{key: value}))

@@ -155,3 +155,17 @@ def test_stacked_checks_reject_any_bad_member():
         for checked in (stack, stack[1]):
             with pytest.raises(ValidationError, match=message):
                 linalg.assert_density_matrix(checked, 1e-10)
+
+
+def test_stacked_unitary_check_rejects_any_bad_member():
+    us = np.array([np.eye(4, dtype=complex), linalg.SWAP, 1j * linalg.SWAP])
+    linalg.assert_unitary(us, 1e-10)
+    linalg.assert_unitary(us.reshape(1, 3, 4, 4), 1e-10)
+    for index, value in (((1, 0, 0), 0.1), ((2, 3, 3), np.nan)):
+        bad = us.copy()
+        bad[index] = value
+        for checked in (bad, bad[index[0]]):
+            with pytest.raises(ValidationError, match="not unitary"):
+                linalg.assert_unitary(checked, 1e-10)
+    with pytest.raises(ValidationError, match="not unitary"):
+        linalg.assert_unitary(np.ones((2, 4, 3)), 1e-10)

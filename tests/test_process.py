@@ -75,6 +75,109 @@ def test_build_process_equals_the_reference_bit_for_bit():
         assert np.array_equal(process.build_process(rho, u).w, build_process_reference(rho, u))
 
 
+def test_stacked_build_equals_single_builds_bit_for_bit():
+    # a stack of states and unitaries, and one state against a stack of
+    # unitaries, give each member the bytes of its single build and of the
+    # reference; a single build is a stack with no leading axis
+    rng = np.random.default_rng(1201)
+    rhos = np.array([random_density(rng, 4, rank) for rank in (1, 2, 4) * 20])
+    us = np.array([random_unitary(rng, 4) for _ in range(len(rhos))])
+    stack = process.build_process(rhos, us)
+    assert stack.w.shape == (len(rhos), 8, 8) and stack.marginal_state.shape == (len(rhos), 2, 2)
+    grid = process.build_process(rhos[:6].reshape(2, 3, 4, 4), us[:6].reshape(2, 3, 4, 4))
+    assert grid.w.tobytes() == stack.w[:6].tobytes()
+    shared = process.build_process(rhos[0], us)
+    assert shared.marginal_state.shape == (2, 2)
+    for i, (rho, u) in enumerate(zip(rhos, us)):
+        single = process.build_process(rho, u)
+        reference = build_process_reference(rho, u).tobytes()
+        assert stack.w[i].tobytes() == single.w.tobytes() == reference
+        assert stack.marginal_state[i].tobytes() == single.marginal_state.tobytes()
+        assert shared.w[i].tobytes() == build_process_reference(rhos[0], u).tobytes()
+    first = process.build_process(rhos[0], us[0])
+    assert shared.marginal_state.tobytes() == first.marginal_state.tobytes()
+
+
+def test_stacked_validate_reports_the_problems_of_the_first_bad_member():
+    # each fault, alone or after a sound member, is reported as the
+    # per-member call reports it, led by the member's index; with several
+    # bad members only the first one's problems are reported
+    rng = np.random.default_rng(1202)
+    ops = [process.build_process(random_density(rng, 4, 2), random_unitary(rng, 4))
+           for _ in range(3)]
+    null = np.linalg.eigh(ops[0].w)[1][:, 0]  # W has rank 4, this eigenvalue is 0
+    faults = {
+        "not Hermitian": lambda w: w + 1e-6 * np.eye(8, k=1),
+        "positivity violated": lambda w: w - 0.05 * np.outer(null, null.conj()),
+        "trace is 2.02, expected 2": lambda w: 1.01 * w,
+        "marginal violated": lambda w: w + 1e-3 * np.kron(np.kron(linalg.ID2, linalg.SIGMA_Z),
+                                                            linalg.dm(linalg.KET_0)),
+    }
+    ws = np.array([op.w for op in ops])
+    marginals = np.array([op.marginal_state for op in ops])
+    assert process.validate_process(process.ProcessOperator(w=ws, marginal_state=marginals)) == []
+    assert process.validate_process(ws) == []
+    for message, fault in faults.items():
+        for i in range(len(ops)):
+            bad = ws.copy()
+            bad[i] = fault(bad[i])
+            alone = process.validate_process(
+                process.ProcessOperator(w=bad[i], marginal_state=marginals[i]))
+            assert any(p.startswith(message) for p in alone)
+            got = process.validate_process(process.ProcessOperator(w=bad, marginal_state=marginals))
+            assert got == [f"[{i}]: {p}" for p in alone]
+            assert process.validate_process(bad) == [f"[{i}]: {p}" for p in
+                                                     process.validate_process(bad[i])]
+            later = bad.copy()
+            later[-1] = 1.5 * later[-1]
+            if i < len(ops) - 1:
+                assert process.validate_process(later) == process.validate_process(bad)
+    grid = ws[:2].copy().reshape(2, 1, 8, 8)
+    grid[1, 0] = faults["trace is 2.02, expected 2"](grid[1, 0])
+    assert process.validate_process(grid) == ["[1, 0]: trace is 2.02, expected 2"]
+
+
+def test_a_stack_with_one_non_unitary_member_names_its_index():
+    us = np.array([proclib.partial_swap(alpha) for alpha in (0.0, 1.0, 2.0, 3.0)])
+    for i in range(len(us)):
+        bad = us.copy()
+        bad[i] = 2.0 * bad[i]
+        bad[-1, 0, 0] = np.nan  # a later bad member is not the one named
+        message = "unitary [%d]: matrix is not unitary within tolerance" % i
+        for call in (lambda: process.Unitary(bad),
+                     lambda: process.build_process(linalg.bell_state(), bad)):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert str(err.value) == message
+    grid = us.reshape(2, 2, 4, 4).copy()
+    grid[1, 0] = np.eye(4) * 1j + 1e-3
+    with pytest.raises(ValidationError, match=r"^unitary \[1, 0\]: matrix is not unitary"):
+        process.Unitary(grid)
+    states = np.array([linalg.bell_state()] * 3)
+    states[2] = np.diag([1.5, 0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match=r"^initial state \[2\]: state trace 1.5 != 1"):
+        process.build_process(states, us[:3])
+
+
+def test_stacked_contraction_equals_born_rule_per_process_bit_for_bit():
+    rng = np.random.default_rng(1203)
+    rhos = np.array([random_density(rng, 4, rank) for rank in (1, 2, 4) * 10])
+    us = np.array([random_unitary(rng, 4) for _ in range(len(rhos))])
+    stack = process.build_process(rhos, us)
+    for n_settings in (1, 4):
+        _, _, inst, final, _, _ = random_valid_setup(rng, n_settings)
+        final = process.FinalMeasurement(final)
+        born = process.contract(stack.w, inst.effects, inst.reps, final.ops)
+        identity = np.broadcast_to(linalg.ID2, (2, 2, 2))
+        do = process.contract(stack.w.reshape(5, 6, 8, 8), identity, inst.reps, final.ops)
+        assert born.shape == (len(rhos), n_settings, 2, 2) and do.shape == (5, 6, 2, 2)
+        for i in range(len(rhos)):
+            op = process.ProcessOperator(w=stack.w[i], marginal_state=stack.marginal_state[i])
+            assert born[i].tobytes() == process.born_rule(op, inst, final).probs.tobytes()
+            table = process.do_probabilities(op, inst.repreparations, final)
+            assert do.reshape(-1, 2, 2)[i].tobytes() == table.probs[:, 0, :].tobytes()
+
+
 def test_build_process_marginal_and_trace():
     for _ in range(10):
         rho = random_density(RNG, 4)

@@ -199,6 +199,51 @@ def test_partial_swap_gamma_curve_matches_closed_form():
         assert abs(gamma - swap_gamma_closed_form(alpha)) < 1e-9
 
 
+def test_partial_swap_stack_equals_its_single_gates():
+    alphas = np.linspace(0.0, math.pi, 33)
+    stack = proclib.partial_swap(alphas)
+    assert stack.shape == (33, 4, 4)
+    for alpha, u in zip(alphas, stack):
+        assert u.tobytes() == proclib.partial_swap(float(alpha)).tobytes()
+    assert proclib.partial_swap(alphas.reshape(3, 11)).tobytes() == stack.tobytes()
+    with pytest.raises(DomainError, match=r"^swap angle 4.0 outside \[0, pi\]$"):
+        proclib.partial_swap([0.0, 4.0, -1.0])
+
+
+def test_partial_swap_gamma_curve_builds_checks_and_contracts_once_per_block(monkeypatch):
+    # a block of angles is one checked unitary stack, one build, one
+    # validation and one contraction; every gamma keeps the bytes of the
+    # per-angle born_rule and gamma_functional
+    calls = {"build_process": 0, "validate_process": 0, "assert_unitary": 0}
+    for module, name in ((process, "build_process"), (process, "validate_process"),
+                         (linalg, "assert_unitary")):
+        def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    alphas = np.linspace(0.0, math.pi, 4096)
+    curve = proclib.partial_swap_gamma_curve(alphas)
+    blocks = -(-len(alphas) // proclib.CURVE_BLOCK)
+    assert blocks > 1
+    assert calls["build_process"] == calls["validate_process"] == blocks
+    assert calls["assert_unitary"] <= blocks
+    assert [a for a, _ in curve] == alphas.tolist()
+
+    inst = proclib.pauli_instrument(proclib.SETTING_LABELS,
+                                    proclib.component("repreparations", "plus_minus_i"))
+    final = proclib.component("final_measurement", "x")
+    bell = proclib.component("initial_state", "bell")
+    edge = proclib.CURVE_BLOCK
+    for i in (0, 1, edge - 1, edge, edge + 1, len(alphas) - 1):
+        op = process.build_process(bell, proclib.partial_swap(float(alphas[i])))
+        gamma = certify.gamma_functional(process.born_rule(op, inst, final))[0]
+        assert curve[i][1].hex() == gamma.hex()
+
+    assert proclib.partial_swap_gamma_curve([]) == []
+    with pytest.raises(DomainError, match=r"^swap angle 4.0 outside \[0, pi\]$"):
+        proclib.partial_swap_gamma_curve([0.0, 4.0])
+
+
 def test_partial_swap_gamma_special_points():
     pts = dict(proclib.partial_swap_gamma_curve([0.0, math.pi / 2, 3 * math.pi / 4]))
     assert abs(pts[0.0] - 2.0) < 1e-12
