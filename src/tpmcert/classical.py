@@ -38,6 +38,15 @@ class ClassicalStrategy:
         return len(self.a_response)
 
 
+def _outside_0_1(arr: np.ndarray) -> bool:
+    """Whether a non-empty arr holds a value below 0 or above 1.  An integer
+    array takes one max over its bits read as unsigned, where a negative
+    value lies above 1 too; any other dtype takes a min and a max."""
+    if arr.dtype.kind in "iu":
+        return bool(arr.view(f"u{arr.itemsize}").max() > 1)
+    return bool(arr.min() < 0 or arr.max() > 1)
+
+
 @dataclass(frozen=True, eq=False)
 class VertexSet:
     """Deterministic vertices stacked as read-only int8 response arrays.
@@ -57,7 +66,7 @@ class VertexSet:
 
     def __post_init__(self):
         for arr in (self.a_response, self.b_response):
-            if arr.size and (arr.min() < 0 or arr.max() > 1):
+            if arr.size and _outside_0_1(arr):
                 raise ValidationError("a strategy's response is not 0 or 1")
             arr.flags.writeable = False
 
@@ -124,23 +133,26 @@ def _onehot(values: np.ndarray, size: int) -> np.ndarray:
     return out.view(np.int8)
 
 
-def _tables(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked 0/1 behavior probs (V, X, 2, 2) and do-table probs (V, 2, K, 2),
-    as int8 so that every functional of them is exact.  Each row holds one 1,
-    as the responses are 0 or 1 (checked by VertexSet), so nothing here is
-    checked again.
+def _behavior_tables(vertices: VertexSet) -> np.ndarray:
+    """Stacked 0/1 behavior probs (V, X, 2, 2) as int8, so that every
+    functional of them is exact.  Each row holds one 1, as the responses are
+    0 or 1 (checked by VertexSet), so nothing here is checked again.
 
-    Both are views of settings-major storage, the layout the certify kernels
-    reduce fastest: probs is stored as (X, 2, 2, V) and do as (K, 2, 2, V),
-    so every cell slice is one contiguous run of vertices.  The intervention
-    severs the dependence of A on X, so the do-table is read directly off
-    b_response; without crosstalk it carries no setting index.
-    """
+    A view of settings-major storage (X, 2, 2, V), the layout the certify
+    kernels reduce fastest: every cell slice is one contiguous run of
+    vertices."""
     a, b = vertices.a_response.T, vertices.b_response.transpose(2, 1, 0)  # (X, V), (K, 2, V)
     cell = 2 * a + np.where(a, b[:, 1], b[:, 0])  # setting x lands in cell (a, b(a, x))
-    probs = _onehot(cell, 4).reshape(len(cell), 2, 2, -1)
-    do = _onehot(b, 2)
-    return probs.transpose(3, 0, 1, 2), do.transpose(3, 1, 0, 2)
+    return _onehot(cell, 4).reshape(len(cell), 2, 2, -1).transpose(3, 0, 1, 2)
+
+
+def _tables(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
+    """The behavior probs of `_behavior_tables` and the int8 do-table probs
+    (V, 2, K, 2), a view of storage (K, 2, 2, V).  The intervention severs
+    the dependence of A on X, so the do-table is read directly off
+    b_response; without crosstalk it carries no setting index."""
+    do = _onehot(vertices.b_response.transpose(2, 1, 0), 2)
+    return _behavior_tables(vertices), do.transpose(3, 1, 0, 2)
 
 
 def _mix(w: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -195,15 +207,23 @@ def vertex_values(
     return gamma.astype(float), (gamma + 2 * certify.acde_values(do)).astype(float)
 
 
+def minimum_gamma(strategies: VertexSet | list[ClassicalStrategy]) -> float:
+    """Exact minimum of gamma over the given vertices, from their behavior
+    tables alone: no do-table and no ACDE."""
+    return float(certify.gamma_only(_behavior_tables(_as_vertices(strategies))).min())
+
+
 def classical_minimum_gamma(x_alphabet_size: int) -> float:
     """Exact minimum of gamma over all no-crosstalk deterministic strategies
-    (and hence over their convex hull, by concavity of gamma)."""
-    return float(vertex_values(enumerate_strategies(x_alphabet_size))[0].min())
+    (and hence over their convex hull, by concavity of gamma), by
+    `minimum_gamma`."""
+    return minimum_gamma(enumerate_strategies(x_alphabet_size))
 
 
 def check_corrected_bound(strategies: VertexSet | list[ClassicalStrategy]) -> float:
     """Worst case of gamma + 2 ACDE over the given (crosstalk) vertices."""
-    return float(vertex_values(strategies)[1].min())
+    probs, do = _tables(_as_vertices(strategies))
+    return float((certify.gamma_only(probs) + 2 * certify.acde_values(do)).min())
 
 
 def lemma1_check(

@@ -172,7 +172,7 @@ def _cmd_swap_curve(args) -> int:
 
 def _cmd_classical_bound(args) -> int:
     plain = classical.enumerate_strategies(args.x, crosstalk=False)
-    min_gamma = classical.vertex_values(plain)[0].min()
+    min_gamma = classical.minimum_gamma(plain)
     print(f"min gamma over {len(plain)} no-crosstalk vertices: {min_gamma:.12f}")
     if not args.skip_crosstalk:
         vertices = classical.enumerate_strategies(args.x, crosstalk=True)

@@ -218,6 +218,11 @@ def _swap_minimum(alpha: float) -> float:
     quadratic Q is stationary along a line with direction d where it meets
     the line Q d.  Each candidate is clipped into the triangle and evaluated
     at a configuration that realises it, so the minimum is attained.
+
+    Every cross product comes from one `_cross` over stacked operands and
+    the three quadratic forms of the hyperbola from one einsum over stacked
+    pairs; both act row by row, so each candidate keeps the bits it has
+    when computed alone.
     """
     if not 0.0 <= alpha <= math.pi:
         raise DomainError(f"swap angle {alpha} outside [0, pi]")
@@ -231,15 +236,19 @@ def _swap_minimum(alpha: float) -> float:
     # lo^2 and hi^2 are stationary along the hyperbola where X = k Y and Y = k X
     through = np.concatenate([lines, [[1.0, -k, 0.0], [k, -1.0, 0.0]]])
     direction = np.stack([-through[:, 1], through[:, 0], np.zeros(len(through))], axis=-1)
-    foot = _cross(through, direction)  # foot + t direction sweeps the line
-    qa, qb, qc = (np.einsum("li,ij,lj->l", m, hyperbola, n)
-                  for m, n in ((direction, direction), (direction, foot), (foot, foot)))
-    root = -(qb + np.copysign(np.sqrt(np.maximum(qb * qb - qa * qc, 0.0)), qb))
     i, j = _LINE_PAIRS
+    tangents = np.einsum("qij,lj->qli", quads, direction[:len(lines)]).reshape(-1, 3)
+    # one cross for the feet of the lines through, the points stationary in
+    # the plane and along a line, and the crossings of two lines
+    crosses = _cross(np.concatenate([through, quads[:, 0], *[lines] * len(quads), lines[i]]),
+                     np.concatenate([direction, quads[:, 1], tangents, lines[j]]))
+    foot = crosses[:len(through)]  # foot + t direction sweeps the line
+    qa, qb, qc = np.einsum("sli,ij,slj->sl",
+                           np.concatenate([direction, direction, foot]).reshape(3, -1, 3),
+                           hyperbola, np.concatenate([direction, foot, foot]).reshape(3, -1, 3))
+    root = -(qb + np.copysign(np.sqrt(np.maximum(qb * qb - qa * qc, 0.0)), qb))
     points = np.concatenate([
-        _cross(quads[:, 0], quads[:, 1]),  # stationary in the plane
-        _cross(lines, np.einsum("qij,lj->qli", quads, direction[:len(lines)])).reshape(-1, 3),
-        _cross(lines[i], lines[j]),
+        crosses[len(through):],
         qa[:, None] * foot + root[:, None] * direction,  # roots of qa t^2 + 2 qb t + qc
         root[:, None] * foot + qc[:, None] * direction,
     ])

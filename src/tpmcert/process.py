@@ -158,15 +158,17 @@ class _CheckedPair(_Checked):
 
 
 class _TwoQubitOperator(_Checked):
-    """One 4x4 operator, or a stack (..., 4, 4) of them, kept as a complex
-    copy, so that later changes to the caller's array do not reach it.  A
-    stack is checked at once; when that fails, its members are checked in
-    order to name the first bad one by its index."""
+    """One 4x4 operator, or a non-empty stack (..., 4, 4) of them, kept as a
+    complex copy, so that later changes to the caller's array do not reach
+    it.  A stack is checked at once; when that fails, its members are
+    checked in order to name the first bad one by its index."""
 
     def form(self, m):
         m = np.array(m, dtype=complex)
         if m.shape[-2:] != (4, 4):
             raise ValidationError(f"{self.what} must be a 4x4 (two-qubit) matrix")
+        if not m.size:
+            raise ValidationError(f"{self.what} is an empty stack of shape {m.shape}")
         m.setflags(write=False)
         return m
 
@@ -328,9 +330,10 @@ def build_process(rho: InitialState | np.ndarray, u: Unitary | np.ndarray) -> Pr
 
     rho lives on A' (x) E, u maps A (x) E to B (x) E'.  An InitialState or a
     Unitary was checked when it was built and is taken as it is; a raw array
-    is checked here.  Either may be a stack (..., 4, 4): their leading axes
-    broadcast, and W gets them.  The result is validated on every build, a
-    stack at once.  The contraction is
+    is checked here.  Either may be a non-empty stack (..., 4, 4): their
+    leading axes broadcast, and W gets them; stacks that do not broadcast
+    raise a ValidationError that names both shapes.  The result is validated
+    on every build, a stack at once.  The contraction is
 
         W = Tr_{EE'}[ (rho^{T_E} (x) id_{ABE'}) (id_{A'} (x) |U>><<U|) ]
 
@@ -353,7 +356,11 @@ def build_process(rho: InitialState | np.ndarray, u: Unitary | np.ndarray) -> Pr
     uu = uu.transpose(0, 2, 6, 4, 8, 1, 3, 5, 7).reshape(u.shape[:-2] + (2, 128))
     rho4 = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # A', E, A'~, E~
     rho_pt = rho4.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 1, 3, 2)  # rho^{T_E} as E, A', A'~, E~
-    s = rho_pt.reshape(rho.shape[:-2] + (8, 2)) @ uu  # [(E, A', A'~), (E~, E', E'~, A, B, A~, B~)]
+    try:  # [(E, A', A'~), (E~, E', E'~, A, B, A~, B~)]
+        s = rho_pt.reshape(rho.shape[:-2] + (8, 2)) @ uu
+    except ValueError:  # the core shapes are fixed, so only the stacks can clash
+        raise ValidationError(f"initial states of shape {rho.shape} and unitaries of shape "
+                              f"{u.shape} do not broadcast") from None
     lead = s.shape[:-2]
     s = s.reshape(-1, 2, 4, 2, 2, 2, 16)
     w = (s[:, 0, :, 0, 0, 0] + s[:, 1, :, 1, 0, 0]) + (s[:, 0, :, 0, 1, 1] + s[:, 1, :, 1, 1, 1])

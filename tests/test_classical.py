@@ -68,6 +68,27 @@ def test_classical_minimum_gamma_is_one():
     assert classical.classical_minimum_gamma(1) == 2.0
 
 
+def test_minimum_gamma_reads_behavior_tables_only(monkeypatch):
+    # the no-crosstalk minimum needs no do-table, so it evaluates no ACDE;
+    # the corrected bound still evaluates one per vertex set
+    calls = []
+    acde_values = certify.acde_values
+
+    def counted(probs):
+        calls.append(probs.shape)
+        return acde_values(probs)
+
+    monkeypatch.setattr(certify, "acde_values", counted)
+    assert [classical.classical_minimum_gamma(n) for n in (1, 2, 3, 4)] == [2.0, 1.0, 1.0, 1.0]
+    assert calls == []
+    for n in (1, 2, 3, 4):
+        vertices = classical.enumerate_strategies(n, crosstalk=True)
+        _, gammas, corrected = classical_vertex_values(n, True)
+        assert classical.minimum_gamma(vertices) == min(gammas)
+        assert classical.check_corrected_bound(vertices) == min(corrected) == (2.0 if n == 1 else 1.0)
+    assert len(calls) == 4
+
+
 def test_classical_minimum_holds_on_random_mixtures():
     strategies = classical.enumerate_strategies(4, crosstalk=False)
     for _ in range(200):

@@ -301,10 +301,14 @@ def test_no_sampled_configuration_lies_below_the_scan():
 
 @pytest.mark.parametrize("shape_a, shape_b", [
     ((1000, 3), (1000, 3)),
-    # the shapes of _swap_minimum's crosses
+    # the shapes of the crosses that _swap_minimum stacks: the feet of its
+    # lines, the points stationary in the plane and along a line, and the
+    # crossings of two lines
     ((7, 3), (7, 3)), ((3, 3), (3, 3)), ((5, 3), (3, 5, 3)), ((10, 3), (10, 3)),
     # and of partial_swap_effect_params on angle arrays
     ((4, 6, 3), (4, 6, 3)), ((6, 3), (4, 1, 3)),
+    # the one stacked cross of _swap_minimum
+    ((35, 3), (35, 3)),
 ])
 def test_cross_equals_numpy_cross_bit_for_bit(shape_a, shape_b):
     rng = np.random.default_rng(len(shape_a) * 100 + shape_a[0])

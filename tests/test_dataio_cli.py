@@ -421,6 +421,19 @@ def test_jm_scan_no_higher_than_the_four_angle_scan(tmp_path, capsys):
     assert all(g <= w + 1e-15 for (_, g), (_, w) in zip(got, want))
 
 
+def test_jm_scan_matches_the_exact_scan_bytes(tmp_path, capsys):
+    # tests/golden/jm_scan_exact/ holds what `tpmcert jm-scan --points 33
+    # --out <out>` writes with the exact scan, its stdout without the
+    # `wrote` line; regenerate both with that command only for a declared
+    # change of output.  A speed-up must leave them as they are.
+    assert cli.main(["jm-scan", "--points", "33", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines(keepends=True)
+    pinned = GOLDEN / "jm_scan_exact"
+    assert "".join(line for line in out if not line.startswith("wrote ")).encode() == \
+        (pinned / "stdout.txt").read_bytes()
+    assert (tmp_path / "jm_scan.csv").read_bytes() == (pinned / "jm_scan.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["decay", "--t2", "364", "--echo-fidelity", "0.995", "--echo-interval", "2.5",
       "--initial-gamma", "0.642", "--points", "-1"], "--points"),

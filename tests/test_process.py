@@ -159,6 +159,18 @@ def test_a_stack_with_one_non_unitary_member_names_its_index():
         process.build_process(states, us[:3])
 
 
+@pytest.mark.parametrize("states, unitaries, message", [
+    ([linalg.bell_state()] * 3, [np.eye(4)] * 2,
+     r"^initial states of shape \(3, 4, 4\) and unitaries of shape \(2, 4, 4\) do not broadcast$"),
+    (np.zeros((0, 4, 4)), np.eye(4), r"^initial state is an empty stack of shape \(0, 4, 4\)$"),
+    (linalg.bell_state(), np.zeros((0, 4, 4)), r"^unitary is an empty stack of shape \(0, 4, 4\)$"),
+], ids=["no_broadcast", "empty_states", "empty_unitaries"])
+def test_stacks_that_cannot_build_raise_a_validation_error(states, unitaries, message):
+    # numpy's own ValueError would escape the CLI's error handling
+    with pytest.raises(ValidationError, match=message):
+        process.build_process(np.array(states), np.array(unitaries))
+
+
 def test_stacked_contraction_equals_born_rule_per_process_bit_for_bit():
     rng = np.random.default_rng(1203)
     rhos = np.array([random_density(rng, 4, rank) for rank in (1, 2, 4) * 10])
