@@ -38,15 +38,6 @@ class ClassicalStrategy:
         return len(self.a_response)
 
 
-def _outside_0_1(arr: np.ndarray) -> bool:
-    """Whether a non-empty arr holds a value below 0 or above 1.  An integer
-    array takes one max over its bits read as unsigned, where a negative
-    value lies above 1 too; any other dtype takes a min and a max."""
-    if arr.dtype.kind in "iu":
-        return bool(arr.view(f"u{arr.itemsize}").max() > 1)
-    return bool(arr.min() < 0 or arr.max() > 1)
-
-
 @dataclass(frozen=True, eq=False)
 class VertexSet:
     """Deterministic vertices stacked as read-only int8 response arrays.
@@ -66,7 +57,7 @@ class VertexSet:
 
     def __post_init__(self):
         for arr in (self.a_response, self.b_response):
-            if arr.size and _outside_0_1(arr):
+            if arr.size and (arr.min() < 0 or arr.max() > 1):
                 raise ValidationError("a strategy's response is not 0 or 1")
             arr.flags.writeable = False
 
@@ -222,8 +213,7 @@ def classical_minimum_gamma(x_alphabet_size: int) -> float:
 
 def check_corrected_bound(strategies: VertexSet | list[ClassicalStrategy]) -> float:
     """Worst case of gamma + 2 ACDE over the given (crosstalk) vertices."""
-    probs, do = _tables(_as_vertices(strategies))
-    return float((certify.gamma_only(probs) + 2 * certify.acde_values(do)).min())
+    return float(vertex_values(strategies)[1].min())
 
 
 def lemma1_check(
