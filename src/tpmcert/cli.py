@@ -8,7 +8,8 @@ Subcommands:
   classical-bound exact classical minima by brute-force enumeration
   jm-scan         joint-measurability margin of the partial-swap assemblage
 
-Exit codes: 0 success, 2 parse/validation error, 3 domain error.
+Exit codes: 0 success, 2 parse/validation error or an --out that cannot be
+written, 3 domain error.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def _cmd_simulate(args) -> int:
         overrides["shots"] = None
     path = args.config or dataio.PRESETS[args.preset]
     cfg = dataio.load_config(path, **overrides)
+    if args.alpha is not None and cfg.unitary != "partial_swap":
+        raise ValidationError("--alpha sets the angle of the unitary partial_swap, "
+                              "which this configuration does not use")
     _, _, report = dataio.run_experiment(cfg)
     dataio.emit_report(report, out_dir=args.out)
     d = report.to_json_dict()
@@ -219,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValidationError(f"--{name.replace('_', '-')} must be a finite number, "
                                       f"got {value}")
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, ResourceLimitError) as exc:
+    except (ParseError, ValidationError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

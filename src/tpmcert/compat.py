@@ -3,106 +3,23 @@
 Preparing the re-set qubit in rho_a, interacting through U and measuring the
 final POVM realizes an effective POVM assemblage on the memory qubit; quantum
 violations require that assemblage to be incompatible (not jointly
-measurable).  Pairs of binary qubit POVMs are decided by the closed-form
+measurable).  A pair of binary qubit POVMs is decided by the closed-form
 sharpness criterion (Busch & Schmidt 2010; Yu, Liu, Li & Oh 2010); the
-partial-swap scan's margin at each angle is its exact minimum.
+partial-swap scan's margin at each angle is its exact minimum over every
+preparation and projective final measurement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .exceptions import DomainError, ValidationError
 
-EFFECT_ATOL = 1e-10
-MARGIN_ATOL = 1e-10
 # the pairs of the five lines whose crossings `_swap_minimum` takes
 _LINE_PAIRS = np.triu_indices(5, 1)
-
-
-@dataclass(frozen=True)
-class QubitEffectParams:
-    """Bias/Bloch parametrization of a qubit effect (1 + gamma) id/2 + r.sigma/2."""
-
-    gamma_bias: float
-    bloch: np.ndarray
-
-    def __post_init__(self):
-        r = np.linalg.norm(self.bloch)
-        g = self.gamma_bias
-        # both the effect and its complement must be PSD; NaN fails the test
-        if not r <= min(1.0 + g, 1.0 - g) + EFFECT_ATOL:
-            raise ValidationError(
-                f"parameters (gamma={g}, |r|={r}) do not define a valid effect"
-            )
-
-    def effect(self) -> np.ndarray:
-        rx, ry, rz = self.bloch
-        return 0.5 * (
-            (1.0 + self.gamma_bias) * linalg.ID2
-            + rx * linalg.SIGMA_X
-            + ry * linalg.SIGMA_Y
-            + rz * linalg.SIGMA_Z
-        )
-
-    def sharpness(self) -> float:
-        """(sqrt((1+g)^2 - |r|^2) + sqrt((1-g)^2 - |r|^2)) / 2; zero only for
-        sharp rank-1 projectors."""
-        r2 = float(np.dot(self.bloch, self.bloch))
-        a = max((1.0 + self.gamma_bias) ** 2 - r2, 0.0)
-        b = max((1.0 - self.gamma_bias) ** 2 - r2, 0.0)
-        return 0.5 * (math.sqrt(a) + math.sqrt(b))
-
-
-@dataclass(frozen=True)
-class Assemblage:
-    """Outcome-indexed family of binary POVMs on the memory qubit."""
-
-    effects: Mapping[int, tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self):
-        for a, pair in self.effects.items():
-            linalg.assert_povm(pair, EFFECT_ATOL)
-
-
-def effect_params(effect: np.ndarray) -> QubitEffectParams:
-    """Extract (gamma, r) from a 2x2 effect; round-trips exactly."""
-    effect = np.asarray(effect, dtype=complex)
-    if effect.shape != (2, 2) or not linalg.is_hermitian(effect, EFFECT_ATOL):
-        raise ValidationError("expected a Hermitian 2x2 effect")
-    gamma = float(np.trace(effect).real - 1.0)
-    return QubitEffectParams(gamma_bias=gamma, bloch=linalg.bloch_vector(effect))
-
-
-def induced_assemblage(
-    u: np.ndarray,
-    repreparations: Sequence[np.ndarray],
-    final_povm: Sequence[np.ndarray],
-) -> Assemblage:
-    """Effective assemblage G_{b|a} = Tr_A[(rho_a (x) id) U^dag (F_b (x) id) U].
-
-    u maps A (x) E to B (x) E' with the measured system B as the first output
-    factor, matching the process-construction convention.
-    """
-    u = np.asarray(u, dtype=complex)
-    linalg.assert_unitary(u, EFFECT_ATOL)
-    linalg.assert_povm(final_povm, EFFECT_ATOL)
-    for rho in repreparations:
-        linalg.assert_density_matrix(rho, EFFECT_ATOL)
-    effects = {}
-    for a, rho in enumerate(repreparations):
-        pair = []
-        for fb in final_povm:
-            heis = u.conj().T @ np.kron(fb, linalg.ID2) @ u
-            g = linalg.partial_trace(np.kron(rho, linalg.ID2) @ heis, (2, 2), {0})
-            pair.append(0.5 * (g + g.conj().T))
-        effects[a] = tuple(pair)
-    return Assemblage(effects=effects)
 
 
 def _margin(g0, g1, r01, f0: float, f1: float):
@@ -131,26 +48,6 @@ def _margin(g0, g1, r01, f0: float, f1: float):
     return cross * cross - first * second
 
 
-def _criterion_margin(
-    g0: float, r0: np.ndarray, f0: float, g1: float, r1: np.ndarray, f1: float
-) -> float:
-    """`_margin` of one pair given by its Bloch vectors."""
-    return float(_margin(g0, g1, float(np.dot(r0, r1)), f0, f1))
-
-
-def jointly_measurable(
-    pair: tuple[QubitEffectParams, QubitEffectParams]
-) -> tuple[bool, float]:
-    """Decide joint measurability of two binary qubit POVMs given by their
-    outcome-0 effects; returns (compatible, margin)."""
-    p0, p1 = pair
-    margin = _criterion_margin(
-        p0.gamma_bias, np.asarray(p0.bloch, dtype=float), p0.sharpness(),
-        p1.gamma_bias, np.asarray(p1.bloch, dtype=float), p1.sharpness(),
-    )
-    return margin >= -MARGIN_ATOL, margin
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.cross of 3-vectors along the last axis, broadcasting the others:
     the same products and differences, without its wrapper overhead."""
@@ -159,37 +56,14 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def partial_swap_effect_params(
-    alpha: float,
-    theta_s: np.ndarray,
-    theta_e: np.ndarray,
-    phi_s: np.ndarray,
-    phi_e: np.ndarray,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Closed-form (gamma, r) of the two partial-swap assemblage effects.
-
-    Preparations are |0> and |theta_s, phi_s>, the final projector is
-    |theta_e, phi_e>; for each a the effect is
-    cos^2(a/2) Tr(F rho_a) id + sin^2(a/2) F - i sin(a/2)cos(a/2) [F, rho_a],
-    i.e. gamma_a = cos^2(a/2) f.r_a and r-vector sin^2(a/2) f +
-    sin(a/2)cos(a/2) (f x r_a).  Broadcasts over angle arrays.
-    """
-    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
-
-    def unit(theta, phi):
-        return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                         np.cos(theta) + 0 * phi], axis=-1)
-
-    f, r0 = unit(theta_e, phi_e), unit(0 * theta_e, 0 * phi_e)  # r0 = z, shaped like f
-    return tuple((c * c * np.einsum("...i,...i->...", f, rv), s * s * f + s * c * _cross(f, rv))
-                 for rv in (r0, unit(theta_s, phi_s)))
-
-
 def _swap_scalars(alpha: float, u, v, y):
-    """(g0, g1, r0.r1) of `partial_swap_effect_params` in closed form, from the
+    """(g0, g1, r0.r1) of the two partial-swap assemblage effects, from the
     Gram entries u = z.r1 = cos(theta_s), v = z.f = cos(theta_e) and y = f.r1
-    of the preparation and final Bloch vectors; with c, s = cos, sin(alpha/2),
-    g_a = c^2 f.r_a and r0.r1 = s^4 + s^2 c^2 (u - v y)."""
+    of the preparation Bloch vectors z, r1 (of |0> and |theta_s, phi_s>) and
+    the final one f (of |theta_e, phi_e>).  With c, s = cos, sin(alpha/2),
+    effect a is c^2 Tr(F rho_a) id + s^2 F - i s c [F, rho_a]: its bias is
+    g_a = c^2 f.r_a and its Bloch vector s^2 f + s c (f x r_a), so
+    r0.r1 = s^4 + s^2 c^2 (u - v y)."""
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     c2, s2 = c * c, s * s
     return c2 * v, c2 * y, s2 * s2 + s2 * c2 * (u - v * y)
@@ -226,7 +100,8 @@ def _swap_minimum(alpha: float) -> float:
     """
     if not 0.0 <= alpha <= math.pi:
         raise DomainError(f"swap angle {alpha} outside [0, pi]")
-    c2, s2, k = math.cos(alpha / 2) ** 2, math.sin(alpha / 2) ** 2, math.cos(alpha)
+    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
+    c2, s2, k = c * c, s * s, math.cos(alpha)
     lo, hi = np.array([[-c2 / 2, -c2 * k / 2, s2 * s2], [-c2 * k / 2, -c2 / 2, s2 * s2]])
     lines = np.array([lo, hi, [1.0, 0.0, -1.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
     hyperbola = np.array([[0.0, c2 / 2, 0.0], [c2 / 2, 0.0, 0.0], [0.0, 0.0, -s2]])  # -second

@@ -105,10 +105,12 @@ class ExperimentConfig:
     unitary, the instrument of the settings and the final measurement.  A
     bad value raises ValidationError, DomainError or ResourceLimitError
     naming its key; dataclasses.replace builds and checks a new
-    configuration.
+    configuration.  protocol is a free-form label (memory_test,
+    partial_swap, custom): a config file must give it as a string, and no
+    code reads it.
     """
 
-    protocol: str = "memory_test"  # memory_test | partial_swap | custom
+    protocol: str = "memory_test"
     alpha: float | None = None
     initial_state: str | process.InitialState | np.ndarray = "bell"
     unitary: str | process.Unitary | np.ndarray = "cnot_swap"
@@ -270,14 +272,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise
 
 
-def preset_config(name: str, **overrides) -> ExperimentConfig:
-    """The shipped preset name (src/tpmcert/configs/<name>.yaml), with the
-    given fields replaced."""
-    if name not in PRESETS:
-        raise ValidationError(f"unknown preset {name!r}")
-    return load_config(PRESETS[name], **overrides)
-
-
 def check_config(cfg: ExperimentConfig) -> None:
     """Raise for a value of cfg that no run accepts, naming its flag and
     config key: a negative seed, shots outside [1, MAX_COUNT], a resample count
@@ -369,19 +363,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write(out_dir: Path, name: str, text: str) -> Path:
+    """Write text to out_dir/name, making out_dir if needed; a failure is an
+    OSError that names out_dir."""
+    path = out_dir / name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode())
+    except OSError as exc:
+        raise OSError(f"cannot write outputs under {out_dir}: {exc}") from exc
+    return path
+
+
 def write_curve(out_dir: str | Path, name: str, rows: Sequence[tuple]) -> Path:
     """Write one curve CSV (columns abscissa,value,stderr_lo,stderr_hi) with
     round-trip-precision numbers; missing stderr fields stay empty."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["abscissa", "value", "stderr_lo", "stderr_hi"])
-        for row in rows:
-            padded = tuple(row) + (None,) * (4 - len(row))
-            writer.writerow([_fmt(v) for v in padded])
-    return path
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["abscissa", "value", "stderr_lo", "stderr_hi"])
+    for row in rows:
+        padded = tuple(row) + (None,) * (4 - len(row))
+        writer.writerow([_fmt(v) for v in padded])
+    return _write(Path(out_dir), f"{name}.csv", text.getvalue())
 
 
 def emit_report(
@@ -396,14 +399,6 @@ def emit_report(
     output is byte-stable for identical inputs.
     """
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        report_path = out_dir / "report.json"
-        report_path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-        written.append(report_path)
-        for name, rows in (curves or {}).items():
-            written.append(write_curve(out_dir, name, rows))
-        return written
-    except OSError as exc:
-        raise OSError(f"cannot write outputs under {out_dir}: {exc}") from exc
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return [_write(out_dir, "report.json", text)] + [
+        write_curve(out_dir, name, rows) for name, rows in (curves or {}).items()]

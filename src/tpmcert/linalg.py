@@ -1,6 +1,6 @@
-"""Dense complex linear algebra kernel: Kronecker products, partial trace and
-transpose, operator vectorization, Hermitian spectra, and the small zoo of
-qubit states and gates everything else is built from.
+"""Dense complex linear algebra kernel: Kronecker products, the partial
+trace, batched state, POVM and unitary checks, and the small zoo of qubit
+states and gates everything else is built from.
 
 Index convention: in any composite space the leftmost tensor factor is the
 slowest-varying index (row-major), matching ``numpy.kron``.
@@ -54,17 +54,6 @@ def bloch_projector(n: Sequence[float]) -> np.ndarray:
     return 0.5 * (ID2 + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
 
 
-def bloch_vector(m: np.ndarray) -> np.ndarray:
-    """Pauli components (Tr m.sigma_i) of a 2x2 matrix."""
-    return np.array(
-        [
-            np.trace(m @ SIGMA_X).real,
-            np.trace(m @ SIGMA_Y).real,
-            np.trace(m @ SIGMA_Z).real,
-        ]
-    )
-
-
 def is_hermitian(m: np.ndarray, atol: float = HERM_ATOL) -> bool:
     """True if m, or every matrix of a stack (..., d, d), is Hermitian."""
     return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max() <= atol)
@@ -89,19 +78,6 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     return out
 
 
-def permute_factors(
-    m: np.ndarray, factor_dims: Sequence[int], perm: Sequence[int]
-) -> np.ndarray:
-    """Reorder the tensor factors of m according to perm (new position i holds
-    old factor perm[i])."""
-    dims = check_layout(m.shape[0], factor_dims)
-    n = len(dims)
-    t = m.reshape(dims * 2)
-    t = t.transpose(list(perm) + [p + n for p in perm])
-    d = int(np.prod([dims[p] for p in perm]))
-    return np.ascontiguousarray(t.reshape(d, d))
-
-
 def partial_trace(
     m: np.ndarray, factor_dims: Sequence[int], traced_factors: Iterable[int]
 ) -> np.ndarray:
@@ -123,45 +99,6 @@ def partial_trace(
     kept = [d for j, d in enumerate(dims) if j not in traced]
     d = int(np.prod(kept)) if kept else 1
     return t.reshape(d, d)
-
-
-def partial_transpose(
-    m: np.ndarray, factor_dims: Sequence[int], factor: int
-) -> np.ndarray:
-    """Transpose the indices of one tensor factor only (an exact involution)."""
-    dims = check_layout(m.shape[0], factor_dims)
-    n = len(dims)
-    if factor < 0 or factor >= n:
-        raise ValidationError(f"factor {factor} out of range for {dims}")
-    t = m.reshape(dims * 2)
-    axes = list(range(2 * n))
-    axes[factor], axes[factor + n] = axes[factor + n], axes[factor]
-    return np.ascontiguousarray(t.transpose(axes).reshape(m.shape))
-
-
-def vectorize(u: np.ndarray) -> np.ndarray:
-    """Operator double-ket |U>> = (id (x) U) sum_i |i>|i>, as a d^2 column vector.
-
-    Component (i*d + j) is U[j, i], so <<U|U>> = Tr(U^dag U).
-    """
-    u = np.asarray(u, dtype=complex)
-    return np.ascontiguousarray(u.T.reshape(-1, 1))
-
-
-def unvectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize` (exact, a pure index permutation)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValidationError(f"vector of length {v.size} is not a d^2 double-ket")
-    return np.ascontiguousarray(v.reshape(d, d).T)
-
-
-def herm_eigenvalues(m: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    if not is_hermitian(m, atol):
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)
 
 
 def assert_density_matrix(rho: np.ndarray, atol: float = HERM_ATOL) -> None:

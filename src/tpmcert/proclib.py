@@ -115,11 +115,6 @@ def pauli_instrument(settings: Sequence[str], repreparations) -> process.MpInstr
     )
 
 
-def memory_instrument() -> process.MpInstrument:
-    """First-time instrument of the memory test."""
-    return pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus"))
-
-
 def memory_final_povm() -> process.FinalMeasurement:
     return component("final_measurement", "xz_diagonal")
 
@@ -283,25 +278,6 @@ def apply_eb_channel(rho: np.ndarray, ch: EbChannel, target: int = 1) -> np.ndar
         factors = [kept, prep] if target == 1 else [prep, kept]
         out = out + np.kron(*factors)
     return out
-
-
-def random_eb_channel(rng: np.random.Generator, n_outcomes: int | None = None) -> EbChannel:
-    """Random measure-and-prepare channel (Wishart effects, random outputs)."""
-    k = int(n_outcomes) if n_outcomes else int(rng.integers(2, 5))
-    raw = []
-    for _ in range(k):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        raw.append(z @ z.conj().T)
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
-    effects = tuple(inv_sqrt @ a @ inv_sqrt for a in raw)
-    outputs = []
-    for _ in range(k):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = z @ z.conj().T
-        outputs.append(m / np.trace(m).real)
-    return EbChannel(effects=effects, outputs=tuple(outputs))
 
 
 @dataclass(frozen=True)

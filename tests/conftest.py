@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+sys.path.insert(0, str(Path(__file__).parent))  # make oracles and helpers importable
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -32,5 +32,7 @@ def do_fixture(fixtures_dir) -> Path:
 def ideal_memory_behavior():
     from tpmcert import proclib, process
 
+    from helpers import memory_instrument
+
     op = proclib.w222()
-    return process.born_rule(op, proclib.memory_instrument(), proclib.memory_final_povm())
+    return process.born_rule(op, memory_instrument(), proclib.memory_final_povm())

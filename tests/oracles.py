@@ -81,6 +81,72 @@ def build_process_reference(rho, u):
     return 0.5 * (w + w.conj().T)
 
 
+def partial_transpose(m, dims, factor):
+    """Transpose the indices of one tensor factor of m only (an exact
+    involution); dims are the factor dimensions, leftmost slowest."""
+    n = len(dims)
+    axes = list(range(2 * n))
+    axes[factor], axes[factor + n] = axes[factor + n], axes[factor]
+    return np.ascontiguousarray(m.reshape(tuple(dims) * 2).transpose(axes).reshape(m.shape))
+
+
+def permute_factors(m, dims, perm):
+    """Reorder the tensor factors of m: new position i holds old factor perm[i]."""
+    n = len(dims)
+    t = m.reshape(tuple(dims) * 2).transpose(list(perm) + [p + n for p in perm])
+    return np.ascontiguousarray(t.reshape(m.shape))
+
+
+def vectorize(u):
+    """Operator double-ket |U>> = (id (x) U) sum_i |i>|i>, as a d^2 column vector.
+
+    Component (i*d + j) is U[j, i], so <<U|U>> = Tr(U^dag U)."""
+    return np.ascontiguousarray(np.asarray(u, dtype=complex).T.reshape(-1, 1))
+
+
+def unvectorize(v):
+    """Inverse of vectorize (exact, a pure index permutation)."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    d = int(round(np.sqrt(v.size)))
+    return np.ascontiguousarray(v.reshape(d, d).T)
+
+
+def heisenberg_assemblage(u, repreparations, final_povm):
+    """Effective memory-side effects G[a][b] = Tr_A[(rho_a (x) id) U^dag
+    (F_b (x) id) U] (Hermitian part), straight from the unitary: u maps
+    A (x) E to B (x) E' with the measured system B as the first factor."""
+    u = np.asarray(u, dtype=complex)
+    effects = []
+    for rho in repreparations:
+        pair = []
+        for fb in final_povm:
+            heis = u.conj().T @ np.kron(fb, I2) @ u
+            g = np.einsum("iaib->ab", (np.kron(rho, I2) @ heis).reshape(2, 2, 2, 2))
+            pair.append(0.5 * (g + g.conj().T))
+        effects.append(pair)
+    return effects
+
+
+def bloch_effect(gamma, r):
+    """The qubit effect (1 + gamma) id/2 + r.sigma/2."""
+    return 0.5 * ((1.0 + gamma) * I2 + r[0] * SX + r[1] * SY + r[2] * SZ)
+
+
+def bias_and_bloch(effect):
+    """(gamma, r) of a 2x2 effect, the inverse of bloch_effect."""
+    effect = np.asarray(effect, dtype=complex)
+    r = np.array([np.trace(effect @ sigma).real for sigma in (SX, SY, SZ)])
+    return float(np.trace(effect).real - 1.0), r
+
+
+def sharpness(gamma, r):
+    """(sqrt((1+g)^2 - |r|^2) + sqrt((1-g)^2 - |r|^2)) / 2 of an effect;
+    zero only for sharp rank-1 projectors."""
+    r2 = float(np.dot(r, r))
+    return 0.5 * (np.sqrt(max((1.0 + gamma) ** 2 - r2, 0.0))
+                  + np.sqrt(max((1.0 - gamma) ** 2 - r2, 0.0)))
+
+
 def swap_assemblage_closed_form(alpha, rho_a, f_b):
     """Effective memory-side effect of the partial-swap protocol,
     cos^2 Tr(F rho) id + sin^2 F - i sin cos [F, rho]."""
@@ -96,31 +162,42 @@ def swap_gamma_closed_form(alpha):
     return (3.0 - np.sin(alpha) + np.cos(alpha)) / 2.0
 
 
-def swap_jm_grid_margins(alpha, density):
-    """Joint-measurability margin of the partial-swap assemblage on the full
-    (theta_s, theta_e, phi_s, phi_e) grid, from explicit Bloch vectors.
+def swap_effect_params(alpha, theta_s, theta_e, phi_s, phi_e):
+    """(bias, Bloch vector) of the two partial-swap assemblage effects in
+    closed form, over angle arrays of one shape.
 
     Preparations |0> and |theta_s, phi_s>, final projector |theta_e, phi_e>:
-    effect a has bias c^2 f.r_a and Bloch vector s^2 f + s c (f x r_a), and
-    both sharpnesses equal c (checked against the induced assemblage in
-    test_compat; recomputing them from (bias, vector) loses ~1e-8 where an
-    effect is on the edge of the valid set).  The margin is the single
-    inequality (r0.r1 - g0 g1)^2 - (1 - F0^2 - F1^2)(1 - g0^2/F0^2 - g1^2/F1^2)
-    with the second factor clipped at 0 when the first is <= 0.
+    with c, s = cos, sin(alpha/2), effect a has bias c^2 f.r_a and Bloch
+    vector s^2 f + s c (f x r_a), from the closed form of
+    swap_assemblage_closed_form.
     """
-    thetas = np.linspace(0.0, np.pi, density)
-    phis = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
-    ts, te, ps, pe = np.meshgrid(thetas, thetas, phis, phis, indexing="ij")
-
     def unit(t, p):
         return np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
 
     c, s = np.cos(alpha / 2), np.sin(alpha / 2)
-    f = unit(te, pe)
-    (g0, v0), (g1, v1) = [
+    f = unit(theta_e, phi_e)
+    return [
         (c * c * np.sum(f * r, axis=-1), s * s * f + s * c * np.cross(f, r))
-        for r in (np.broadcast_to([0.0, 0.0, 1.0], f.shape), unit(ts, ps))
+        for r in (np.broadcast_to([0.0, 0.0, 1.0], f.shape), unit(theta_s, phi_s))
     ]
+
+
+def swap_jm_grid_margins(alpha, density):
+    """Joint-measurability margin of the partial-swap assemblage on the full
+    (theta_s, theta_e, phi_s, phi_e) grid, from the explicit Bloch vectors of
+    swap_effect_params.
+
+    Both sharpnesses equal c = cos(alpha/2) (checked against the Heisenberg
+    assemblage in test_compat; recomputing them from (bias, vector) loses
+    ~1e-8 where an effect is on the edge of the valid set).  The margin is the
+    single inequality (r0.r1 - g0 g1)^2 - (1 - F0^2 - F1^2)(1 - g0^2/F0^2 -
+    g1^2/F1^2) with the second factor clipped at 0 when the first is <= 0.
+    """
+    thetas = np.linspace(0.0, np.pi, density)
+    phis = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
+    ts, te, ps, pe = np.meshgrid(thetas, thetas, phis, phis, indexing="ij")
+    c = np.cos(alpha / 2)
+    (g0, v0), (g1, v1) = swap_effect_params(alpha, ts, te, ps, pe)
     cross = np.sum(v0 * v1, axis=-1) - g0 * g1
     first = 1.0 - 2.0 * c * c
     second = 1.0 - (g0 / c) ** 2 - (g1 / c) ** 2

@@ -25,7 +25,9 @@ from tpmcert import (
     process,
 )
 
+from helpers import memory_instrument, preset_config, random_eb_channel
 from oracles import (
+    partial_transpose,
     random_binary_povm,
     random_density,
     random_unitary,
@@ -106,7 +108,7 @@ def test_criterion_03_partial_swap_curve():
 
 
 def test_criterion_04_pearl_ideal_value():
-    _, _, report = dataio.run_experiment(dataio.preset_config("memory_test"))
+    _, _, report = dataio.run_experiment(preset_config("memory_test"))
     ok = abs(report.pearl_delta - (2 + SQRT2) / 4) < 1e-9
     assert _verdict(
         4, "memory-test exact pearl = (2 + sqrt(2))/4", ok,
@@ -154,12 +156,12 @@ def test_criterion_06_chsh_mapping_identity():
 
 def test_criterion_07_entanglement_breaking_classicalisation():
     rng = np.random.default_rng(770)
-    inst, final = proclib.memory_instrument(), proclib.memory_final_povm()
+    inst, final = memory_instrument(), proclib.memory_final_povm()
     u = proclib.cnot_swap_unitary()
     start = time.perf_counter()
     worst = math.inf
     for _ in range(100):
-        ch = proclib.random_eb_channel(rng)
+        ch = random_eb_channel(rng)
         rho = proclib.apply_eb_channel(linalg.bell_state(), ch, target=1)
         beh = process.born_rule(process.build_process(rho, u), inst, final)
         worst = min(worst, certify.gamma_functional(beh)[0])
@@ -202,7 +204,7 @@ def test_criterion_08b_upsilon_ppt_pattern():
     ps = (0.0, 0.25, 0.5, 0.75, 1.0)
     pt_min = {}
     for p in ps:
-        pt = linalg.partial_transpose(proclib.upsilon(p).w, (2, 2, 2), 0)
+        pt = partial_transpose(proclib.upsilon(p).w, (2, 2, 2), 0)
         pt_min[p] = float(np.linalg.eigvalsh(pt).min())
     frozen = {0.0: -0.5, 0.25: -0.25, 0.5: 0.0, 0.75: -0.25, 1.0: -0.5}
     ok = (

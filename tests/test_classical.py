@@ -4,9 +4,16 @@ import pytest
 from tpmcert import certify, classical
 from tpmcert.exceptions import ResourceLimitError, ValidationError
 
+from helpers import lemma1_check, mixture
 from oracles import classical_vertex_values
 
 RNG = np.random.default_rng(505)
+
+
+def vertex_set(a_response, b_response, crosstalk):
+    """A VertexSet of the given response lists, as int8 arrays."""
+    return classical.VertexSet(np.array(a_response, dtype=np.int8),
+                               np.array(b_response, dtype=np.int8), crosstalk)
 
 
 def test_strategy_counts():
@@ -16,11 +23,9 @@ def test_strategy_counts():
 
 
 def test_enumeration_is_duplicate_free():
-    seen = {
-        (s.a_response, s.b_response)
-        for s in classical.enumerate_strategies(3, crosstalk=True)
-    }
-    assert len(seen) == 2**3 * 2**6
+    vertices = classical.enumerate_strategies(3, crosstalk=True)
+    rows = np.concatenate([vertices.a_response, vertices.b_response.reshape(len(vertices), -1)], 1)
+    assert len(np.unique(rows, axis=0)) == 2**3 * 2**6
 
 
 def test_enumeration_resource_limit():
@@ -29,10 +34,8 @@ def test_enumeration_resource_limit():
 
 
 def test_strategy_behavior_echo_strategy():
-    s = classical.ClassicalStrategy(
-        a_response=(0, 0, 0), b_response=(0, 1), crosstalk=False
-    )
-    beh, do = classical.strategy_behavior(s)
+    s = vertex_set([[0, 0, 0]], [[[0], [1]]], crosstalk=False)
+    beh, do = mixture(s, [1.0])
     assert np.all(beh.probs[:, 0, 0] == 1.0)
     for a in (0, 1):
         assert do.probs[a, 0, a] == 1.0
@@ -42,21 +45,18 @@ def test_crosstalk_parity_strategy_has_maximal_acde():
     # b(a, x) = x mod 2 leaks the setting straight to the second outcome
     n = 4
     parity = tuple(x % 2 for x in range(n))
-    s = classical.ClassicalStrategy(
-        a_response=(0,) * n, b_response=(parity, parity), crosstalk=True
-    )
-    _, do = classical.strategy_behavior(s)
+    s = vertex_set([(0,) * n], [(parity, parity)], crosstalk=True)
+    _, do = mixture(s, [1.0])
     assert certify.acde(do) == 1.0
-    beh, table = classical.strategy_behavior(s)
+    beh, table = mixture(s, [1.0])
     assert certify.corrected_lhs(beh, table) >= 1.0
 
 
 def test_mixture_gamma_dominates_vertex_minimum():
-    s1 = classical.ClassicalStrategy((0, 1, 0, 1), (0, 1), False)
-    s2 = classical.ClassicalStrategy((1, 0, 1, 0), (1, 0), False)
-    g1 = certify.gamma_functional(classical.strategy_behavior(s1)[0])[0]
-    g2 = certify.gamma_functional(classical.strategy_behavior(s2)[0])[0]
-    beh, _ = classical.mix_behaviors([s1, s2], np.array([0.35, 0.65]))
+    pair = vertex_set([(0, 1, 0, 1), (1, 0, 1, 0)], [[[0], [1]], [[1], [0]]], False)
+    g1 = certify.gamma_functional(mixture(pair, [1.0, 0.0])[0])[0]
+    g2 = certify.gamma_functional(mixture(pair, [0.0, 1.0])[0])[0]
+    beh, _ = mixture(pair, np.array([0.35, 0.65]))
     assert certify.gamma_functional(beh)[0] >= min(g1, g2) - 1e-12
 
 
@@ -93,14 +93,17 @@ def test_classical_minimum_holds_on_random_mixtures():
     strategies = classical.enumerate_strategies(4, crosstalk=False)
     for _ in range(200):
         k = RNG.integers(2, 6)
-        chosen = [strategies[i] for i in RNG.choice(len(strategies), size=k)]
-        beh, _ = classical.mix_behaviors(chosen, RNG.dirichlet(np.ones(k)))
+        chosen = RNG.choice(len(strategies), size=k)
+        chosen = classical.VertexSet(strategies.a_response[chosen],
+                                     strategies.b_response[chosen], False)
+        beh, _ = mixture(chosen, RNG.dirichlet(np.ones(k)))
         assert certify.gamma_functional(beh)[0] >= 1.0 - 1e-12
 
 
 def test_every_vertex_satisfies_facets():
-    for s in classical.enumerate_strategies(4, crosstalk=False):
-        beh, _ = classical.strategy_behavior(s)
+    vertices = classical.enumerate_strategies(4, crosstalk=False)
+    for one_hot in np.eye(len(vertices)):
+        beh, _ = mixture(vertices, one_hot)
         assert certify.gamma_functional(beh)[0] >= 1.0 - 1e-12
         assert certify.pearl_delta(beh) <= 1.0 + 1e-12
 
@@ -113,32 +116,28 @@ def test_corrected_bound_over_crosstalk_vertices():
 
 
 def test_pearl_violation_exists_among_crosstalk_vertices():
+    vertices = classical.enumerate_strategies(2, crosstalk=True)
     worst = max(
-        certify.pearl_delta(classical.strategy_behavior(s)[0])
-        for s in classical.enumerate_strategies(2, crosstalk=True)
+        certify.pearl_delta(mixture(vertices, one_hot)[0])
+        for one_hot in np.eye(len(vertices))
     )
     assert worst > 1.0
 
 
 def test_lemma_check_single_vertices():
-    for s in classical.enumerate_strategies(2, crosstalk=False):
-        assert classical.lemma1_check(s)
+    # without mixtures every vertex is checked and all must pass
+    assert lemma1_check(classical.enumerate_strategies(2, crosstalk=False))
 
 
 def test_lemma_check_random_mixtures():
     strategies = classical.enumerate_strategies(4, crosstalk=False)
-    assert classical.lemma1_check(strategies, mixtures=1000, seed=11)
+    assert lemma1_check(strategies, mixtures=1000, seed=11)
 
 
 def test_lemma_check_crosstalk_vertex_can_fail():
     # the setting reaches b directly, so min_x P(b|do(a,x)) can undercut
-    # sup_x P(a, b | x)
-    failing = [
-        s
-        for s in classical.enumerate_strategies(2, crosstalk=True)
-        if not classical.lemma1_check(s)
-    ]
-    assert failing
+    # sup_x P(a, b | x); without mixtures the check fails if one vertex does
+    assert not lemma1_check(classical.enumerate_strategies(2, crosstalk=True))
 
 
 def test_vertex_values_match_independent_oracle():
@@ -168,23 +167,15 @@ def test_vertex_set_is_read_only_and_indexes_like_a_list():
     assert classical.enumerate_strategies(3).b_response.shape == (32, 2, 1)
     with pytest.raises(ValueError):
         vertices.a_response[0, 0] = 1
-    assert vertices[np.int64(5)] == vertices[5] == list(vertices)[5]
-    assert vertices[-1] == classical.ClassicalStrategy((1, 1, 1), ((1,) * 3,) * 2, True)
-    with pytest.raises(IndexError):
-        vertices[len(vertices)]
-    # a list of strategies gives the same values as the vertex set it came from
-    gamma, lhs = classical.vertex_values(vertices)
-    listed = classical.vertex_values(list(vertices))
-    assert np.array_equal(gamma, listed[0]) and np.array_equal(lhs, listed[1])
+    # the last vertex answers 1 to everything
+    assert vertices.a_response[-1].tolist() == [1, 1, 1]
+    assert vertices.b_response[-1].tolist() == [[1, 1, 1]] * 2
 
 
 def test_malformed_strategy_responses_are_rejected():
     for a_resp, b_resp in (((2, 0), (0, 1)), ((0, -1), (0, 1)), ((0, 1), (0, 2))):
-        s = classical.ClassicalStrategy(a_resp, b_resp, crosstalk=False)
         with pytest.raises(ValidationError):
-            classical.strategy_behavior(s)
-    with pytest.raises(ValidationError):
-        classical.check_corrected_bound([classical.ClassicalStrategy((0, 1), (0, 1), True)])
+            vertex_set([a_resp], [[[b] for b in b_resp]], crosstalk=False)
 
 
 @pytest.mark.parametrize("bad", [2, -1])
@@ -203,22 +194,23 @@ def test_vertex_set_rejects_a_response_outside_0_1_at_construction(bad, crosstal
 @pytest.mark.parametrize("crosstalk", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_values_do_not_depend_on_the_vertex_layout(n, crosstalk):
-    # enumerate_strategies stores its vertices settings-major; a list of
-    # strategies is stacked vertex-major by _as_vertices
+    # enumerate_strategies stores its vertices settings-major; a copy of its
+    # responses is vertex-major
     vertices = classical.enumerate_strategies(n, crosstalk=crosstalk)
-    listed = list(vertices)
+    listed = classical.VertexSet(np.ascontiguousarray(vertices.a_response),
+                                 np.ascontiguousarray(vertices.b_response), crosstalk)
     assert vertices.a_response.strides[0] == 1
-    assert classical._as_vertices(listed).a_response.strides[0] == n
+    assert listed.a_response.strides[0] == n
     _, gammas, corrected = classical_vertex_values(n, crosstalk)
     for strategies in (vertices, listed):
         gamma, lhs = classical.vertex_values(strategies)
         assert gamma.tolist() == gammas
         assert lhs.tolist() == corrected
     w = np.random.default_rng(n).dirichlet(np.ones(len(vertices)))
-    for got, want in zip(classical.mix_behaviors(vertices, w), classical.mix_behaviors(listed, w)):
+    for got, want in zip(mixture(vertices, w), mixture(listed, w)):
         assert np.array_equal(got.probs, want.probs)
     for kwargs in ({}, {"mixtures": 20, "seed": n}):
-        assert classical.lemma1_check(vertices, **kwargs) == classical.lemma1_check(listed, **kwargs)
+        assert lemma1_check(vertices, **kwargs) == lemma1_check(listed, **kwargs)
 
 
 def test_tables_keep_the_settings_axis_outermost():

@@ -7,34 +7,48 @@ from tpmcert import compat, linalg, proclib
 from tpmcert.exceptions import DomainError, ValidationError
 
 from oracles import (
+    bias_and_bloch,
+    bloch_effect,
+    heisenberg_assemblage,
     random_binary_povm,
     random_density,
+    sharpness,
     swap_assemblage_closed_form,
+    swap_effect_params,
     swap_jm_grid_margins,
 )
 
 RNG = np.random.default_rng(606)
 
 
+def jointly_measurable(p0, p1):
+    """(compatible, margin) of two binary qubit POVMs given by the (bias,
+    Bloch vector) of their outcome-0 effects, by compat._margin."""
+    (g0, r0), (g1, r1) = p0, p1
+    margin = float(compat._margin(g0, g1, float(np.dot(r0, r1)),
+                                  sharpness(g0, r0), sharpness(g1, r1)))
+    return margin >= -1e-10, margin
+
+
 def test_induced_assemblage_identity_interaction():
     # the re-prepared qubit is measured directly: G = Tr(F rho_a) id
     reps = (random_density(RNG, 2), random_density(RNG, 2))
     final = random_binary_povm(RNG)
-    asm = compat.induced_assemblage(np.eye(4, dtype=complex), reps, final)
+    asm = heisenberg_assemblage(np.eye(4, dtype=complex), reps, final)
     for a, rho in enumerate(reps):
         for b, fb in enumerate(final):
             want = np.trace(fb @ rho).real * linalg.ID2
-            assert np.abs(asm.effects[a][b] - want).max() < 1e-12
+            assert np.abs(asm[a][b] - want).max() < 1e-12
 
 
 def test_induced_assemblage_swap_interaction():
     # a full swap routes the memory into the measurement: G = F_b, a-independent
     reps = (random_density(RNG, 2), random_density(RNG, 2))
     final = random_binary_povm(RNG)
-    asm = compat.induced_assemblage(linalg.SWAP, reps, final)
+    asm = heisenberg_assemblage(linalg.SWAP, reps, final)
     for a in (0, 1):
         for b, fb in enumerate(final):
-            assert np.abs(asm.effects[a][b] - fb).max() < 1e-12
+            assert np.abs(asm[a][b] - fb).max() < 1e-12
 
 
 def test_induced_assemblage_validity():
@@ -42,11 +56,11 @@ def test_induced_assemblage_validity():
         alpha = RNG.uniform(0.0, math.pi)
         reps = (random_density(RNG, 2), random_density(RNG, 2))
         final = random_binary_povm(RNG)
-        asm = compat.induced_assemblage(proclib.partial_swap(alpha), reps, final)
+        asm = heisenberg_assemblage(proclib.partial_swap(alpha), reps, final)
         for a in (0, 1):
-            total = asm.effects[a][0] + asm.effects[a][1]
+            total = asm[a][0] + asm[a][1]
             assert np.abs(total - linalg.ID2).max() < 1e-9
-            for g in asm.effects[a]:
+            for g in asm[a]:
                 assert np.linalg.eigvalsh(g).min() > -1e-10
 
 
@@ -55,34 +69,33 @@ def test_induced_assemblage_matches_commutator_closed_form():
         alpha = RNG.uniform(0.0, math.pi)
         reps = (random_density(RNG, 2), random_density(RNG, 2))
         final = random_binary_povm(RNG)
-        asm = compat.induced_assemblage(proclib.partial_swap(alpha), reps, final)
+        asm = heisenberg_assemblage(proclib.partial_swap(alpha), reps, final)
         for a, rho in enumerate(reps):
             for b, fb in enumerate(final):
                 want = swap_assemblage_closed_form(alpha, rho, fb)
-                assert np.abs(asm.effects[a][b] - want).max() < 1e-10
+                assert np.abs(asm[a][b] - want).max() < 1e-10
 
 
 def test_effect_params_basics():
-    p = compat.effect_params(0.5 * linalg.ID2)
-    assert p.gamma_bias == 0.0 and np.abs(p.bloch).max() < 1e-14
-    p = compat.effect_params(linalg.dm(linalg.KET_0))
-    assert abs(p.gamma_bias) < 1e-14
-    assert np.abs(p.bloch - np.array([0, 0, 1.0])).max() < 1e-14
+    gamma, bloch = bias_and_bloch(0.5 * linalg.ID2)
+    assert gamma == 0.0 and np.abs(bloch).max() < 1e-14
+    gamma, bloch = bias_and_bloch(linalg.dm(linalg.KET_0))
+    assert abs(gamma) < 1e-14
+    assert np.abs(bloch - np.array([0, 0, 1.0])).max() < 1e-14
 
 
 def test_effect_params_round_trip():
     for _ in range(20):
         g = RNG.uniform(-0.6, 0.6)
         r = RNG.uniform(-0.4, 0.4, size=3)
-        params = compat.QubitEffectParams(gamma_bias=g, bloch=r)
-        back = compat.effect_params(params.effect())
-        assert abs(back.gamma_bias - g) < 1e-12
-        assert np.abs(back.bloch - r).max() < 1e-12
+        back_g, back_r = bias_and_bloch(bloch_effect(g, r))
+        assert abs(back_g - g) < 1e-12
+        assert np.abs(back_r - r).max() < 1e-12
 
 
 def test_partial_swap_parametrization_components():
     alpha, theta_e = 1.1, 0.7
-    (g0, r0), _ = compat.partial_swap_effect_params(
+    (g0, r0), _ = swap_effect_params(
         alpha, np.array(0.3), np.array(theta_e), np.array(0.2), np.array(0.9)
     )
     c2 = math.cos(alpha / 2) ** 2
@@ -102,16 +115,16 @@ def test_parametrization_matches_assemblage_effects():
 
         reps = (linalg.dm(ket(0, 0)), linalg.dm(ket(ts, ps)))
         f0 = linalg.dm(ket(te, pe))
-        asm = compat.induced_assemblage(
+        asm = heisenberg_assemblage(
             proclib.partial_swap(alpha), reps, (f0, linalg.ID2 - f0)
         )
-        (g0, r0), (g1, r1) = compat.partial_swap_effect_params(
+        (g0, r0), (g1, r1) = swap_effect_params(
             alpha, np.array(ts), np.array(te), np.array(ps), np.array(pe)
         )
         for a, (g, r) in enumerate(((g0, r0), (g1, r1))):
-            got = compat.effect_params(asm.effects[a][0])
-            assert abs(got.gamma_bias - float(g)) < 1e-10
-            assert np.abs(got.bloch - np.asarray(r, dtype=float)).max() < 1e-10
+            got_g, got_r = bias_and_bloch(asm[a][0])
+            assert abs(got_g - float(g)) < 1e-10
+            assert np.abs(got_r - np.asarray(r, dtype=float)).max() < 1e-10
 
 
 def test_swap_pair_sharpness_is_cos_half_alpha():
@@ -126,62 +139,63 @@ def test_swap_pair_sharpness_is_cos_half_alpha():
         )
         # the sharpness statement holds for projective final measurements
         reps = (reps[0], linalg.dm(np.linalg.eigh(reps[1])[1][:, 0]))
-        asm = compat.induced_assemblage(
+        asm = heisenberg_assemblage(
             proclib.partial_swap(alpha), reps, (f0, linalg.ID2 - f0)
         )
         for a in (0, 1):
-            got = compat.effect_params(asm.effects[a][0]).sharpness()
+            got = sharpness(*bias_and_bloch(asm[a][0]))
             assert abs(got - math.cos(alpha / 2)) < 1e-10
 
 
 def test_jointly_measurable_commuting_pair():
-    p = compat.QubitEffectParams(0.0, np.array([0.0, 0.0, 1.0]))
-    ok, margin = compat.jointly_measurable((p, p))
+    p = (0.0, np.array([0.0, 0.0, 1.0]))
+    ok, margin = jointly_measurable(p, p)
     assert ok and margin >= -1e-10
 
 
 def test_jointly_measurable_sharp_orthogonal_pair():
-    px = compat.QubitEffectParams(0.0, np.array([1.0, 0.0, 0.0]))
-    pz = compat.QubitEffectParams(0.0, np.array([0.0, 0.0, 1.0]))
-    ok, margin = compat.jointly_measurable((px, pz))
+    px = (0.0, np.array([1.0, 0.0, 0.0]))
+    pz = (0.0, np.array([0.0, 0.0, 1.0]))
+    ok, margin = jointly_measurable(px, pz)
     assert not ok and margin < 0
 
 
 def test_jointly_measurable_noisy_orthogonal_boundary():
     # visibility-eta x/z pair is compatible exactly up to 1/sqrt(2)
     for eta, expect in ((0.70, True), (0.72, False)):
-        px = compat.QubitEffectParams(0.0, np.array([eta, 0.0, 0.0]))
-        pz = compat.QubitEffectParams(0.0, np.array([0.0, 0.0, eta]))
-        assert compat.jointly_measurable((px, pz))[0] is expect
+        px = (0.0, np.array([eta, 0.0, 0.0]))
+        pz = (0.0, np.array([0.0, 0.0, eta]))
+        assert jointly_measurable(px, pz)[0] is expect
 
 
 def test_jointly_measurable_symmetric():
     for _ in range(20):
         g = RNG.uniform(-0.5, 0.5, 2)
-        pair = tuple(
-            compat.QubitEffectParams(g[i], RNG.uniform(-0.4, 0.4, 3)) for i in range(2)
-        )
-        assert compat.jointly_measurable(pair) == compat.jointly_measurable(pair[::-1])
+        pair = tuple((g[i], RNG.uniform(-0.4, 0.4, 3)) for i in range(2))
+        assert jointly_measurable(*pair) == jointly_measurable(*pair[::-1])
 
 
 def test_unsharp_pair_with_negative_second_factor_is_compatible():
     # regime where the naive single-inequality form would give a false negative
-    p0 = compat.QubitEffectParams(0.35, np.array([0.55, 0.0, 0.0]))
-    p1 = compat.QubitEffectParams(-0.35, np.array([0.0, 0.55, 0.0]))
-    first = 1 - p0.sharpness() ** 2 - p1.sharpness() ** 2
+    p0 = (0.35, np.array([0.55, 0.0, 0.0]))
+    p1 = (-0.35, np.array([0.0, 0.55, 0.0]))
+    first = 1 - sharpness(*p0) ** 2 - sharpness(*p1) ** 2
     assert first < 0
-    ok, margin = compat.jointly_measurable((p0, p1))
+    ok, margin = jointly_measurable(p0, p1)
     assert ok and margin >= 0
 
 
 def test_singular_sharpness_with_bias_raises():
     with pytest.raises(DomainError):
-        compat._criterion_margin(0.3, np.zeros(3), 0.0, 0.0, np.zeros(3), 1.0)
+        compat._margin(0.3, 0.0, 0.0, 0.0, 1.0)
 
 
 def test_invalid_effect_params_rejected():
+    # the complement of this effect has a negative eigenvalue, which the POVM
+    # check of every measurement the library takes refuses
+    e0 = bloch_effect(0.5, np.array([0.9, 0.0, 0.0]))
     with pytest.raises(ValidationError):
-        compat.QubitEffectParams(0.5, np.array([0.9, 0.0, 0.0]))
+        linalg.assert_povm((e0, linalg.ID2 - e0))
 
 
 @pytest.mark.parametrize("gamma, bloch", [
@@ -189,8 +203,10 @@ def test_invalid_effect_params_rejected():
     (0.0, [math.nan, 0.0, 0.0]), (0.0, [0.0, math.inf, 0.0]), (0.0, [0.0, 0.0, -math.inf]),
 ])
 def test_non_finite_effect_params_rejected(gamma, bloch):
+    with np.errstate(invalid="ignore"):  # inf times a zero entry is NaN
+        e0 = bloch_effect(gamma, np.array(bloch))
     with pytest.raises(ValidationError):
-        compat.QubitEffectParams(gamma, np.array(bloch))
+        linalg.assert_povm((e0, linalg.ID2 - e0))
 
 
 def test_compat_region_boundary():
@@ -211,27 +227,23 @@ def test_incompatible_instance_found_by_scan_and_criterion():
     thetas = np.linspace(0.0, math.pi, n)
     phis = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     ts, te, ps, pe = np.meshgrid(thetas, thetas, phis, phis, indexing="ij")
-    (g0, r0), (g1, r1) = compat.partial_swap_effect_params(alpha, ts, te, ps, pe)
+    (g0, r0), (g1, r1) = swap_effect_params(alpha, ts, te, ps, pe)
     margins = np.empty(ts.shape)
     it = np.nditer(margins, flags=["multi_index"], op_flags=["writeonly"])
     for cell in it:
         idx = it.multi_index
-        pair = (
-            compat.QubitEffectParams(float(g0[idx]), np.asarray(r0[idx], dtype=float)),
-            compat.QubitEffectParams(float(g1[idx]), np.asarray(r1[idx], dtype=float)),
-        )
-        cell[...] = compat.jointly_measurable(pair)[1]
+        cell[...] = jointly_measurable((float(g0[idx]), r0[idx]), (float(g1[idx]), r1[idx]))[1]
     assert margins.min() < -1e-3
 
 
 def test_scan_scalars_match_effect_params():
     # the scan's closed-form (g0, g1, r0.r1) against the Bloch vectors of
-    # the public effect map, which the tests above pin to the assemblage
+    # the closed-form effect map, which the tests above pin to the assemblage
     rng = np.random.default_rng(7)
     for alpha in list(rng.uniform(0.0, math.pi, 8)) + [0.0, math.pi]:
         ts, te = rng.uniform(0.0, math.pi, (2, 2000))
         ps, pe = rng.uniform(0.0, 2 * math.pi, (2, 2000))
-        (g0, r0), (g1, r1) = compat.partial_swap_effect_params(alpha, ts, te, ps, pe)
+        (g0, r0), (g1, r1) = swap_effect_params(alpha, ts, te, ps, pe)
         fr1 = np.sin(te) * np.sin(ts) * np.cos(ps - pe) + np.cos(te) * np.cos(ts)
         got = compat._swap_scalars(alpha, np.cos(ts), np.cos(te), fr1)
         want = (g0, g1, np.einsum("...i,...i->...", r0, r1))
@@ -285,7 +297,7 @@ def test_scan_minimum_in_closed_form_above_half_pi(alpha):
 
 def test_no_sampled_configuration_lies_below_the_scan():
     # 10^5 random (theta_s, theta_e, phi_s, phi_e) per angle through the
-    # public effect map; the margin of every one is at least the scan's
+    # closed-form effect map; the margin of every one is at least the scan's
     rng = np.random.default_rng(12)
     alphas = [0.0, 0.0982, 0.3, 0.8836, 1.2, math.pi / 2 - 1e-9, math.pi / 2,
               math.pi / 2 + 1e-9, 2.0, 2.5, 3.0, math.pi]
@@ -293,7 +305,7 @@ def test_no_sampled_configuration_lies_below_the_scan():
     for alpha in alphas:
         ts, te = np.arccos(rng.uniform(-1.0, 1.0, (2, 100_000)))
         ps, pe = rng.uniform(0.0, 2 * math.pi, (2, 100_000))
-        (g0, r0), (g1, r1) = compat.partial_swap_effect_params(alpha, ts, te, ps, pe)
+        (g0, r0), (g1, r1) = swap_effect_params(alpha, ts, te, ps, pe)
         c = math.cos(alpha / 2)
         sampled = compat._margin(g0, g1, np.einsum("...i,...i->...", r0, r1), c, c)
         assert sampled.min() >= region[alpha] - 1e-12, alpha
@@ -305,7 +317,7 @@ def test_no_sampled_configuration_lies_below_the_scan():
     # lines, the points stationary in the plane and along a line, and the
     # crossings of two lines
     ((7, 3), (7, 3)), ((3, 3), (3, 3)), ((5, 3), (3, 5, 3)), ((10, 3), (10, 3)),
-    # and of partial_swap_effect_params on angle arrays
+    # and broadcasting over angle arrays
     ((4, 6, 3), (4, 6, 3)), ((6, 3), (4, 1, 3)),
     # the one stacked cross of _swap_minimum
     ((35, 3), (35, 3)),

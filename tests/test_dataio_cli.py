@@ -12,6 +12,8 @@ import pytest
 from tpmcert import certify, classical, cli, dataio, linalg, proclib, process
 from tpmcert.exceptions import DomainError, ParseError, ValidationError
 
+from helpers import preset_config
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -91,7 +93,7 @@ def test_ingest_dotable(do_fixture):
 
 
 def test_memory_preset_exact_values():
-    cfg = dataio.preset_config("memory_test")
+    cfg = preset_config("memory_test")
     behavior, do_table, report = dataio.run_experiment(cfg)
     assert abs(report.gamma - (2 - SQRT2)) < 1e-9
     assert abs(report.pearl_delta - (2 + SQRT2) / 4) < 1e-9
@@ -102,7 +104,7 @@ def test_memory_preset_exact_values():
 
 def test_partial_swap_preset_tracks_closed_form():
     for alpha in (0.5, math.pi / 2, 2.5):
-        cfg = dataio.preset_config("partial_swap", alpha=alpha)
+        cfg = preset_config("partial_swap", alpha=alpha)
         _, _, report = dataio.run_experiment(cfg)
         assert abs(report.gamma - (3 - math.sin(alpha) + math.cos(alpha)) / 2) < 1e-9
 
@@ -111,7 +113,7 @@ def test_noise_anchoring_at_zero_wait():
     noise = proclib.NoiseParams(
         t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
     )
-    cfg = dataio.preset_config("memory_test", noise=noise, wait_ms=0.0)
+    cfg = preset_config("memory_test", noise=noise, wait_ms=0.0)
     _, _, report = dataio.run_experiment(cfg)
     assert abs(report.gamma - 0.642) < 1e-9
 
@@ -123,7 +125,7 @@ def test_noise_anchoring_follows_the_configured_protocol():
         t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.9
     )
     for wait in (0.0, 10.0):
-        cfg = dataio.preset_config("partial_swap", noise=noise, wait_ms=wait)
+        cfg = preset_config("partial_swap", noise=noise, wait_ms=wait)
         _, _, report = dataio.run_experiment(cfg)
         (_, want), = proclib.decay_prediction(noise, [wait])
         assert abs(report.gamma - want) < 1e-9
@@ -132,10 +134,10 @@ def test_noise_anchoring_follows_the_configured_protocol():
         t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
     )
     with pytest.raises(ValidationError, match="noise.initial_gamma"):
-        dataio.run_experiment(dataio.preset_config("partial_swap", noise=low))
+        dataio.run_experiment(preset_config("partial_swap", noise=low))
     for wait in (-50.0, math.nan):
         with pytest.raises(DomainError, match="wait_ms"):
-            dataio.run_experiment(dataio.preset_config("memory_test", noise=low, wait_ms=wait))
+            dataio.run_experiment(preset_config("memory_test", noise=low, wait_ms=wait))
 
 
 _RAW = dict(initial_state=linalg.bell_state(), unitary=proclib.partial_swap(1.0),
@@ -165,17 +167,17 @@ def test_run_experiment_validates_each_input_once(monkeypatch, tmp_path, capsys)
     proclib._constant.cache_clear()
     # cold: four settings and the final POVM, the re-preparations and the
     # state, the unitary
-    named, made = counts(lambda: dataio.preset_config("memory_test"))
+    named, made = counts(lambda: preset_config("memory_test"))
     assert made == checks(5, 2, 1)
     assert counts(lambda: dataio.run_experiment(named))[1] == checks(0, 0, 0)
     # warm: building and running check nothing
-    named, made = counts(lambda: dataio.preset_config("memory_test"))
+    named, made = counts(lambda: preset_config("memory_test"))
     assert made == checks(0, 0, 0)
     assert counts(lambda: dataio.run_experiment(named))[1] == checks(0, 0, 0)
     # a warm preset with overrides is built once: one partial swap, checked
     # once, also by a whole simulate command line
-    dataio.preset_config("partial_swap")
-    assert counts(lambda: dataio.preset_config("partial_swap", alpha=2.0))[1] == checks(0, 0, 1)
+    preset_config("partial_swap")
+    assert counts(lambda: preset_config("partial_swap", alpha=2.0))[1] == checks(0, 0, 1)
     argv = ["simulate", "--preset", "partial_swap", "--alpha", "2.0", "--exact", "--resamples",
             "2", "--out", str(tmp_path)]
     assert counts(lambda: cli.main(argv)) == (0, checks(0, 0, 1))
@@ -218,7 +220,7 @@ def test_config_keeps_its_inputs_when_the_caller_changes_them():
 
 
 def test_sampled_run_is_seed_deterministic():
-    cfg = dataio.preset_config("memory_test", shots=2000, seed=9, resamples=200)
+    cfg = preset_config("memory_test", shots=2000, seed=9, resamples=200)
     beh1, do1, rep1 = dataio.run_experiment(cfg)
     beh2, do2, rep2 = dataio.run_experiment(cfg)
     assert np.array_equal(beh1.probs, beh2.probs)
@@ -603,12 +605,14 @@ def _explicit_yaml(key, *matrices):
      "initial_state: state trace 2.0 != 1"),
     ("simulate", "not_unitary.yaml", _explicit_yaml("unitary", 2 * np.eye(4)),
      "unitary: matrix is not unitary"),
+    # only the partial swap has an angle; the flag would be dropped silently
+    ("simulate --preset memory_test --exact --alpha 7.0", None, None, "--alpha"),
 ], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
         "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2",
         "negative_seed_certify", "negative_seed_preset", "negative_seed_config",
         "wait_without_noise", "wait_without_noise_config", "nan_t2", "nan_sigma_k",
         "negative_sigma_k", "nan_decay_t2", "nan_unitary", "final_not_psd", "reps_trace_2",
-        "four_reps", "state_trace_2", "not_unitary"])
+        "four_reps", "state_trace_2", "not_unitary", "alpha_without_partial_swap"])
 def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
     path = tmp_path / str(name)
     if content is not None:
@@ -674,7 +678,7 @@ def _assert_same_run(named, explicit):
 def test_named_and_explicit_components_run_bit_identically(name):
     # a checked registry pair enters the contraction as the same array that
     # its raw matrices would, so outputs do not depend on how it was given
-    _assert_same_run(dataio.preset_config(name), _explicit(dataio.preset_config(name)))
+    _assert_same_run(preset_config(name), _explicit(preset_config(name)))
 
 
 def test_every_registry_entry_runs_as_its_explicit_matrices():
@@ -693,7 +697,7 @@ def test_every_registry_entry_runs_as_its_explicit_matrices():
 
 @pytest.mark.parametrize("name", ["memory_test", "partial_swap"])
 def test_preset_matches_shipped_config(configs_dir, name):
-    assert dataio.preset_config(name) == dataio.load_config(configs_dir / f"{name}.yaml")
+    assert preset_config(name) == dataio.load_config(configs_dir / f"{name}.yaml")
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -753,22 +757,37 @@ def test_cli_decay_and_swap_curve(tmp_path, capsys):
     assert (tmp_path / "swap_curve.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    CERTIFY_ARGV[:3],
+    ["simulate", "--preset", "memory_test", "--exact"],
+    DECAY_ARGV,
+    ["swap-curve", "--points", "9"],
+    ["jm-scan", "--points", "3"],
+], ids=["certify", "simulate", "decay", "swap-curve", "jm-scan"])
+def test_cli_out_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    taken = write(tmp_path, "taken", "a file where the output directory should be\n")
+    assert cli.main(argv + ["--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write outputs under {taken}: ")
+    assert "Traceback" not in err
+
+
 def test_config_with_reduced_setting_list():
-    cfg = dataio.preset_config("memory_test", settings=("x", "z"))
+    cfg = preset_config("memory_test", settings=("x", "z"))
     behavior, _, _ = dataio.run_experiment(cfg)
     assert behavior.settings == ("x", "z")
     with pytest.raises(ValidationError):
-        dataio.run_experiment(dataio.preset_config("memory_test", settings=("y",)))
+        dataio.run_experiment(preset_config("memory_test", settings=("y",)))
 
 
 def test_sampled_gamma_converges_at_large_shots():
     # shots -> inf consistency: at 1e6 shots the sampled gamma sits within
     # three bootstrap standard errors of the exact value in >= 19/20 seeds
-    _, _, exact_report = dataio.run_experiment(dataio.preset_config("memory_test"))
+    _, _, exact_report = dataio.run_experiment(preset_config("memory_test"))
     exact = exact_report.gamma
     hits = 0
     for seed in range(20):
-        cfg = dataio.preset_config(
+        cfg = preset_config(
             "memory_test", shots=10**6, seed=seed, resamples=300
         )
         _, _, report = dataio.run_experiment(cfg)

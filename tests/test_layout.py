@@ -1,0 +1,29 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
+import tpmcert
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is referred to by a Name or an Attribute node of tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_library_name_is_reached():
+    # a top-level function or class of src/tpmcert stays there only if other
+    # library code, the benchmark or the public API uses it; code that only
+    # tests call belongs under tests/
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((REPO / "src" / "tpmcert").glob("*.py"))}
+    in_src = sum(map(_references, trees.values()), Counter())
+    outside = set(tpmcert.__all__)
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        outside |= set(_references(ast.parse(path.read_text())))
+    unreached = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in outside
+                 and in_src[node.name] == _references(node)[node.name]]
+    assert unreached == []

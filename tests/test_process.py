@@ -7,16 +7,19 @@ import pytest
 from tpmcert import certify, linalg, proclib, process
 from tpmcert.exceptions import ValidationError
 
+from helpers import memory_instrument
 from oracles import (
     build_process_reference,
     explicit_process_contraction,
     kron_born_probs,
     kron_do_probs,
+    permute_factors,
     random_binary_povm,
     random_density,
     random_instrument_arrays,
     random_unitary,
     sequential_probabilities,
+    vectorize,
 )
 
 RNG = np.random.default_rng(202)
@@ -39,7 +42,7 @@ def random_valid_setup(rng, n_settings=3):
 def test_build_process_common_cause_form():
     # routing the memory into the final measurement leaves W = rho_A'B (x) id_A
     op = process.build_process(linalg.bell_state(), linalg.SWAP)
-    expected = linalg.permute_factors(
+    expected = permute_factors(
         np.kron(linalg.bell_state(), linalg.ID2), (2, 2, 2), (0, 2, 1)
     )
     assert np.abs(op.w - expected).max() < 1e-12
@@ -48,7 +51,7 @@ def test_build_process_common_cause_form():
 def test_build_process_direct_cause_form():
     # identity interaction: W = rho_A' (x) (unnormalized Choi of the identity)
     op = process.build_process(linalg.bell_state(), np.eye(4, dtype=complex))
-    choi = linalg.vectorize(linalg.ID2) @ linalg.vectorize(linalg.ID2).conj().T
+    choi = vectorize(linalg.ID2) @ vectorize(linalg.ID2).conj().T
     expected = np.kron(linalg.ID2 / 2, choi)
     assert np.abs(op.w - expected).max() < 1e-12
     assert np.abs(linalg.partial_trace(choi, (2, 2), {1}) - linalg.ID2).max() < 1e-12
@@ -272,7 +275,7 @@ def test_born_rule_bell_correlations():
 
 def test_born_rule_ideal_memory_configuration():
     op = process.build_process(linalg.bell_state(), proclib.cnot_swap_unitary())
-    beh = process.born_rule(op, proclib.memory_instrument(), proclib.memory_final_povm())
+    beh = process.born_rule(op, memory_instrument(), proclib.memory_final_povm())
     gamma, _ = certify.gamma_functional(beh)
     assert abs(gamma - (2 - math.sqrt(2))) < 1e-12
 
@@ -381,7 +384,7 @@ _TRACE_2 = (2.0 * linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1))
 def test_born_and_do_validate_raw_inputs(call, message):
     # raw matrices from outside callers are still checked where they enter
     with pytest.raises(ValidationError, match=message):
-        call(proclib.w222(), proclib.memory_instrument())
+        call(proclib.w222(), memory_instrument())
 
 
 @pytest.mark.parametrize("make, message", [
@@ -392,7 +395,7 @@ def test_born_and_do_validate_raw_inputs(call, message):
     (lambda: process.Repreparations(_TRACE_2), "re-preparations: state trace 2.0 != 1"),
     (lambda: process.do_probabilities(proclib.w222(), _TRACE_2, proclib.memory_final_povm()),
      "re-preparations: state trace 2.0 != 1"),
-    (lambda: process.born_rule(proclib.w222(), proclib.memory_instrument(), _NOT_PSD),
+    (lambda: process.born_rule(proclib.w222(), memory_instrument(), _NOT_PSD),
      "final measurement: POVM effect has a negative eigenvalue"),
 ], ids=["final_measurement", "binary_povm", "repreparations", "do_reps", "born_final"])
 def test_checked_pair_errors_start_with_what_the_pair_is(make, message):
@@ -549,7 +552,7 @@ def test_tables_reject_bad_counts(make, message):
 @pytest.mark.parametrize("make", [
     lambda: process.Behavior(settings=("u",), counts=np.ones((1, 2, 2), dtype=int)),
     lambda: process.DoTable(counts=np.ones((2, 1, 2), dtype=int)),
-    proclib.memory_instrument,
+    memory_instrument,
     proclib.w222,
 ], ids=["Behavior", "DoTable", "MpInstrument", "ProcessOperator"])
 def test_array_dataclasses_compare_and_hash_by_identity(make):

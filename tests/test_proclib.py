@@ -7,8 +7,10 @@ from scipy.optimize import brentq
 from tpmcert import certify, linalg, proclib, process
 from tpmcert.exceptions import DomainError, ValidationError
 
+from helpers import memory_instrument, random_eb_channel
 from oracles import (
     pair_bounds,
+    partial_transpose,
     random_binary_povm,
     random_density,
     random_instrument_arrays,
@@ -42,7 +44,7 @@ def test_w222_equals_compiled_memory_process():
 
 def test_w222_optimal_measurements_reach_quantum_bound():
     beh = process.born_rule(
-        proclib.w222(), proclib.memory_instrument(), proclib.memory_final_povm()
+        proclib.w222(), memory_instrument(), proclib.memory_final_povm()
     )
     assert abs(certify.gamma_functional(beh)[0] - (2 - math.sqrt(2))) < 1e-12
 
@@ -60,11 +62,11 @@ def test_upsilon_valid_for_all_p():
 
 def test_upsilon_ppt_pattern_over_first_factor():
     for p, expected in UPSILON_PT_MIN.items():
-        pt = linalg.partial_transpose(proclib.upsilon(p).w, (2, 2, 2), 0)
+        pt = partial_transpose(proclib.upsilon(p).w, (2, 2, 2), 0)
         low = float(np.linalg.eigvalsh(pt).min())
         assert abs(low - expected) < 1e-12, (p, low)
     # the separable midpoint is PPT across the first cut
-    pt = linalg.partial_transpose(proclib.upsilon(0.5).w, (2, 2, 2), 0)
+    pt = partial_transpose(proclib.upsilon(0.5).w, (2, 2, 2), 0)
     assert np.linalg.eigvalsh(pt).min() >= -1e-9
 
 
@@ -107,7 +109,7 @@ def test_upsilon_best_gamma_descends_like_the_oracle(monkeypatch):
     # from that start, so they end at the same value, up to slow convergence
     # (the library stops after 100 sweeps)
     rng = np.random.default_rng(7)
-    start = list(proclib.memory_instrument().reps), proclib.memory_final_povm()
+    start = list(memory_instrument().reps), proclib.memory_final_povm()
     for _ in range(10):
         op = process.build_process(random_density(rng, 4), random_unitary(rng, 4))
         monkeypatch.setattr(proclib, "upsilon", lambda p: op)
@@ -272,7 +274,7 @@ def test_apply_eb_channel_dephasing():
 
 def test_eb_channel_output_is_valid_and_separable_by_terms():
     for _ in range(10):
-        ch = proclib.random_eb_channel(RNG)
+        ch = random_eb_channel(RNG)
         rho = random_density(RNG, 4)
         out = proclib.apply_eb_channel(rho, ch, target=1)
         linalg.assert_density_matrix(out, atol=1e-9)
@@ -283,10 +285,10 @@ def test_eb_channel_output_is_valid_and_separable_by_terms():
 
 
 def test_eb_channel_classicalizes_the_pipeline():
-    inst, final = proclib.memory_instrument(), proclib.memory_final_povm()
+    inst, final = memory_instrument(), proclib.memory_final_povm()
     u = proclib.cnot_swap_unitary()
     for _ in range(20):
-        ch = proclib.random_eb_channel(RNG)
+        ch = random_eb_channel(RNG)
         rho = proclib.apply_eb_channel(linalg.bell_state(), ch, target=1)
         beh = process.born_rule(process.build_process(rho, u), inst, final)
         assert certify.gamma_functional(beh)[0] >= 1.0 - 1e-9
