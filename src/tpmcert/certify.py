@@ -191,10 +191,11 @@ def chsh_decomposition(
     return float(chsh1), float(chsh2)
 
 
-def fidelity_lower_bound(gamma: float, atol: float = 1e-12) -> float:
+def fidelity_lower_bound(gamma: float) -> float:
     """Device-independent lower bound on the memory fidelity from gamma,
-    (1 - (gamma - 2 + S_K)/(sqrt(2) - S_K))/2, clamped to [0, 1]."""
-    if gamma < GAMMA_MAX_VIOLATION - atol or gamma > 2.0 + atol:
+    (1 - (gamma - 2 + S_K)/(sqrt(2) - S_K))/2, clamped to [0, 1]; gamma
+    must lie in [2 - sqrt(2), 2] within 1e-12."""
+    if gamma < GAMMA_MAX_VIOLATION - 1e-12 or gamma > 2.0 + 1e-12:
         raise DomainError(f"gamma {gamma} outside [2 - sqrt(2), 2]")
     f = 0.5 * (1.0 - (gamma - 2.0 + S_K) / (math.sqrt(2.0) - S_K))
     return min(max(f, 0.0), 1.0)

@@ -26,8 +26,8 @@ class VertexSet:
     mode, indexed [v, a, x], and (V, 2, 1) without it.  From
     enumerate_strategies both are (V, ...) views of settings-major storage,
     the vertex axis innermost in memory; any other layout gives the same
-    values.  Construction rejects a response other than 0 or 1, so every
-    table built from the vertices is a normalized distribution.
+    values.  Construction rejects other shapes and a response other than 0
+    or 1, so every table built from the vertices is a normalized distribution.
     """
 
     a_response: np.ndarray
@@ -35,6 +35,10 @@ class VertexSet:
     crosstalk: bool
 
     def __post_init__(self):
+        a, b = self.a_response.shape, self.b_response.shape
+        if len(a) != 2 or b != (a[0], 2, a[1] if self.crosstalk else 1):
+            raise ValidationError(f"a_response of shape {a} and b_response of shape {b} are "
+                                  f"not (V, X) and (V, 2, {'X' if self.crosstalk else 1})")
         for arr in (self.a_response, self.b_response):
             if arr.size and (arr.min() < 0 or arr.max() > 1):
                 raise ValidationError("a strategy's response is not 0 or 1")

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decay", help="predicted gamma over waiting time")
     p.add_argument("--t2", type=float, required=True, help="dephasing time, ms")
-    p.add_argument("--t1", type=float, default=1170.0, help="relaxation time, ms")
+    p.add_argument("--t1", type=float, default=proclib.DEFAULT_T1_MS, help="relaxation time, ms")
     p.add_argument("--echo-fidelity", type=float, required=True)
     p.add_argument("--echo-interval", type=float, required=True, help="ms")
     p.add_argument("--initial-gamma", type=float, required=True)
@@ -125,9 +125,6 @@ def _cmd_simulate(args) -> int:
         overrides["shots"] = None
     path = args.config or dataio.PRESETS[args.preset]
     cfg = dataio.load_config(path, **overrides)
-    if args.alpha is not None and cfg.unitary != "partial_swap":
-        raise ValidationError("--alpha sets the angle of the unitary partial_swap, "
-                              "which this configuration does not use")
     _, _, report = dataio.run_experiment(cfg)
     dataio.emit_report(report, out_dir=args.out)
     d = report.to_json_dict()

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -247,7 +247,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         nz = doc["noise"]
         if not isinstance(nz, dict):
             raise ParseError(f"{path}: noise must be a mapping")
-        nz = {"t1_ms": 1170.0, **nz}
+        nz = {"t1_ms": proclib.DEFAULT_T1_MS, **nz}
         missing = [key for key in _NOISE_KEYS.values() if key not in nz]
         if missing:
             raise ParseError(f"{path}: noise block lacks {missing}")
@@ -275,8 +275,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
 def check_config(cfg: ExperimentConfig) -> None:
     """Raise for a value of cfg that no run accepts, naming its flag and
     config key: a negative seed, shots outside [1, MAX_COUNT], a resample count
-    or sigma_k that certify refuses, a wait without a noise block
-    (ValidationError), or a negative or NaN wait (DomainError)."""
+    or sigma_k that certify refuses, a wait without a noise block or an alpha
+    without partial_swap (ValidationError), or a negative or NaN wait (DomainError)."""
     certify.check_seed(cfg.seed)
     if cfg.shots is not None and not 1 <= cfg.shots <= MAX_COUNT:
         raise ValidationError(f"--shots (config key shots) {cfg.shots} is not between 1 "
@@ -285,6 +285,10 @@ def check_config(cfg: ExperimentConfig) -> None:
     certify.check_sigma_k(cfg.sigma_k)
     if cfg.noise is None and cfg.wait_ms != 0.0:
         raise ValidationError(f"--wait (config key wait_ms) {cfg.wait_ms} needs a noise block")
+    swap = isinstance(cfg.unitary, str) and cfg.unitary == "partial_swap"
+    if cfg.alpha is not None and not swap:
+        raise ValidationError(f"--alpha (config key alpha) {cfg.alpha} sets the angle of the "
+                              f"unitary partial_swap, which this configuration does not use")
     if not cfg.wait_ms >= 0.0:
         raise DomainError(f"--wait (config key wait_ms): waiting time {cfg.wait_ms} ms is "
                           f"not a nonnegative number")
@@ -387,18 +391,7 @@ def write_curve(out_dir: str | Path, name: str, rows: Sequence[tuple]) -> Path:
     return _write(Path(out_dir), f"{name}.csv", text.getvalue())
 
 
-def emit_report(
-    report: certify.CertReport,
-    curves: Mapping[str, Sequence[tuple]] | None = None,
-    out_dir: str | Path = ".",
-) -> list[Path]:
-    """Write report.json plus one CSV per named curve; returns written paths.
-
-    Curve rows are (abscissa, value) or (abscissa, value, stderr_lo,
-    stderr_hi); numbers are written with full round-trip precision and the
-    output is byte-stable for identical inputs.
-    """
-    out_dir = Path(out_dir)
+def emit_report(report: certify.CertReport, out_dir: str | Path = ".") -> Path:
+    """Write report.json, byte-stable for identical inputs; returns its path."""
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    return [_write(out_dir, "report.json", text)] + [
-        write_curve(out_dir, name, rows) for name, rows in (curves or {}).items()]
+    return _write(Path(out_dir), "report.json", text)

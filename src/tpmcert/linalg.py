@@ -1,6 +1,6 @@
-"""Dense complex linear algebra kernel: Kronecker products, the partial
-trace, batched state, POVM and unitary checks, and the small zoo of qubit
-states and gates everything else is built from.
+"""Dense complex linear algebra kernel: batched state, POVM and unitary
+checks, and the small zoo of qubit states and gates everything else is
+built from.
 
 Index convention: in any composite space the leftmost tensor factor is the
 slowest-varying index (row-major), matching ``numpy.kron``.
@@ -9,7 +9,7 @@ slowest-varying index (row-major), matching ``numpy.kron``.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,48 +57,6 @@ def bloch_projector(n: Sequence[float]) -> np.ndarray:
 def is_hermitian(m: np.ndarray, atol: float = HERM_ATOL) -> bool:
     """True if m, or every matrix of a stack (..., d, d), is Hermitian."""
     return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max() <= atol)
-
-
-def check_layout(dim: int, factor_dims: Sequence[int]) -> tuple[int, ...]:
-    """Validate that factor_dims describes a dim x dim matrix."""
-    dims = tuple(int(d) for d in factor_dims)
-    if any(d <= 0 for d in dims):
-        raise ValidationError(f"factor dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != dim:
-        raise ValidationError(
-            f"layout {dims} is inconsistent with matrix dimension {dim}"
-        )
-    return dims
-
-
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
-def partial_trace(
-    m: np.ndarray, factor_dims: Sequence[int], traced_factors: Iterable[int]
-) -> np.ndarray:
-    """Trace out the listed tensor factors; the kept factors retain their order.
-
-    Tracing out every factor yields a 1x1 matrix holding Tr(m).
-    """
-    dims = check_layout(m.shape[0], factor_dims)
-    n = len(dims)
-    traced = sorted(set(int(i) for i in traced_factors))
-    if any(i < 0 or i >= n for i in traced):
-        raise ValidationError(f"traced factors {traced} out of range for {dims}")
-    t = m.reshape(dims * 2)
-    removed = 0
-    for i in traced:
-        k = i - removed
-        t = np.trace(t, axis1=k, axis2=k + (n - removed))
-        removed += 1
-    kept = [d for j, d in enumerate(dims) if j not in traced]
-    d = int(np.prod(kept)) if kept else 1
-    return t.reshape(d, d)
 
 
 def assert_density_matrix(rho: np.ndarray, atol: float = HERM_ATOL) -> None:

@@ -26,9 +26,6 @@ from . import linalg
 from .exceptions import ValidationError
 
 PROCESS_ATOL = 1e-9
-INPUT_ATOL = 1e-10
-
-QUBIT_TPM_LAYOUT = (2, 2, 2)
 # the discarded first measurement of an intervention: id for both outcomes
 _ID_PAIR = np.broadcast_to(linalg.ID2, (2, 2, 2))
 
@@ -85,11 +82,11 @@ class MpInstrument:
         """One POVM check of the raw settings' stack; when it fails, the
         settings are checked one by one to name the first bad one."""
         try:
-            linalg.assert_povm(stack, INPUT_ATOL)
+            linalg.assert_povm(stack)
         except ValidationError:
             for pair, i in zip(stack, raw):
                 try:
-                    linalg.assert_povm(pair, INPUT_ATOL)
+                    linalg.assert_povm(pair)
                 except ValidationError as exc:
                     raise ValidationError(f"POVM of setting {self.settings[i]!r}: {exc}") from None
             raise
@@ -189,7 +186,7 @@ class InitialState(_TwoQubitOperator):
     what = "initial state"
 
     def check(self, m):
-        linalg.assert_density_matrix(m, INPUT_ATOL)
+        linalg.assert_density_matrix(m)
 
 
 class Unitary(_TwoQubitOperator):
@@ -198,7 +195,7 @@ class Unitary(_TwoQubitOperator):
     what = "unitary"
 
     def check(self, m):
-        linalg.assert_unitary(m, INPUT_ATOL)
+        linalg.assert_unitary(m)
 
 
 class BinaryPovm(_CheckedPair):
@@ -207,7 +204,7 @@ class BinaryPovm(_CheckedPair):
     what = "POVM"
 
     def check(self, ops):
-        linalg.assert_povm(ops, INPUT_ATOL)
+        linalg.assert_povm(ops)
 
 
 class FinalMeasurement(BinaryPovm):
@@ -222,7 +219,7 @@ class Repreparations(_CheckedPair):
     what = "re-preparations"
 
     def check(self, ops):
-        linalg.assert_density_matrix(ops, INPUT_ATOL)
+        linalg.assert_density_matrix(ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +231,6 @@ class ProcessOperator:
 
     w: np.ndarray
     marginal_state: np.ndarray
-    layout: tuple[int, int, int] = QUBIT_TPM_LAYOUT
 
 
 def _check_table(table, shape: tuple[int, ...], cells: tuple[int, ...], row_name,
@@ -376,11 +372,11 @@ def build_process(rho: InitialState | np.ndarray, u: Unitary | np.ndarray) -> Pr
     return op
 
 
-def validate_process(op: ProcessOperator | np.ndarray, atol: float = PROCESS_ATOL) -> list[str]:
+def validate_process(op: ProcessOperator | np.ndarray) -> list[str]:
     """Diagnostic check of the process-operator invariants; empty list = valid.
 
     Checks Hermiticity, positivity, Tr W = 2, and the causality marginal
-    Tr_B W = rho_A' (x) id_A.  When a declared marginal state is available it
+    Tr_B W = rho_A' (x) id_A, within PROCESS_ATOL.  A declared marginal state
     must agree with the marginal derived from W itself.  A stack (..., 8, 8)
     is checked at once, with one Hermiticity max and one eigvalsh; its
     problems are those of its first invalid member in C order, each led by
@@ -393,7 +389,7 @@ def validate_process(op: ProcessOperator | np.ndarray, atol: float = PROCESS_ATO
     if w.shape[-2:] != (8, 8):
         return [f"wrong shape {w.shape}, expected (8, 8)"]
     w_dag = w.conj().swapaxes(-1, -2)
-    hermitian = np.abs(w - w_dag).max(axis=(-2, -1)) <= atol
+    hermitian = np.abs(w - w_dag).max(axis=(-2, -1)) <= PROCESS_ATOL
     if not hermitian.all():
         w = np.where(hermitian[..., None, None], w, 0.5 * (w + w_dag))
     w6 = w.reshape(w.shape[:-2] + (2,) * 6)             # A', A, B, A'~, A~, B~
@@ -404,13 +400,13 @@ def validate_process(op: ProcessOperator | np.ndarray, atol: float = PROCESS_ATO
     marginal_off = tr_b - derived_marginal[..., :, None, :, None] * linalg.ID2[:, None, :]
     faults = [
         (~hermitian, "not Hermitian"),
-        (np.linalg.eigvalsh(w)[..., 0] < -atol, "positivity violated"),
-        (np.abs(trace - 2.0) > atol, None),  # the message names the trace
-        (np.abs(marginal_off).max(axis=(-4, -3, -2, -1)) > atol,
+        (np.linalg.eigvalsh(w)[..., 0] < -PROCESS_ATOL, "positivity violated"),
+        (np.abs(trace - 2.0) > PROCESS_ATOL, None),  # the message names the trace
+        (np.abs(marginal_off).max(axis=(-4, -3, -2, -1)) > PROCESS_ATOL,
          "marginal violated: Tr_B W is not rho_A' (x) id_A"),
     ]
     if declared is not None:
-        faults.append((np.abs(derived_marginal - declared).max(axis=(-2, -1)) > atol,
+        faults.append((np.abs(derived_marginal - declared).max(axis=(-2, -1)) > PROCESS_ATOL,
                        "declared marginal state disagrees with Tr_{AB} W / 2"))
     bad = faults[0][0]
     for fault, _ in faults[1:]:

@@ -136,10 +136,12 @@ def upsilon(p: float) -> process.ProcessOperator:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"mixing weight {p} outside [0, 1]")
-    base = w222()
-    h = linalg.kron_all([linalg.HADAMARD, linalg.ID2, linalg.ID2])
-    w = p * base.w + (1.0 - p) * (h @ base.w @ h.conj().T)
-    marginal = linalg.partial_trace(w, process.QUBIT_TPM_LAYOUT, {1, 2}) / 2.0
+    base, h = w222().w, linalg.HADAMARD
+    twirled = np.einsum("ij,jakb,lk->ialb", h, base.reshape(2, 4, 2, 4), h.conj())
+    w = p * base + (1.0 - p) * twirled.reshape(8, 8)
+    w6 = w.reshape((2,) * 6)  # A', A, B, A'~, A~, B~
+    tr_a = w6[:, 0, :, :, 0] + w6[:, 1, :, :, 1]  # A', B, A'~, B~
+    marginal = (tr_a[:, 0, :, 0] + tr_a[:, 1, :, 1]) / 2.0
     return process.ProcessOperator(w=w, marginal_state=marginal)
 
 
@@ -244,9 +246,9 @@ class EbChannel:
     def __post_init__(self):
         if len(self.effects) != len(self.outputs):
             raise ValidationError("effects and outputs differ in length")
-        linalg.assert_povm(self.effects, process.INPUT_ATOL)
+        linalg.assert_povm(self.effects)
         for rho in self.outputs:
-            linalg.assert_density_matrix(rho, process.INPUT_ATOL)
+            linalg.assert_density_matrix(rho)
 
 
 def eb_channel_terms(
@@ -262,13 +264,10 @@ def eb_channel_terms(
         raise ValidationError("expected a two-qubit state")
     if target not in (0, 1):
         raise ValidationError("target factor must be 0 or 1")
-    terms = []
-    for eff, out in zip(ch.effects, ch.outputs):
-        ops = [linalg.ID2, linalg.ID2]
-        ops[target] = eff
-        kept = linalg.partial_trace(np.kron(*ops) @ rho, (2, 2), {target})
-        terms.append((kept, out))
-    return terms
+    # Tr_target[(E on target) rho], summed over the traced factor's indices
+    spec = "km,mjkl->jl" if target == 0 else "km,imlk->il"
+    return [(np.einsum(spec, eff, rho.reshape(2, 2, 2, 2)), out)
+            for eff, out in zip(ch.effects, ch.outputs)]
 
 
 def apply_eb_channel(rho: np.ndarray, ch: EbChannel, target: int = 1) -> np.ndarray:
@@ -278,6 +277,10 @@ def apply_eb_channel(rho: np.ndarray, ch: EbChannel, target: int = 1) -> np.ndar
         factors = [kept, prep] if target == 1 else [prep, kept]
         out = out + np.kron(*factors)
     return out
+
+
+# relaxation time t1 in ms when a noise block or `decay --t1` gives none
+DEFAULT_T1_MS = 1170.0
 
 
 @dataclass(frozen=True)

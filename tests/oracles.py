@@ -90,6 +90,17 @@ def partial_transpose(m, dims, factor):
     return np.ascontiguousarray(m.reshape(tuple(dims) * 2).transpose(axes).reshape(m.shape))
 
 
+def partial_trace(m, dims, traced):
+    """Trace out the listed tensor factors of m; the kept factors keep their
+    order, and tracing out every factor leaves the 1x1 matrix Tr(m)."""
+    n = len(dims)
+    t = m.reshape(tuple(dims) * 2)
+    for removed, i in enumerate(sorted(traced)):
+        t = np.trace(t, axis1=i - removed, axis2=i + n - 2 * removed)
+    d = int(np.prod([dims[j] for j in range(n) if j not in traced]))
+    return t.reshape(d, d)
+
+
 def permute_factors(m, dims, perm):
     """Reorder the tensor factors of m: new position i holds old factor perm[i]."""
     n = len(dims)

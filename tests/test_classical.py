@@ -191,6 +191,17 @@ def test_vertex_set_rejects_a_response_outside_0_1_at_construction(bad, crosstal
     assert len(classical.VertexSet(good_a.astype(np.int8), good_b.astype(np.int8), crosstalk)) == 1
 
 
+def test_vertex_set_rejects_responses_of_the_wrong_shape():
+    # a no-crosstalk b_response in a crosstalk set would give the bounds of a
+    # set without crosstalk; a b_response with two settings beside an
+    # a_response with three would end in a numpy broadcast error
+    for a, b in (([[0, 1]], [[[0], [1]]]), ([[0, 1, 1]], [[[0, 1], [1, 0]]])):
+        a, b = np.array(a, dtype=np.int8), np.array(b, dtype=np.int8)
+        with pytest.raises(ValidationError) as info:
+            classical.VertexSet(a, b, crosstalk=True)
+        assert f"shape {a.shape}" in str(info.value) and f"shape {b.shape}" in str(info.value)
+
+
 @pytest.mark.parametrize("crosstalk", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_values_do_not_depend_on_the_vertex_layout(n, crosstalk):

@@ -232,14 +232,13 @@ def test_emit_report_round_trip(tmp_path, obs_fixture, do_fixture):
     beh = dataio.ingest_counts(obs_fixture)
     table = dataio.ingest_counts(do_fixture)
     report = certify.certify_behavior(beh, do_table=table, n_resamples=200, seed=42)
-    curve = {"decay_curve": [(0.0, 0.642), (5.0, 0.7)]}
-    paths = dataio.emit_report(report, curves=curve, out_dir=tmp_path)
-    loaded = json.loads((tmp_path / "report.json").read_text())
-    assert loaded == report.to_json_dict()
-    csv_text = (tmp_path / "decay_curve.csv").read_text()
+    path = dataio.emit_report(report, out_dir=tmp_path)
+    assert path == tmp_path / "report.json"
+    assert json.loads(path.read_text()) == report.to_json_dict()
+    csv_path = dataio.write_curve(tmp_path, "decay_curve", [(0.0, 0.642), (5.0, 0.7)])
+    csv_text = csv_path.read_text()
     assert csv_text.startswith("abscissa,value,stderr_lo,stderr_hi")
     assert repr(0.642) in csv_text
-    assert len(paths) == 2
 
 
 def test_emit_is_byte_stable(tmp_path, obs_fixture):
@@ -607,12 +606,14 @@ def _explicit_yaml(key, *matrices):
      "unitary: matrix is not unitary"),
     # only the partial swap has an angle; the flag would be dropped silently
     ("simulate --preset memory_test --exact --alpha 7.0", None, None, "--alpha"),
+    ("simulate", "alpha.yaml", b"alpha: 7.0\n", "--alpha (config key alpha) 7.0"),
 ], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
         "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2",
         "negative_seed_certify", "negative_seed_preset", "negative_seed_config",
         "wait_without_noise", "wait_without_noise_config", "nan_t2", "nan_sigma_k",
         "negative_sigma_k", "nan_decay_t2", "nan_unitary", "final_not_psd", "reps_trace_2",
-        "four_reps", "state_trace_2", "not_unitary", "alpha_without_partial_swap"])
+        "four_reps", "state_trace_2", "not_unitary", "alpha_without_partial_swap",
+        "alpha_without_partial_swap_config"])
 def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
     path = tmp_path / str(name)
     if content is not None:
@@ -650,7 +651,8 @@ def test_every_registry_entry_builds_and_validates(tmp_path):
     for key, names in proclib.COMPONENTS.items():
         for name in names:
             value = [name] if key == "settings" else name
-            path = write(tmp_path, "entry.yaml", f"alpha: 1.0\n{key}: {value}\n")
+            alpha = "alpha: 1.0\n" if name == "partial_swap" else ""
+            path = write(tmp_path, "entry.yaml", f"{alpha}{key}: {value}\n")
             behavior, _, _ = dataio.run_experiment(dataio.load_config(path))
             assert np.isfinite(behavior.probs).all(), (key, name)
             entry = proclib.component(key, name, 1.0)
@@ -662,7 +664,7 @@ def test_every_registry_entry_builds_and_validates(tmp_path):
 def _explicit(cfg):
     """cfg with every named component replaced by the registry's matrices."""
     keys = ("initial_state", "unitary", "repreparations", "final_measurement")
-    return dataclasses.replace(cfg, **{
+    return dataclasses.replace(cfg, alpha=None, **{
         key: np.array(proclib.component(key, getattr(cfg, key), cfg.alpha)) for key in keys})
 
 
@@ -691,7 +693,8 @@ def test_every_registry_entry_runs_as_its_explicit_matrices():
                                            povm={name: tuple(proclib.component(key, name))})
                 assert named.effects.tobytes() == raw.effects.tobytes(), name
                 continue
-            cfg = dataio.ExperimentConfig(alpha=1.0, **{key: name})
+            cfg = dataio.ExperimentConfig(alpha=1.0 if name == "partial_swap" else None,
+                                          **{key: name})
             _assert_same_run(cfg, _explicit(cfg))
 
 

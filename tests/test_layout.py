@@ -13,17 +13,32 @@ def _references(tree: ast.AST) -> Counter:
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or a class's, or
+    the names an assignment binds, dunder names aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+            and not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
 def test_every_library_name_is_reached():
-    # a top-level function or class of src/tpmcert stays there only if other
-    # library code, the benchmark or the public API uses it; code that only
-    # tests call belongs under tests/
+    # a top-level function, class or constant of src/tpmcert stays there only
+    # if other library code, the benchmark or the public API uses it; code
+    # that only tests call belongs under tests/
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted((REPO / "src" / "tpmcert").glob("*.py"))}
     in_src = sum(map(_references, trees.values()), Counter())
     outside = set(tpmcert.__all__)
     for path in sorted((REPO / "perfbench").glob("*.py")):
         outside |= set(_references(ast.parse(path.read_text())))
-    unreached = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in outside
-                 and in_src[node.name] == _references(node)[node.name]]
+    unreached = [f"{module}.{name}" for module, tree in trees.items() for node in tree.body
+                 for name in _defined(node)
+                 if name not in outside and in_src[name] == _references(node)[name]]
     assert unreached == []
