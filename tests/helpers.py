@@ -29,6 +29,15 @@ def mixture(vertices: classical.VertexSet, weights) -> tuple[process.Behavior, p
             process.DoTable(probs=_mix(w, do), do_settings=labels if vertices.crosstalk else None))
 
 
+def vertex_table_values(vertices: classical.VertexSet) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and gamma + 2 ACDE of every vertex, each (V,) float, from its own
+    0/1 behavior and do-tables: the per-vertex route that the library's
+    type-set table replaces, kept as its reference."""
+    probs, do = classical._tables(vertices)
+    gamma = certify.gamma_only(probs)
+    return gamma.astype(float), (gamma + 2 * certify.acde_values(do)).astype(float)
+
+
 def lemma1_check(vertices: classical.VertexSet, mixtures: int = 0, seed: int = 0) -> bool:
     """Verify the potential-outcome inequalities on every vertex, or on random
     mixtures of the vertices.

@@ -4,7 +4,7 @@ import pytest
 from tpmcert import certify, classical
 from tpmcert.exceptions import ResourceLimitError, ValidationError
 
-from helpers import lemma1_check, mixture
+from helpers import lemma1_check, mixture, vertex_table_values
 from oracles import classical_vertex_values
 
 RNG = np.random.default_rng(505)
@@ -69,8 +69,9 @@ def test_classical_minimum_gamma_is_one():
 
 
 def test_minimum_gamma_reads_behavior_tables_only(monkeypatch):
-    # the no-crosstalk minimum needs no do-table, so it evaluates no ACDE;
-    # the corrected bound still evaluates one per vertex set
+    # ACDE is evaluated once per process, for the type-set table; the
+    # no-crosstalk minimum reads only the table's gamma column, so it does
+    # not move when the corrected column is unreadable
     calls = []
     acde_values = certify.acde_values
 
@@ -78,15 +79,41 @@ def test_minimum_gamma_reads_behavior_tables_only(monkeypatch):
         calls.append(probs.shape)
         return acde_values(probs)
 
+    classical._type_sets.cache_clear()
     monkeypatch.setattr(certify, "acde_values", counted)
-    assert [classical.classical_minimum_gamma(n) for n in (1, 2, 3, 4)] == [2.0, 1.0, 1.0, 1.0]
-    assert calls == []
     for n in (1, 2, 3, 4):
         vertices = classical.enumerate_strategies(n, crosstalk=True)
         _, gammas, corrected = classical_vertex_values(n, True)
-        assert classical.minimum_gamma(vertices) == min(gammas)
+        assert classical.vertex_values(vertices)[0].min() == min(gammas)
         assert classical.check_corrected_bound(vertices) == min(corrected) == (2.0 if n == 1 else 1.0)
-    assert len(calls) == 4
+    assert calls == [(255, 2, 8, 2)]
+    gamma, corrected, sizes, plain = classical._type_sets()
+    unreadable = np.full_like(corrected, np.nan)
+    monkeypatch.setattr(classical, "_type_sets", lambda: (gamma, unreadable, sizes, plain))
+    assert [classical.classical_minimum_gamma(n) for n in (1, 2, 3, 4)] == [2.0, 1.0, 1.0, 1.0]
+    assert np.isnan(classical.classical_minimum_corrected(4))
+    assert len(calls) == 1
+
+
+def test_type_set_table_is_built_once_per_process(monkeypatch):
+    calls = []
+    gamma_only = certify.gamma_only
+
+    def counted(probs):
+        calls.append(probs.shape)
+        return gamma_only(probs)
+
+    classical._type_sets.cache_clear()
+    monkeypatch.setattr(certify, "gamma_only", counted)
+    for n in (1, 3, 7, 20):
+        classical.classical_minimum_gamma(n)
+        classical.classical_minimum_corrected(n)
+    for crosstalk in (False, True):
+        vertices = classical.enumerate_strategies(3, crosstalk=crosstalk)
+        classical.vertex_values(vertices)
+        classical.check_corrected_bound(vertices)
+    assert calls == [(255, 8, 2, 2)]
+    assert classical._type_sets.cache_info().misses == 1
 
 
 def test_classical_minimum_holds_on_random_mixtures():
@@ -160,6 +187,42 @@ def test_classical_minima_at_five_settings():
     assert classical.check_corrected_bound(vertices) == 1.0
 
 
+@pytest.mark.parametrize("crosstalk", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_type_set_values_are_the_per_vertex_values(n, crosstalk):
+    # every vertex reads from its type set the bytes that its own tables
+    # give: on the enumeration, on random draws from it and on vertex-major
+    # copies of both
+    vertices = classical.enumerate_strategies(n, crosstalk=crosstalk)
+    want = vertex_table_values(vertices)
+    if n <= 4 or not crosstalk:
+        _, gammas, corrected = classical_vertex_values(n, crosstalk)
+        assert want[0].tolist() == gammas and want[1].tolist() == corrected
+    drawn = np.random.default_rng([n, crosstalk]).integers(len(vertices), size=97)
+    for rows in (slice(None), drawn):
+        for layout in (np.asarray, np.ascontiguousarray):
+            strategies = classical.VertexSet(layout(vertices.a_response[rows]),
+                                             layout(vertices.b_response[rows]), crosstalk)
+            for got, values in zip(classical.vertex_values(strategies), want):
+                assert got.dtype == values.dtype and got.tobytes() == values[rows].tobytes()
+
+
+def test_type_set_minima_are_the_enumerated_minima():
+    for n in range(1, 7):
+        gamma, _ = vertex_table_values(classical.enumerate_strategies(n))
+        _, corrected = vertex_table_values(classical.enumerate_strategies(n, crosstalk=True))
+        assert classical.classical_minimum_gamma(n) == gamma.min()
+        assert classical.classical_minimum_corrected(n) == corrected.min()
+    # past the enumeration limit, where no vertex is listed
+    for n, want in ((1, 2.0), (7, 1.0), (8, 1.0), (20, 1.0)):
+        assert classical.classical_minimum_gamma(n) == want
+        assert classical.classical_minimum_corrected(n) == want
+    for n in (0, -1):
+        for minimum in (classical.classical_minimum_gamma, classical.classical_minimum_corrected):
+            with pytest.raises(ValidationError, match="need at least one setting"):
+                minimum(n)
+
+
 def test_vertex_set_is_read_only_and_indexes_like_a_list():
     vertices = classical.enumerate_strategies(3, crosstalk=True)
     assert vertices.a_response.dtype == np.int8
@@ -199,6 +262,18 @@ def test_vertex_set_rejects_responses_of_the_wrong_shape():
         a, b = np.array(a, dtype=np.int8), np.array(b, dtype=np.int8)
         with pytest.raises(ValidationError) as info:
             classical.VertexSet(a, b, crosstalk=True)
+        assert f"shape {a.shape}" in str(info.value) and f"shape {b.shape}" in str(info.value)
+
+
+@pytest.mark.parametrize("crosstalk", [False, True])
+def test_vertex_set_rejects_empty_shapes(crosstalk):
+    # no vertex, or vertices of no setting, have no minimum: numpy's
+    # reduction or reshape error, or the NaN of the empty type set
+    for v, x in ((0, 3), (3, 0)):
+        a = np.zeros((v, x), dtype=np.int8)
+        b = np.zeros((v, 2, x if crosstalk else 1), dtype=np.int8)
+        with pytest.raises(ValidationError) as info:
+            classical.VertexSet(a, b, crosstalk)
         assert f"shape {a.shape}" in str(info.value) and f"shape {b.shape}" in str(info.value)
 
 

@@ -335,11 +335,11 @@ def test_cli_classical_bound_enumerates_each_vertex_set_once(monkeypatch, capsys
         calls.append((args, kwargs))
         return enumerate_strategies(*args, **kwargs)
 
+    # the minima come from the type sets, so no vertex set is enumerated
     monkeypatch.setattr(classical, "enumerate_strategies", counted)
     assert cli.main(["classical-bound", "--x", "3"]) == 0
-    assert len(calls) == 2
     assert cli.main(["classical-bound", "--x", "3", "--skip-crosstalk"]) == 0
-    assert len(calls) == 3
+    assert calls == []
     out = capsys.readouterr().out.splitlines()
     assert out == [
         "min gamma over 32 no-crosstalk vertices: 1.000000000000",
@@ -630,6 +630,22 @@ def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fra
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x, fragment", [
+    ("0", "need at least one setting"),
+    ("-3", "need at least one setting"),
+    (str(cli.MAX_SETTINGS + 1), f"--x {cli.MAX_SETTINGS + 1} exceeds the limit of 512"),
+    # 8^4762 has 4301 digits, one past Python's default limit for printing an int
+    ("4762", "--x 4762 exceeds the limit of 512"),
+    ("10000000", "--x 10000000 exceeds the limit of 512"),
+], ids=["zero", "negative", "past_the_limit", "past_the_int_text_limit", "huge"])
+def test_cli_classical_bound_hostile_x_exits_2(capsys, x, fragment):
+    assert cli.MAX_SETTINGS == 512
+    assert cli.main(["classical-bound", "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {fragment}\n" and captured.out == ""
+    assert cli.main(["classical-bound", "--x", str(cli.MAX_SETTINGS), "--skip-crosstalk"]) == 0
+
+
 @pytest.mark.parametrize("text, key", [
     ("unitary: foo\n", "unitary: unknown name 'foo'"),
     ("settings: [x, y]\n", "settings: unknown name 'y'"),
@@ -799,12 +815,27 @@ def test_sampled_gamma_converges_at_large_shots():
     assert hits >= 19
 
 
-def test_cli_classical_bound_at_the_largest_admitted_alphabet(capsys):
-    # |X| = 6 is the largest alphabet whose 2^18 crosstalk vertices the
-    # enumeration limit admits
-    assert 2**18 <= classical.MAX_STRATEGIES < 2**21
-    assert cli.main(["classical-bound", "--x", "6"]) == 0
+# classical-bound --x N: vertex counts without and with crosstalk, and the
+# printed minimum of both lines
+CLASSICAL_BOUND_LINES = {
+    1: (8, 8, "2.000000000000"),
+    2: (16, 64, "1.000000000000"),
+    3: (32, 512, "1.000000000000"),
+    4: (64, 4096, "1.000000000000"),
+    5: (128, 32768, "1.000000000000"),
+    6: (256, 262144, "1.000000000000"),
+    7: (512, 2097152, "1.000000000000"),
+    8: (1024, 16777216, "1.000000000000"),
+}
+
+
+@pytest.mark.parametrize("x", range(1, 9))
+def test_cli_classical_bound_at_every_alphabet(capsys, x):
+    # the lines of the enumeration up to |X| = 6, its limit, and the same
+    # lines past it, where the type sets give the minima
+    plain, crosstalk, minimum = CLASSICAL_BOUND_LINES[x]
+    assert cli.main(["classical-bound", "--x", str(x)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "min gamma over 256 no-crosstalk vertices: 1.000000000000",
-        "min (gamma + 2 ACDE) over 262144 crosstalk vertices: 1.000000000000",
+        f"min gamma over {plain} no-crosstalk vertices: {minimum}",
+        f"min (gamma + 2 ACDE) over {crosstalk} crosstalk vertices: {minimum}",
     ]
