@@ -162,7 +162,7 @@ def _type_masks(vertices: VertexSet) -> np.ndarray:
     """The type-set mask of every vertex, uint8 (V,): bit 4 a(x) + 2 b(0, x)
     + b(1, x) set for every setting x, reading b(., 0) without crosstalk."""
     a, b = vertices.a_response.T, vertices.b_response.transpose(1, 2, 0)  # (X, V), (2, K, V)
-    types = (4 * a + 2 * b[0] + b[1]).view(np.uint8)
+    types = (4 * a + 2 * b[0] + b[1]).astype(np.uint8)
     return np.bitwise_or.reduce(np.left_shift(np.uint8(1), types), axis=0)
 
 

@@ -191,8 +191,8 @@ def test_classical_minima_at_five_settings():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_type_set_values_are_the_per_vertex_values(n, crosstalk):
     # every vertex reads from its type set the bytes that its own tables
-    # give: on the enumeration, on random draws from it and on vertex-major
-    # copies of both
+    # give: on the enumeration, on random draws from it, and on vertex-major
+    # and int64 copies of both
     vertices = classical.enumerate_strategies(n, crosstalk=crosstalk)
     want = vertex_table_values(vertices)
     if n <= 4 or not crosstalk:
@@ -200,7 +200,7 @@ def test_type_set_values_are_the_per_vertex_values(n, crosstalk):
         assert want[0].tolist() == gammas and want[1].tolist() == corrected
     drawn = np.random.default_rng([n, crosstalk]).integers(len(vertices), size=97)
     for rows in (slice(None), drawn):
-        for layout in (np.asarray, np.ascontiguousarray):
+        for layout in (np.asarray, np.ascontiguousarray, lambda r: r.astype(np.int64)):
             strategies = classical.VertexSet(layout(vertices.a_response[rows]),
                                              layout(vertices.b_response[rows]), crosstalk)
             for got, values in zip(classical.vertex_values(strategies), want):
@@ -257,21 +257,15 @@ def test_vertex_set_rejects_a_response_outside_0_1_at_construction(bad, crosstal
 def test_vertex_set_rejects_responses_of_the_wrong_shape():
     # a no-crosstalk b_response in a crosstalk set would give the bounds of a
     # set without crosstalk; a b_response with two settings beside an
-    # a_response with three would end in a numpy broadcast error
-    for a, b in (([[0, 1]], [[[0], [1]]]), ([[0, 1, 1]], [[[0, 1], [1, 0]]])):
+    # a_response with three would end in a numpy broadcast error; no vertex,
+    # or vertices of no setting, have no minimum (numpy's reduction or
+    # reshape error, or the NaN of the empty type set)
+    for a, b, crosstalk in (([[0, 1]], [[[0], [1]]], True), ([[0, 1, 1]], [[[0, 1], [1, 0]]], True),
+                            (np.zeros((0, 3)), np.zeros((0, 2, 3)), True),
+                            (np.zeros((3, 0)), np.zeros((3, 2, 0)), True),
+                            (np.zeros((0, 3)), np.zeros((0, 2, 1)), False),
+                            (np.zeros((3, 0)), np.zeros((3, 2, 1)), False)):
         a, b = np.array(a, dtype=np.int8), np.array(b, dtype=np.int8)
-        with pytest.raises(ValidationError) as info:
-            classical.VertexSet(a, b, crosstalk=True)
-        assert f"shape {a.shape}" in str(info.value) and f"shape {b.shape}" in str(info.value)
-
-
-@pytest.mark.parametrize("crosstalk", [False, True])
-def test_vertex_set_rejects_empty_shapes(crosstalk):
-    # no vertex, or vertices of no setting, have no minimum: numpy's
-    # reduction or reshape error, or the NaN of the empty type set
-    for v, x in ((0, 3), (3, 0)):
-        a = np.zeros((v, x), dtype=np.int8)
-        b = np.zeros((v, 2, x if crosstalk else 1), dtype=np.int8)
         with pytest.raises(ValidationError) as info:
             classical.VertexSet(a, b, crosstalk)
         assert f"shape {a.shape}" in str(info.value) and f"shape {b.shape}" in str(info.value)
