@@ -27,9 +27,11 @@ GAMMA_MAX_VIOLATION = 2.0 - math.sqrt(2.0)
 DEFAULT_RESAMPLES = 10_000
 MAX_RESAMPLES = 1_000_000
 # resamples times resampled table rows (settings plus do-table rows): the
-# bootstrap peaks at about 70 bytes per resample and setting and less per
-# do-table row, so this holds it under about 0.85 GB and still admits the
-# memory test with its do-table (4 + 8 rows) at MAX_RESAMPLES
+# bootstrap peaks at about 32 bytes per resample and setting, 16 per resample
+# and do-table row and 100 per resample (tracemalloc), and frozen_argmin adds
+# 32 per resample and setting for its pair terms, so this holds it under about
+# 0.5 GB (0.85 GB with frozen_argmin) and still admits the memory test with
+# its do-table (4 + 8 rows) at MAX_RESAMPLES
 MAX_RESAMPLED_ROWS = 12_000_000
 DEFAULT_SIGMA_K = 3.0
 
@@ -77,8 +79,8 @@ class CertReport:
 
 
 def _pair_terms(probs: np.ndarray) -> np.ndarray:
-    """T[..., x, b0, b1] = P(0, b0 | x) + P(1, b1 | x) of probs (..., X, 2, 2),
-    laid out in memory like probs."""
+    """T[..., b0, b1] = P(0, b0) + P(1, b1) of probs (..., 2, 2), laid out in
+    memory like probs; of every setting at once for probs (..., X, 2, 2)."""
     t = np.empty_like(probs)
     for b0 in (0, 1):
         for b1 in (0, 1):
@@ -110,8 +112,13 @@ def pair_minima(
 
 def gamma_only(probs: np.ndarray) -> np.ndarray:
     """Gamma of every table in probs (..., X, 2, 2), shape (...), without the
-    setting indices that gamma_values also returns."""
-    return _gamma(_pair_terms(probs).min(axis=-3))
+    setting indices that gamma_values also returns.  The pair minima are a
+    running minimum over settings, which holds one setting's pair terms at a
+    time and gives pair_minima's minima exactly."""
+    minima = _pair_terms(probs[..., 0, :, :])
+    for x in range(1, probs.shape[-3]):
+        np.minimum(minima, _pair_terms(probs[..., x, :, :]), out=minima)
+    return _gamma(minima)
 
 
 def gamma_values(
@@ -263,9 +270,9 @@ def bootstrap_errors(
     slabs = np.empty((len(behavior.settings), 2, 2, n_resamples))
     for xi, slab in enumerate(slabs):
         n = int(counts[xi].sum())
-        pvals = counts[xi].reshape(-1) / counts[xi].sum()
+        pvals = counts[xi].reshape(-1) / n
         draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
-        np.divide(draws.T.reshape(2, 2, n_resamples), n, out=slab)
+        np.divide(draws.T, n, out=slab.reshape(4, n_resamples))
     resampled = np.moveaxis(slabs, -1, 0)
 
     if frozen_argmin:
@@ -289,7 +296,7 @@ def bootstrap_errors(
         for a in (0, 1):
             for ki in range(k):
                 n = int(dcounts[a, ki].sum())
-                pvals = dcounts[a, ki] / dcounts[a, ki].sum()
+                pvals = dcounts[a, ki] / n
                 draws = rng.binomial(n, (pvals / pvals.sum())[0], size=n_resamples)
                 np.divide(draws, n, out=dslabs[a, ki, 0])
                 np.divide(n - draws, n, out=dslabs[a, ki, 1])

@@ -15,6 +15,7 @@ written, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -36,7 +37,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process and shared by every call:
+    parse_args leaves it as it was, and no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="tpmcert",
         description="Device-independent quantum-memory certification from "

@@ -60,7 +60,7 @@ def ingest_counts(path: str | Path) -> process.Behavior | process.DoTable:
         raise ParseError(f"{path}: unrecognized header {header}")
     observational = header == OBS_HEADER
     xi, ai = (0, 1) if observational else (1, 0)  # columns of x and a
-    blocks: dict[str, np.ndarray] = {}  # setting label -> its (2, 2) counts [a, b]
+    blocks: dict[str, list[int]] = {}  # setting label -> its counts, cell 2 a + b
     for lineno, row in enumerate(lines[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -74,19 +74,18 @@ def ingest_counts(path: str | Path) -> process.Behavior | process.DoTable:
             raise ParseError(f"{path}:{lineno}: outcomes must be 0 or 1")
         if count < 0:
             raise ParseError(f"{path}:{lineno}: negative count {count}")
-        if x not in blocks:
-            blocks[x] = np.zeros((2, 2), dtype=np.int64)
-        if count > MAX_COUNT - blocks[x][a, b]:
+        cells = blocks.setdefault(x, [0, 0, 0, 0])
+        if count > MAX_COUNT - cells[2 * a + b]:
             raise ParseError(f"{path}:{lineno}: the cell's count exceeds {MAX_COUNT}")
-        blocks[x][a, b] += count
+        cells[2 * a + b] += count
     if not blocks:
         raise ValidationError(f"{path}: no data rows")
     settings = tuple(blocks)
+    counts = np.array(list(blocks.values()), dtype=np.int64).reshape(-1, 2, 2)
     try:
         if observational:
-            return process.Behavior(settings=settings, counts=np.stack(list(blocks.values())))
-        return process.DoTable(do_settings=settings,
-                               counts=np.stack(list(blocks.values()), axis=1))
+            return process.Behavior(settings=settings, counts=counts)
+        return process.DoTable(do_settings=settings, counts=np.stack(counts, axis=1))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

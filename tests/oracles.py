@@ -461,3 +461,30 @@ def bootstrap_errors_reference(behavior, n_resamples, seed=0, do_table=None,
         errors["acde"] = 0.0
         errors["corrected_lhs"] = errors["gamma"]
     return errors
+
+
+def gamma_formula(probs):
+    """Gamma of every table in probs (..., X, 2, 2) by its definition: over
+    (b0, b1) in the order 00, 01, 10, 11, add the minimum over settings of
+    P(0, b0 | x) + P(1, b1 | x).  Computed in probs' dtype."""
+    total = None
+    for b0 in (0, 1):
+        for b1 in (0, 1):
+            term = (probs[..., :, 0, b0] + probs[..., :, 1, b1]).min(axis=-1)
+            total = term if total is None else total + term
+    return total
+
+
+def pearl_formula(probs):
+    """Pearl's delta of every table in probs (..., X, 2, 2): the larger over
+    a of the sum over b of the maximum over settings of P(a, b | x)."""
+    best = [[probs[..., :, a, b].max(axis=-1) for b in (0, 1)] for a in (0, 1)]
+    return np.maximum(best[0][0] + best[0][1], best[1][0] + best[1][1])
+
+
+def acde_formula(probs):
+    """ACDE of every do-table in probs (..., 2, K, 2): the largest over (a, b)
+    of the spread over settings of P(b | do(a, x))."""
+    shifts = [probs[..., a, :, b].max(axis=-1) - probs[..., a, :, b].min(axis=-1)
+              for a in (0, 1) for b in (0, 1)]
+    return np.maximum(np.maximum(shifts[0], shifts[1]), np.maximum(shifts[2], shifts[3]))

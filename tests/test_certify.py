@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tpmcert import certify, dataio, linalg, proclib, process
+from tpmcert import certify, classical, dataio, linalg, proclib, process
 from tpmcert.exceptions import DomainError, ValidationError
 
-from oracles import (bootstrap_errors_reference, random_binary_povm, random_density,
-                     random_unitary)
+from oracles import (acde_formula, bootstrap_errors_reference, gamma_formula, pearl_formula,
+                     random_binary_povm, random_density, random_unitary)
 
 RNG = np.random.default_rng(404)
 
@@ -241,6 +241,56 @@ def test_gamma_values_batch_equals_sequential_loop():
                 assert argmin[r, b0, b1] == idx
                 total += terms[idx]
             assert gammas[r] == total
+
+
+def _settings_major(table):
+    """table (R, ..., 2) as a view of the same shape whose memory holds the
+    leading axis innermost, the layout of bootstrap_errors' resamples."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(table, 0, -1)), -1, 0)
+
+
+def _layouts(table):
+    """table (R, ...) in C order, settings-major, with two leading axes, and
+    its first row alone."""
+    return (table, _settings_major(table), table.reshape((3, -1) + table.shape[1:]),
+            table[0])
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 8])
+def test_functionals_equal_the_plain_formulas_bit_for_bit(n_x):
+    # 300 float tables, a third on a 1/8 grid so that pair terms tie across
+    # settings, and 300 int8 0/1 tables; each stack in C order and
+    # settings-major, with two leading axes, and one table alone
+    rng = np.random.default_rng(22 + n_x)
+    floats = rng.dirichlet(np.ones(4), size=(300, n_x)).reshape(300, n_x, 2, 2)
+    floats[:100] = np.round(floats[:100] * 8) / 8
+    cells = rng.integers(0, 4, (300, n_x, 1))
+    onehot = (cells == np.arange(4)).astype(np.int8).reshape(300, n_x, 2, 2)
+    dfloats = rng.dirichlet(np.ones(2), size=(300, 2, n_x))
+    dfloats[:100] = np.round(dfloats[:100] * 8) / 8
+    donehot = (rng.integers(0, 2, (300, 2, n_x, 1)) == np.arange(2)).astype(np.int8)
+    for table, do in ((floats, dfloats), (onehot, donehot)):
+        for probs in _layouts(table):
+            _assert_same_bits(certify.gamma_only(probs), gamma_formula(probs))
+            _assert_same_bits(certify.pearl_values(probs), pearl_formula(probs))
+        for probs in _layouts(do):
+            _assert_same_bits(certify.acde_values(probs), acde_formula(probs))
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3])
+def test_functionals_of_vertex_tables_equal_the_plain_formulas(n_x):
+    # the int8 tables the classical type-set table is built from keep int8
+    probs, do = classical._tables(classical.enumerate_strategies(n_x, crosstalk=True))
+    assert probs.dtype == do.dtype == np.int8
+    _assert_same_bits(certify.gamma_only(probs), gamma_formula(probs))
+    _assert_same_bits(certify.pearl_values(probs), pearl_formula(probs))
+    _assert_same_bits(certify.acde_values(do), acde_formula(do))
 
 
 def _random_counts(rng, rows, on_grid):

@@ -400,6 +400,37 @@ def test_cli_outputs_match_golden_bytes(tmp_path, capsys, name):
     assert got == want
 
 
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # one parser serves every cli.main call of a process: a frozen-argmin run,
+    # a plain run, a run that argparse rejects, then a plain run again; the
+    # plain runs write the golden bytes, as a fresh process does
+    import argparse
+
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+
+    def report(name, extra=()):
+        assert cli.main(CERTIFY_ARGV + [*extra, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report.json").read_bytes() == (GOLDEN / name /
+                                                           "report.json").read_bytes()
+
+    report("certify_frozen", ["--frozen-argmin"])
+    report("certify_fixtures")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(CERTIFY_ARGV + ["--frozen-argmin", "--sigma-k", "2", "--seed", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    report("certify_fixtures")
+    assert builds == ["tpmcert"]
+
+
 def _scan_rows(path):
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     return [(float(r[0]), float(r[1])) for r in rows]
