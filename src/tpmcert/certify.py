@@ -26,12 +26,12 @@ GAMMA_MAX_VIOLATION = 2.0 - math.sqrt(2.0)
 
 DEFAULT_RESAMPLES = 10_000
 MAX_RESAMPLES = 1_000_000
-# resamples times resampled table rows (settings plus do-table rows): the
-# bootstrap peaks at about 32 bytes per resample and setting, 16 per resample
-# and do-table row and 100 per resample (tracemalloc), and frozen_argmin adds
-# 32 per resample and setting for its pair terms, so this holds it under about
-# 0.5 GB (0.85 GB with frozen_argmin) and still admits the memory test with
-# its do-table (4 + 8 rows) at MAX_RESAMPLES
+# resamples times resampled table rows (settings plus do-table rows).  The
+# bootstrap holds one row's frequencies at a time, so its memory grows with
+# the resamples alone (tracemalloc: 192 bytes per resample, 264 with a
+# do-table) and this bounds its time, about 3 s at the cap on a shared 2-vCPU
+# VM; it still admits the memory test with its do-table (4 + 8 rows) at
+# MAX_RESAMPLES
 MAX_RESAMPLED_ROWS = 12_000_000
 DEFAULT_SIGMA_K = 3.0
 
@@ -75,7 +75,8 @@ class CertReport:
 # The kernels below work on [..., b0, b1] cell slices: numpy adds or compares
 # long strided slices far faster than it reduces over a trailing axis of length
 # 2 or 4.  They reduce over settings fastest with settings outermost in memory,
-# the layout of the stacks that bootstrap_errors and classical._tables build.
+# the layout of the stacks that classical._tables builds; bootstrap_errors
+# folds one setting's frequencies at a time, with the resamples innermost.
 
 
 def _pair_terms(probs: np.ndarray) -> np.ndarray:
@@ -93,21 +94,15 @@ def _gamma(minima: np.ndarray) -> np.ndarray:
     return ((minima[..., 0, 0] + minima[..., 0, 1]) + minima[..., 1, 0]) + minima[..., 1, 1]
 
 
-def pair_minima(
-    probs: np.ndarray, argmin: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_minima(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair minimum over settings of T[x, b0, b1] = P(0, b0 | x) + P(1, b1 | x).
 
     probs has shape (..., X, 2, 2) over any leading axes.  Returns the minima,
     shape (..., 2, 2), and the setting index attaining each; ties go to the
-    smallest index.  A given argmin (broadcastable to (..., 2, 2)) pins the
-    settings instead of selecting them.
+    smallest index.
     """
     t = _pair_terms(probs)
-    if argmin is None:
-        return t.min(axis=-3), t.argmin(axis=-3)
-    argmin = np.broadcast_to(argmin, t.shape[:-3] + (2, 2))
-    return np.take_along_axis(t, argmin[..., None, :, :], axis=-3)[..., 0, :, :], argmin
+    return t.min(axis=-3), t.argmin(axis=-3)
 
 
 def gamma_only(probs: np.ndarray) -> np.ndarray:
@@ -121,26 +116,32 @@ def gamma_only(probs: np.ndarray) -> np.ndarray:
     return _gamma(minima)
 
 
-def gamma_values(
-    probs: np.ndarray, argmin: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def gamma_values(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gamma of every table in probs (..., X, 2, 2), shape (...), with the
     per-pair setting indices of pair_minima."""
-    minima, argmin = pair_minima(probs, argmin)
+    minima, argmin = pair_minima(probs)
     return _gamma(minima), argmin
+
+
+def _pearl(best: np.ndarray) -> np.ndarray:
+    """Pearl's delta from the cell maxima over settings (..., 2, 2)."""
+    return np.maximum(best[..., 0, 0] + best[..., 0, 1], best[..., 1, 0] + best[..., 1, 1])
 
 
 def pearl_values(probs: np.ndarray) -> np.ndarray:
     """Pearl's delta of every table in probs (..., X, 2, 2), shape (...)."""
-    best = probs.max(axis=-3)
-    return np.maximum(best[..., 0, 0] + best[..., 0, 1], best[..., 1, 0] + best[..., 1, 1])
+    return _pearl(probs.max(axis=-3))
+
+
+def _largest(cells: np.ndarray) -> np.ndarray:
+    """The largest of the cells (..., 2, 2)."""
+    return np.maximum(np.maximum(cells[..., 0, 0], cells[..., 0, 1]),
+                      np.maximum(cells[..., 1, 0], cells[..., 1, 1]))
 
 
 def acde_values(probs: np.ndarray) -> np.ndarray:
     """ACDE of every do-table in probs (..., 2, K, 2), shape (...); zero when K = 1."""
-    shift = probs.max(axis=-2) - probs.min(axis=-2)
-    return np.maximum(np.maximum(shift[..., 0, 0], shift[..., 0, 1]),
-                      np.maximum(shift[..., 1, 0], shift[..., 1, 1]))
+    return _largest(probs.max(axis=-2) - probs.min(axis=-2))
 
 
 def gamma_functional(b: Behavior) -> tuple[float, dict[tuple[int, int], str]]:
@@ -265,22 +266,28 @@ def bootstrap_errors(
             f"is {n_resamples * rows} resampled rows, which exceeds the limit of "
             f"{MAX_RESAMPLED_ROWS}")
     rng = np.random.default_rng(seed)
-    # settings-major, as classical._tables: one (2, 2, R) slab of frequencies
-    # per setting, so every cell slice the kernels read is contiguous
-    slabs = np.empty((len(behavior.settings), 2, 2, n_resamples))
-    for xi, slab in enumerate(slabs):
+    if frozen_argmin:
+        frozen_idx = gamma_values(np.asarray(behavior.probs, dtype=float))[1]
+    # one setting's frequencies at a time, (R, 2, 2) with the resamples
+    # innermost in memory, folded into the pair minima and the cell maxima
+    slab = np.empty((2, 2, n_resamples))
+    freqs = np.moveaxis(slab, -1, 0)
+    for xi in range(len(behavior.settings)):
         n = int(counts[xi].sum())
         pvals = counts[xi].reshape(-1) / n
         draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
         np.divide(draws.T, n, out=slab.reshape(4, n_resamples))
-    resampled = np.moveaxis(slabs, -1, 0)
-
-    if frozen_argmin:
-        frozen_idx = gamma_values(np.asarray(behavior.probs, dtype=float))[1]
-        gammas = gamma_values(resampled, frozen_idx)[0]
-    else:
-        gammas = gamma_only(resampled)
-    pearls = pearl_values(resampled)
+        terms = _pair_terms(freqs)
+        if xi == 0:  # every pair starts from setting 0
+            minima, best = terms, freqs.copy(order="K")
+            continue
+        if frozen_argmin:  # each pair ends with the terms of its pinned setting
+            np.copyto(minima, terms, where=frozen_idx == xi)
+        else:
+            np.minimum(minima, terms, out=minima)
+        np.maximum(best, freqs, out=best)
+    gammas = _gamma(minima)
+    pearls = _pearl(best)
     errors = {
         "gamma": float(gammas.std(ddof=1)),
         "pearl_delta": float(pearls.std(ddof=1)),
@@ -288,19 +295,25 @@ def bootstrap_errors(
 
     if resample_do:
         dcounts = do_table.counts
-        k = len(do_table.do_settings)
-        # one (2, R) slab per intervention row (a, k).  A two-cell multinomial
-        # draws one binomial of its first cell, so this binomial draws the
-        # same counts from the same stream.
-        dslabs = np.empty((2, k, 2, n_resamples))
+        # per intervention row (a, k), its two cells' frequencies (2, R),
+        # folded into the cells' maxima and minima over k.  A two-cell
+        # multinomial draws one binomial of its first cell, so this binomial
+        # draws the same counts from the same stream.
+        hi, lo = np.empty((2, 2, 2, n_resamples))
+        row = np.empty((2, n_resamples))
         for a in (0, 1):
-            for ki in range(k):
+            for ki in range(len(do_table.do_settings)):
                 n = int(dcounts[a, ki].sum())
                 pvals = dcounts[a, ki] / n
                 draws = rng.binomial(n, (pvals / pvals.sum())[0], size=n_resamples)
-                np.divide(draws, n, out=dslabs[a, ki, 0])
-                np.divide(n - draws, n, out=dslabs[a, ki, 1])
-        acdes = acde_values(np.moveaxis(dslabs, -1, 0))
+                np.divide(draws, n, out=row[0])
+                np.divide(n - draws, n, out=row[1])
+                if ki == 0:
+                    hi[a], lo[a] = row, row
+                else:
+                    np.maximum(hi[a], row, out=hi[a])
+                    np.minimum(lo[a], row, out=lo[a])
+        acdes = _largest(np.moveaxis(np.subtract(hi, lo, out=hi), -1, 0))
         errors["acde"] = float(acdes.std(ddof=1))
         errors["corrected_lhs"] = float((gammas + 2.0 * acdes).std(ddof=1))
     elif do_table is not None:
