@@ -28,10 +28,9 @@ DEFAULT_RESAMPLES = 10_000
 MAX_RESAMPLES = 1_000_000
 # resamples times resampled table rows (settings plus do-table rows).  The
 # bootstrap holds one row's frequencies at a time, so its memory grows with
-# the resamples alone (tracemalloc: 192 bytes per resample, 264 with a
-# do-table) and this bounds its time, about 3 s at the cap on a shared 2-vCPU
-# VM; it still admits the memory test with its do-table (4 + 8 rows) at
-# MAX_RESAMPLES
+# the resamples alone (tracemalloc: 192 bytes per resample) and this bounds
+# its time, about 3 s at the cap on a shared 2-vCPU VM; it still admits the
+# memory test with its do-table (4 + 8 rows) at MAX_RESAMPLES
 MAX_RESAMPLED_ROWS = 12_000_000
 DEFAULT_SIGMA_K = 3.0
 
@@ -79,10 +78,10 @@ class CertReport:
 # folds one setting's frequencies at a time, with the resamples innermost.
 
 
-def _pair_terms(probs: np.ndarray) -> np.ndarray:
+def _pair_terms(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """T[..., b0, b1] = P(0, b0) + P(1, b1) of probs (..., 2, 2), laid out in
     memory like probs; of every setting at once for probs (..., X, 2, 2)."""
-    t = np.empty_like(probs)
+    t = np.empty_like(probs) if out is None else out
     for b0 in (0, 1):
         for b1 in (0, 1):
             np.add(probs[..., 0, b0], probs[..., 1, b1], out=t[..., b0, b1])
@@ -268,19 +267,24 @@ def bootstrap_errors(
     rng = np.random.default_rng(seed)
     if frozen_argmin:
         frozen_idx = gamma_values(np.asarray(behavior.probs, dtype=float))[1]
-    # one setting's frequencies at a time, (R, 2, 2) with the resamples
-    # innermost in memory, folded into the pair minima and the cell maxima
-    slab = np.empty((2, 2, n_resamples))
-    freqs = np.moveaxis(slab, -1, 0)
+    # one workspace of four (2, 2, R) slabs, seen as (R, 2, 2) with the
+    # resamples innermost: one setting's frequencies and pair terms, and the
+    # running pair minima and cell maxima they fold into.  The do-table reuses
+    # it; one allocation per call, where separate buffers made the allocator
+    # hand memory back and fault it in again (about 500 page faults per op of
+    # the benchmark's certify round)
+    work = np.empty((4, 2, 2, n_resamples))
+    freqs, terms, minima, best = np.moveaxis(work, -1, 1)
     for xi in range(len(behavior.settings)):
         n = int(counts[xi].sum())
         pvals = counts[xi].reshape(-1) / n
         draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
-        np.divide(draws.T, n, out=slab.reshape(4, n_resamples))
-        terms = _pair_terms(freqs)
+        np.divide(draws.T, n, out=work[0].reshape(4, n_resamples))
         if xi == 0:  # every pair starts from setting 0
-            minima, best = terms, freqs.copy(order="K")
+            _pair_terms(freqs, out=minima)
+            np.copyto(best, freqs)
             continue
+        _pair_terms(freqs, out=terms)
         if frozen_argmin:  # each pair ends with the terms of its pinned setting
             np.copyto(minima, terms, where=frozen_idx == xi)
         else:
@@ -296,18 +300,19 @@ def bootstrap_errors(
     if resample_do:
         dcounts = do_table.counts
         # per intervention row (a, k), its two cells' frequencies (2, R),
-        # folded into the cells' maxima and minima over k.  A two-cell
-        # multinomial draws one binomial of its first cell, so this binomial
-        # draws the same counts from the same stream.
-        hi, lo = np.empty((2, 2, 2, n_resamples))
-        row = np.empty((2, n_resamples))
+        # folded into the cells' maxima and minima over k, in the workspace
+        # that gammas and pearls no longer need.  A two-cell multinomial
+        # draws one binomial of its first cell, so this binomial draws the
+        # same counts from the same stream.
+        hi, lo = work[:2]
+        row = work[2, 0]
         for a in (0, 1):
             for ki in range(len(do_table.do_settings)):
                 n = int(dcounts[a, ki].sum())
                 pvals = dcounts[a, ki] / n
                 draws = rng.binomial(n, (pvals / pvals.sum())[0], size=n_resamples)
                 np.divide(draws, n, out=row[0])
-                np.divide(n - draws, n, out=row[1])
+                np.divide(np.subtract(n, draws, out=draws), n, out=row[1])
                 if ki == 0:
                     hi[a], lo[a] = row, row
                 else:
