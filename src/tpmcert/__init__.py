@@ -8,7 +8,6 @@ from .certify import (
     bootstrap_errors,
     certify_behavior,
     chsh_decomposition,
-    corrected_lhs,
     fidelity_lower_bound,
     gamma_functional,
     pearl_delta,
@@ -29,9 +28,7 @@ from .process import (
     validate_process,
 )
 from .proclib import (
-    EbChannel,
     NoiseParams,
-    apply_eb_channel,
     classical_crossing_time,
     decay_prediction,
     partial_swap,
@@ -47,7 +44,6 @@ __all__ = [
     "BinaryPovm",
     "CertReport",
     "DoTable",
-    "EbChannel",
     "FinalMeasurement",
     "InitialState",
     "MpInstrument",
@@ -57,14 +53,12 @@ __all__ = [
     "S_K",
     "Unitary",
     "acde",
-    "apply_eb_channel",
     "bootstrap_errors",
     "born_rule",
     "build_process",
     "certify_behavior",
     "chsh_decomposition",
     "classical_crossing_time",
-    "corrected_lhs",
     "decay_prediction",
     "do_probabilities",
     "fidelity_lower_bound",

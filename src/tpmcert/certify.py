@@ -104,20 +104,10 @@ def pair_minima(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t.min(axis=-3), t.argmin(axis=-3)
 
 
-def gamma_only(probs: np.ndarray) -> np.ndarray:
-    """Gamma of every table in probs (..., X, 2, 2), shape (...), without the
-    setting indices that gamma_values also returns.  The pair minima are a
-    running minimum over settings, which holds one setting's pair terms at a
-    time and gives pair_minima's minima exactly."""
-    minima = _pair_terms(probs[..., 0, :, :])
-    for x in range(1, probs.shape[-3]):
-        np.minimum(minima, _pair_terms(probs[..., x, :, :]), out=minima)
-    return _gamma(minima)
-
-
 def gamma_values(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma of every table in probs (..., X, 2, 2), shape (...), with the
-    per-pair setting indices of pair_minima."""
+    """Gamma of every table in probs (..., X, 2, 2), shape (...) in the dtype
+    of probs (exact for int8 0/1 tables), with the per-pair setting indices of
+    pair_minima."""
     minima, argmin = pair_minima(probs)
     return _gamma(minima), argmin
 
@@ -150,7 +140,7 @@ def gamma_functional(b: Behavior) -> tuple[float, dict[tuple[int, int], str]]:
     Ties in the minimum are broken toward the smallest setting index, and the
     chosen setting is recorded per (b0, b1) so the result is reproducible.
     """
-    gamma, idx = gamma_values(np.asarray(b.probs, dtype=float))
+    gamma, idx = gamma_values(b.probs)
     argmin = {(b0, b1): b.settings[idx[b0, b1]] for b0 in (0, 1) for b1 in (0, 1)}
     return float(gamma), argmin
 
@@ -158,7 +148,7 @@ def gamma_functional(b: Behavior) -> tuple[float, dict[tuple[int, int], str]]:
 def pearl_delta(b: Behavior) -> float:
     """max over a of sum over b of the per-(a, b) supremum over settings;
     above 1 only in the presence of crosstalk, in any physical theory."""
-    return float(pearl_values(np.asarray(b.probs, dtype=float)))
+    return float(pearl_values(b.probs))
 
 
 def acde(d: DoTable) -> float:
@@ -166,12 +156,7 @@ def acde(d: DoTable) -> float:
     exactly zero for a table without a setting index."""
     if d.do_settings is None:
         return 0.0
-    return float(acde_values(np.asarray(d.probs, dtype=float)))
-
-
-def corrected_lhs(b: Behavior, d: DoTable) -> float:
-    """Crosstalk-corrected left-hand side gamma + 2 ACDE (classical bound 1)."""
-    return gamma_functional(b)[0] + 2.0 * acde(d)
+    return float(acde_values(d.probs))
 
 
 def chsh_decomposition(
@@ -186,8 +171,7 @@ def chsh_decomposition(
     """
     if len(b.settings) < 2:
         raise ValidationError("need at least two settings for a CHSH split")
-    p = np.asarray(b.probs, dtype=float)
-    c = p[:, :, 0] - p[:, :, 1]  # c[x, a]
+    c = b.probs[:, :, 0] - b.probs[:, :, 1]  # c[x, a]
 
     def at(b0: int, b1: int) -> np.ndarray:
         return c[b.setting_index(argmin[(b0, b1)])]
@@ -266,7 +250,7 @@ def bootstrap_errors(
             f"{MAX_RESAMPLED_ROWS}")
     rng = np.random.default_rng(seed)
     if frozen_argmin:
-        frozen_idx = gamma_values(np.asarray(behavior.probs, dtype=float))[1]
+        frozen_idx = gamma_values(behavior.probs)[1]
     # one workspace of four (2, 2, R) slabs, seen as (R, 2, 2) with the
     # resamples innermost: one setting's frequencies and pair terms, and the
     # running pair minima and cell maxima they fold into.  The do-table reuses

@@ -239,7 +239,8 @@ def _check_table(table, shape: tuple[int, ...], cells: tuple[int, ...], row_name
     validate table.probs.  Counts must be integers of the table's shape, none
     negative, with at least one shot per row (row_name(*index) names a row in
     errors); probs = counts / row total, and the counts are kept as a
-    read-only int64 copy."""
+    read-only int64 copy.  Either way probs is kept as a read-only float64
+    copy, so that later changes to the caller's array do not reach it."""
     if table.counts is not None:
         if table.probs is not None:
             raise ValidationError(f"{what}: give probs or counts, not both")
@@ -256,12 +257,14 @@ def _check_table(table, shape: tuple[int, ...], cells: tuple[int, ...], row_name
             raise ValidationError(f"{row_name(*empty[0])} has no shots")
         counts.setflags(write=False)
         object.__setattr__(table, "counts", counts)
-        object.__setattr__(table, "probs", counts / totals)
-        return
-    p = np.asarray(table.probs, dtype=float)
-    if p.shape != shape:
-        raise ValidationError(f"{what} has shape {p.shape}, expected {shape}")
-    check_probabilities(p, cells, what)
+        p = counts / totals
+    else:
+        p = np.array(table.probs, dtype=float)
+        if p.shape != shape:
+            raise ValidationError(f"{what} has shape {p.shape}, expected {shape}")
+        check_probabilities(p, cells, what)
+    p.setflags(write=False)
+    object.__setattr__(table, "probs", p)
 
 
 def check_probabilities(p: np.ndarray, cells: tuple[int, ...], what: str) -> None:
@@ -278,10 +281,10 @@ def check_probabilities(p: np.ndarray, cells: tuple[int, ...], what: str) -> Non
 class Behavior:
     """Observational table P(a, b | x) with binary outcomes.
 
-    probs has shape (n_settings, 2, 2) indexed [x, a, b].  A table built from
-    observed event counts (int, same shape) derives probs from them, each
-    setting's counts divided by that setting's total, and keeps them as
-    counts; give probs or counts, not both.
+    probs has shape (n_settings, 2, 2) indexed [x, a, b], kept as a read-only
+    float64 copy.  A table built from observed event counts (int, same shape)
+    derives probs from them, each setting's counts divided by that setting's
+    total, and keeps them as counts; give probs or counts, not both.
     """
 
     settings: tuple[str, ...]

@@ -1,5 +1,5 @@
 """Canonical processes, the registry of named components, instruments,
-channels, and the memory-decay model.
+and the memory-decay model.
 
 COMPONENTS holds every component a configuration can name.  The shipped
 presets (configs/*.yaml in this package) share the settings x, z, -x, -z:
@@ -219,7 +219,7 @@ def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float
     partial swaps, which the registry checks at once, and one build_process,
     which validates every process of the stack; one contraction gives the
     block's tables, which are checked as a Behavior checks its table, and
-    certify.gamma_only their gammas.  Each gamma equals, bit for bit, the
+    certify.gamma_values their gammas.  Each gamma equals, bit for bit, the
     one that born_rule and gamma_functional give at that angle alone.
     """
     inst = pauli_instrument(SETTING_LABELS, component("repreparations", "plus_minus_i"))
@@ -232,50 +232,7 @@ def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float
         op = process.build_process(bell, component("unitary", "partial_swap", block))
         probs = process.contract(op.w, inst.effects, inst.reps, final)
         process.check_probabilities(probs, (-2, -1), "behavior")
-        out += zip(block, certify.gamma_only(probs).tolist())
-    return out
-
-
-@dataclass(frozen=True)
-class EbChannel:
-    """Entanglement-breaking (measure-and-prepare) channel on a qubit."""
-
-    effects: tuple[np.ndarray, ...]
-    outputs: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.effects) != len(self.outputs):
-            raise ValidationError("effects and outputs differ in length")
-        linalg.assert_povm(self.effects)
-        for rho in self.outputs:
-            linalg.assert_density_matrix(rho)
-
-
-def eb_channel_terms(
-    rho: np.ndarray, ch: EbChannel, target: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Product terms (kept-factor block, channel output) of the channel applied
-    to one factor of a two-qubit state; their kron-sum is the output state.
-
-    The decomposition witnesses separability of the output across the cut.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValidationError("expected a two-qubit state")
-    if target not in (0, 1):
-        raise ValidationError("target factor must be 0 or 1")
-    # Tr_target[(E on target) rho], summed over the traced factor's indices
-    spec = "km,mjkl->jl" if target == 0 else "km,imlk->il"
-    return [(np.einsum(spec, eff, rho.reshape(2, 2, 2, 2)), out)
-            for eff, out in zip(ch.effects, ch.outputs)]
-
-
-def apply_eb_channel(rho: np.ndarray, ch: EbChannel, target: int = 1) -> np.ndarray:
-    """Apply a measure-and-prepare channel to one factor of a two-qubit state."""
-    out = np.zeros((4, 4), dtype=complex)
-    for kept, prep in eb_channel_terms(rho, ch, target):
-        factors = [kept, prep] if target == 1 else [prep, kept]
-        out = out + np.kron(*factors)
+        out += zip(block, certify.gamma_values(probs)[0].tolist())
     return out
 
 

@@ -1,6 +1,6 @@
 """Test helpers built on tpmcert: mixtures of classical vertices, the Lemma 1
-potential-outcome check, the memory test's instrument, random
-entanglement-breaking channels and the shipped presets.
+potential-outcome check, the memory test's instrument,
+entanglement-breaking channels and random ones, and the shipped presets.
 
 Unlike oracles.py, these call into the library: they assemble its parts for
 the tests and are not independent cross-checks of it.
@@ -8,9 +8,12 @@ the tests and are not independent cross-checks of it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from tpmcert import certify, classical, dataio, proclib, process
+from tpmcert import certify, classical, dataio, linalg, proclib, process
+from tpmcert.exceptions import ValidationError
 
 
 def _mix(w: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -34,7 +37,7 @@ def vertex_table_values(vertices: classical.VertexSet) -> tuple[np.ndarray, np.n
     0/1 behavior and do-tables: the per-vertex route that the library's
     type-set table replaces, kept as its reference."""
     probs, do = classical._tables(vertices)
-    gamma = certify.gamma_only(probs)
+    gamma = certify.gamma_values(probs)[0]
     return gamma.astype(float), (gamma + 2 * certify.acde_values(do)).astype(float)
 
 
@@ -73,7 +76,50 @@ def memory_instrument() -> process.MpInstrument:
                                     proclib.component("repreparations", "plus_minus"))
 
 
-def random_eb_channel(rng: np.random.Generator) -> proclib.EbChannel:
+@dataclass(frozen=True)
+class EbChannel:
+    """Entanglement-breaking (measure-and-prepare) channel on a qubit."""
+
+    effects: tuple[np.ndarray, ...]
+    outputs: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if len(self.effects) != len(self.outputs):
+            raise ValidationError("effects and outputs differ in length")
+        linalg.assert_povm(self.effects)
+        for rho in self.outputs:
+            linalg.assert_density_matrix(rho)
+
+
+def eb_channel_terms(
+    rho: np.ndarray, ch: EbChannel, target: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Product terms (kept-factor block, channel output) of the channel applied
+    to one factor of a two-qubit state; their kron-sum is the output state.
+
+    The decomposition witnesses separability of the output across the cut.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValidationError("expected a two-qubit state")
+    if target not in (0, 1):
+        raise ValidationError("target factor must be 0 or 1")
+    # Tr_target[(E on target) rho], summed over the traced factor's indices
+    spec = "km,mjkl->jl" if target == 0 else "km,imlk->il"
+    return [(np.einsum(spec, eff, rho.reshape(2, 2, 2, 2)), out)
+            for eff, out in zip(ch.effects, ch.outputs)]
+
+
+def apply_eb_channel(rho: np.ndarray, ch: EbChannel, target: int = 1) -> np.ndarray:
+    """Apply a measure-and-prepare channel to one factor of a two-qubit state."""
+    out = np.zeros((4, 4), dtype=complex)
+    for kept, prep in eb_channel_terms(rho, ch, target):
+        factors = [kept, prep] if target == 1 else [prep, kept]
+        out = out + np.kron(*factors)
+    return out
+
+
+def random_eb_channel(rng: np.random.Generator) -> EbChannel:
     """Random measure-and-prepare channel with 2 to 4 outcomes (Wishart
     effects, random outputs)."""
     k = int(rng.integers(2, 5))
@@ -90,7 +136,7 @@ def random_eb_channel(rng: np.random.Generator) -> proclib.EbChannel:
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m = z @ z.conj().T
         outputs.append(m / np.trace(m).real)
-    return proclib.EbChannel(effects=effects, outputs=tuple(outputs))
+    return EbChannel(effects=effects, outputs=tuple(outputs))
 
 
 def preset_config(name: str, **overrides) -> dataio.ExperimentConfig:

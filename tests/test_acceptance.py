@@ -25,7 +25,7 @@ from tpmcert import (
     process,
 )
 
-from helpers import memory_instrument, preset_config, random_eb_channel
+from helpers import apply_eb_channel, memory_instrument, preset_config, random_eb_channel
 from oracles import (
     partial_transpose,
     random_binary_povm,
@@ -162,7 +162,7 @@ def test_criterion_07_entanglement_breaking_classicalisation():
     worst = math.inf
     for _ in range(100):
         ch = random_eb_channel(rng)
-        rho = proclib.apply_eb_channel(linalg.bell_state(), ch, target=1)
+        rho = apply_eb_channel(linalg.bell_state(), ch, target=1)
         beh = process.born_rule(process.build_process(rho, u), inst, final)
         worst = min(worst, certify.gamma_functional(beh)[0])
     elapsed = time.perf_counter() - start

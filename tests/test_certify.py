@@ -106,9 +106,9 @@ def test_acde_direct_evaluation():
 
 def test_corrected_lhs_composition(ideal_memory_behavior):
     zero = process.DoTable(probs=np.full((2, 1, 2), 0.5), do_settings=None)
-    got = certify.corrected_lhs(ideal_memory_behavior, zero)
+    got = certify.gamma_functional(ideal_memory_behavior)[0] + 2 * certify.acde(zero)
     assert abs(got - (2 - SQRT2)) < 1e-12
-    assert certify.corrected_lhs(uniform_behavior(), zero) == 2.0
+    assert certify.gamma_functional(uniform_behavior())[0] + 2 * certify.acde(zero) == 2.0
 
 
 def test_chsh_ideal_memory(ideal_memory_behavior):
@@ -277,7 +277,7 @@ def test_functionals_equal_the_plain_formulas_bit_for_bit(n_x):
     donehot = (rng.integers(0, 2, (300, 2, n_x, 1)) == np.arange(2)).astype(np.int8)
     for table, do in ((floats, dfloats), (onehot, donehot)):
         for probs in _layouts(table):
-            _assert_same_bits(certify.gamma_only(probs), gamma_formula(probs))
+            _assert_same_bits(certify.gamma_values(probs)[0], gamma_formula(probs))
             _assert_same_bits(certify.pearl_values(probs), pearl_formula(probs))
         for probs in _layouts(do):
             _assert_same_bits(certify.acde_values(probs), acde_formula(probs))
@@ -288,7 +288,7 @@ def test_functionals_of_vertex_tables_equal_the_plain_formulas(n_x):
     # the int8 tables the classical type-set table is built from keep int8
     probs, do = classical._tables(classical.enumerate_strategies(n_x, crosstalk=True))
     assert probs.dtype == do.dtype == np.int8
-    _assert_same_bits(certify.gamma_only(probs), gamma_formula(probs))
+    _assert_same_bits(certify.gamma_values(probs)[0], gamma_formula(probs))
     _assert_same_bits(certify.pearl_values(probs), pearl_formula(probs))
     _assert_same_bits(certify.acde_values(do), acde_formula(do))
 

@@ -531,6 +531,28 @@ def test_tables_derive_probabilities_from_counts():
     assert process.DoTable(counts=np.ones((2, 1, 2), dtype=np.uint8)).probs.shape == (2, 1, 2)
 
 
+def test_tables_keep_read_only_float_copies_of_their_probabilities():
+    # a change to the caller's array after construction must not reach a
+    # checked table: the uniform behavior would read gamma -7 and certify
+    p = np.full((2, 2, 2), 0.25)
+    beh = process.Behavior(settings=("x", "z"), probs=p)
+    p[0] = [[5, -4], [0, 0]]
+    assert certify.gamma_functional(beh)[0] == 2.0
+    assert not certify.certify_behavior(beh).verdict_nonclassical
+    d = np.full((2, 2, 2), 0.5)
+    do = process.DoTable(probs=d, do_settings=("x", "z"))
+    d[0, 0] = [1.0, 0.0]
+    assert certify.acde(do) == 0.0
+    tables = (beh, do, process.Behavior(settings=("u",), probs=[[[1, 0], [0, 0]]]),
+              process.Behavior(settings=("u",), counts=np.ones((1, 2, 2), dtype=int)),
+              process.DoTable(counts=np.ones((2, 1, 2), dtype=int)))
+    for table in tables:
+        assert table.probs.dtype == np.float64 and not table.probs.flags.writeable
+        assert not np.shares_memory(table.probs, p) and not np.shares_memory(table.probs, d)
+        with pytest.raises(ValueError):
+            table.probs[0, 0, 0] = 1.0
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: process.Behavior(settings=("u",), counts=np.ones((2, 2, 2), dtype=int)),
      "shape"),

@@ -7,7 +7,8 @@ from scipy.optimize import brentq
 from tpmcert import certify, linalg, proclib, process
 from tpmcert.exceptions import DomainError, ValidationError
 
-from helpers import memory_instrument, random_eb_channel
+from helpers import (EbChannel, apply_eb_channel, eb_channel_terms, memory_instrument,
+                     random_eb_channel)
 from oracles import (
     pair_bounds,
     partial_transpose,
@@ -254,17 +255,17 @@ def test_partial_swap_gamma_special_points():
 
 
 def test_apply_eb_channel_depolarizing():
-    ch = proclib.EbChannel(effects=(linalg.ID2,), outputs=(linalg.ID2 / 2,))
-    out = proclib.apply_eb_channel(linalg.bell_state(), ch, target=1)
+    ch = EbChannel(effects=(linalg.ID2,), outputs=(linalg.ID2 / 2,))
+    out = apply_eb_channel(linalg.bell_state(), ch, target=1)
     assert np.abs(out - np.eye(4) / 4).max() < 1e-12
 
 
 def test_apply_eb_channel_dephasing():
     p0, p1 = linalg.observable_povm(linalg.SIGMA_Z)
-    ch = proclib.EbChannel(
+    ch = EbChannel(
         effects=(p0, p1), outputs=(linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1))
     )
-    out = proclib.apply_eb_channel(linalg.bell_state(), ch, target=1)
+    out = apply_eb_channel(linalg.bell_state(), ch, target=1)
     expected = 0.5 * (
         linalg.dm(np.kron(linalg.KET_0, linalg.KET_0))
         + linalg.dm(np.kron(linalg.KET_1, linalg.KET_1))
@@ -276,10 +277,10 @@ def test_eb_channel_output_is_valid_and_separable_by_terms():
     for _ in range(10):
         ch = random_eb_channel(RNG)
         rho = random_density(RNG, 4)
-        out = proclib.apply_eb_channel(rho, ch, target=1)
+        out = apply_eb_channel(rho, ch, target=1)
         linalg.assert_density_matrix(out, atol=1e-9)
         # every term in the retained decomposition is PSD (x) PSD
-        for kept, prep in proclib.eb_channel_terms(rho, ch, target=1):
+        for kept, prep in eb_channel_terms(rho, ch, target=1):
             assert np.linalg.eigvalsh(kept).min() > -1e-10
             assert np.linalg.eigvalsh(prep).min() > -1e-10
 
@@ -289,7 +290,7 @@ def test_eb_channel_classicalizes_the_pipeline():
     u = proclib.cnot_swap_unitary()
     for _ in range(20):
         ch = random_eb_channel(RNG)
-        rho = proclib.apply_eb_channel(linalg.bell_state(), ch, target=1)
+        rho = apply_eb_channel(linalg.bell_state(), ch, target=1)
         beh = process.born_rule(process.build_process(rho, u), inst, final)
         assert certify.gamma_functional(beh)[0] >= 1.0 - 1e-9
 
