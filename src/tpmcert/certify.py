@@ -93,33 +93,15 @@ def _gamma(minima: np.ndarray) -> np.ndarray:
     return ((minima[..., 0, 0] + minima[..., 0, 1]) + minima[..., 1, 0]) + minima[..., 1, 1]
 
 
-def pair_minima(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair minimum over settings of T[x, b0, b1] = P(0, b0 | x) + P(1, b1 | x).
-
-    probs has shape (..., X, 2, 2) over any leading axes.  Returns the minima,
-    shape (..., 2, 2), and the setting index attaining each; ties go to the
-    smallest index.
-    """
-    t = _pair_terms(probs)
-    return t.min(axis=-3), t.argmin(axis=-3)
-
-
-def gamma_values(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gamma_values(probs: np.ndarray) -> np.ndarray:
     """Gamma of every table in probs (..., X, 2, 2), shape (...) in the dtype
-    of probs (exact for int8 0/1 tables), with the per-pair setting indices of
-    pair_minima."""
-    minima, argmin = pair_minima(probs)
-    return _gamma(minima), argmin
+    of probs (exact for int8 0/1 tables)."""
+    return _gamma(_pair_terms(probs).min(axis=-3))
 
 
 def _pearl(best: np.ndarray) -> np.ndarray:
     """Pearl's delta from the cell maxima over settings (..., 2, 2)."""
     return np.maximum(best[..., 0, 0] + best[..., 0, 1], best[..., 1, 0] + best[..., 1, 1])
-
-
-def pearl_values(probs: np.ndarray) -> np.ndarray:
-    """Pearl's delta of every table in probs (..., X, 2, 2), shape (...)."""
-    return _pearl(probs.max(axis=-3))
 
 
 def _largest(cells: np.ndarray) -> np.ndarray:
@@ -140,15 +122,16 @@ def gamma_functional(b: Behavior) -> tuple[float, dict[tuple[int, int], str]]:
     Ties in the minimum are broken toward the smallest setting index, and the
     chosen setting is recorded per (b0, b1) so the result is reproducible.
     """
-    gamma, idx = gamma_values(b.probs)
+    t = _pair_terms(b.probs)
+    idx = t.argmin(axis=0)
     argmin = {(b0, b1): b.settings[idx[b0, b1]] for b0 in (0, 1) for b1 in (0, 1)}
-    return float(gamma), argmin
+    return float(_gamma(t.min(axis=0))), argmin
 
 
 def pearl_delta(b: Behavior) -> float:
     """max over a of sum over b of the per-(a, b) supremum over settings;
     above 1 only in the presence of crosstalk, in any physical theory."""
-    return float(pearl_values(b.probs))
+    return float(_pearl(b.probs.max(axis=0)))
 
 
 def acde(d: DoTable) -> float:
@@ -250,24 +233,22 @@ def bootstrap_errors(
             f"{MAX_RESAMPLED_ROWS}")
     rng = np.random.default_rng(seed)
     if frozen_argmin:
-        frozen_idx = gamma_values(behavior.probs)[1]
+        frozen_idx = _pair_terms(behavior.probs).argmin(axis=0)
     # one workspace of four (2, 2, R) slabs, seen as (R, 2, 2) with the
     # resamples innermost: one setting's frequencies and pair terms, and the
-    # running pair minima and cell maxima they fold into.  The do-table reuses
-    # it; one allocation per call, where separate buffers made the allocator
-    # hand memory back and fault it in again (about 500 page faults per op of
-    # the benchmark's certify round)
+    # running pair minima and cell maxima they fold into, which start from
+    # +inf and -inf.  The do-table reuses it; one allocation per call, where
+    # separate buffers made the allocator hand memory back and fault it in
+    # again (about 500 page faults per op of the benchmark's certify round)
     work = np.empty((4, 2, 2, n_resamples))
     freqs, terms, minima, best = np.moveaxis(work, -1, 1)
+    minima.fill(np.inf)
+    best.fill(-np.inf)
     for xi in range(len(behavior.settings)):
         n = int(counts[xi].sum())
         pvals = counts[xi].reshape(-1) / n
         draws = rng.multinomial(n, pvals / pvals.sum(), size=n_resamples)
         np.divide(draws.T, n, out=work[0].reshape(4, n_resamples))
-        if xi == 0:  # every pair starts from setting 0
-            _pair_terms(freqs, out=minima)
-            np.copyto(best, freqs)
-            continue
         _pair_terms(freqs, out=terms)
         if frozen_argmin:  # each pair ends with the terms of its pinned setting
             np.copyto(minima, terms, where=frozen_idx == xi)
@@ -289,6 +270,8 @@ def bootstrap_errors(
         # draws one binomial of its first cell, so this binomial draws the
         # same counts from the same stream.
         hi, lo = work[:2]
+        hi.fill(-np.inf)
+        lo.fill(np.inf)
         row = work[2, 0]
         for a in (0, 1):
             for ki in range(len(do_table.do_settings)):
@@ -297,11 +280,8 @@ def bootstrap_errors(
                 draws = rng.binomial(n, (pvals / pvals.sum())[0], size=n_resamples)
                 np.divide(draws, n, out=row[0])
                 np.divide(np.subtract(n, draws, out=draws), n, out=row[1])
-                if ki == 0:
-                    hi[a], lo[a] = row, row
-                else:
-                    np.maximum(hi[a], row, out=hi[a])
-                    np.minimum(lo[a], row, out=lo[a])
+                np.maximum(hi[a], row, out=hi[a])
+                np.minimum(lo[a], row, out=lo[a])
         acdes = _largest(np.moveaxis(np.subtract(hi, lo, out=hi), -1, 0))
         errors["acde"] = float(acdes.std(ddof=1))
         errors["corrected_lhs"] = float((gammas + 2.0 * acdes).std(ddof=1))
@@ -345,21 +325,14 @@ def certify_behavior(
     chsh = chsh_decomposition(behavior, argmin) if len(behavior.settings) >= 2 else None
     acde_value = acde(do_table) if do_table is not None else None
 
-    errors: dict[str, float] | None = None
+    errors: dict[str, float] = {}
     if behavior.counts is not None:
-        errors = bootstrap_errors(
-            behavior, n_resamples, seed, do_table=do_table, frozen_argmin=frozen_argmin
-        )
-
+        errors = bootstrap_errors(behavior, n_resamples, seed, do_table=do_table,
+                                  frozen_argmin=frozen_argmin)
     fid = fidelity_lower_bound(min(max(gamma, GAMMA_MAX_VIOLATION), 2.0))
-
-    if acde_value is not None:
-        lhs = gamma + 2.0 * acde_value
-        lhs_err = (errors or {}).get("corrected_lhs", 0.0)
-    else:
-        lhs = gamma
-        lhs_err = (errors or {}).get("gamma", 0.0)
-    delta_err = (errors or {}).get("pearl_delta", 0.0)
+    lhs = gamma if acde_value is None else gamma + 2.0 * acde_value
+    lhs_err = errors.get("gamma" if acde_value is None else "corrected_lhs", 0.0)
+    delta_err = errors.get("pearl_delta", 0.0)
 
     return CertReport(
         gamma=gamma,
@@ -370,7 +343,7 @@ def certify_behavior(
         fidelity_lower_bound=fid,
         verdict_nonclassical=bool(lhs < 1.0 - sigma_k * lhs_err),
         verdict_crosstalk_witnessed=bool(delta > 1.0 + sigma_k * delta_err),
-        std_errors=errors,
+        std_errors=errors or None,
         seed=seed,
-        n_resamples=n_resamples if errors is not None else 0,
+        n_resamples=n_resamples if errors else 0,
     )

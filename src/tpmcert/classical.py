@@ -146,7 +146,7 @@ def _type_sets() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     types = np.array([[s[x % len(s)] for x in range(N_TYPES)] for s in sets], dtype=np.int8)
     b = np.stack([types >> 1 & 1, types & 1], axis=1)
     probs, do = _tables(VertexSet(types >> 2, b, crosstalk=True))
-    gamma = certify.gamma_values(probs)[0]
+    gamma = certify.gamma_values(probs)
     corrected = gamma + 2 * certify.acde_values(do)
     masks = range(2**N_TYPES)
     # without crosstalk every setting has type bb or 4 + bb for one b-function bb

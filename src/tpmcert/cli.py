@@ -151,6 +151,8 @@ def _cmd_decay(args) -> int:
         echo_interval=args.echo_interval,
         initial_gamma=args.initial_gamma,
     )
+    if not args.t_max >= 0.0:
+        raise DomainError(f"--t-max: waiting time {args.t_max} ms is not a nonnegative number")
     times = np.linspace(0.0, args.t_max, args.points)
     curve = proclib.decay_prediction(params, times, include_t1=args.include_t1)
     crossing = proclib.classical_crossing_time(params, include_t1=args.include_t1)

@@ -70,6 +70,8 @@ def ingest_counts(path: str | Path) -> process.Behavior | process.DoTable:
             x, a, b, count = row[xi].strip(), int(row[ai]), int(row[2]), int(row[3])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not x:
+            raise ParseError(f"{path}:{lineno}: empty setting label")
         if a not in (0, 1) or b not in (0, 1):
             raise ParseError(f"{path}:{lineno}: outcomes must be 0 or 1")
         if count < 0:
@@ -314,7 +316,7 @@ def run_experiment(
         # visibility vis maps the protocol's exact gamma g to 2 - vis (2 - g);
         # vis may pass 1 by rounding only (the memory test's g is 2 - sqrt(2))
         (_, target), = proclib.decay_prediction(cfg.noise, [cfg.wait_ms])
-        reach = 2.0 - certify.gamma_functional(behavior)[0]
+        reach = 2.0 - float(certify.gamma_values(behavior.probs))
         if 2.0 - target > reach * (1.0 + 1e-12):
             raise ValidationError(f"noise.initial_gamma {cfg.noise.initial_gamma} lies "
                                   f"below the noiseless protocol's gamma {2.0 - reach!r}")

@@ -232,7 +232,7 @@ def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float
         op = process.build_process(bell, component("unitary", "partial_swap", block))
         probs = process.contract(op.w, inst.effects, inst.reps, final)
         process.check_probabilities(probs, (-2, -1), "behavior")
-        out += zip(block, certify.gamma_values(probs)[0].tolist())
+        out += zip(block, certify.gamma_values(probs).tolist())
     return out
 
 
@@ -262,7 +262,7 @@ class NoiseParams:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.echo_fidelity <= 1.0:
             raise ValidationError(f"echo_fidelity must lie in (0, 1], got {self.echo_fidelity}")
-        if not 2 - math.sqrt(2) <= self.initial_gamma <= 2:
+        if not certify.GAMMA_MAX_VIOLATION <= self.initial_gamma <= 2:
             raise ValidationError(f"initial_gamma must lie in [2 - sqrt(2), 2], "
                                   f"got {self.initial_gamma}")
 

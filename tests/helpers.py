@@ -37,7 +37,7 @@ def vertex_table_values(vertices: classical.VertexSet) -> tuple[np.ndarray, np.n
     0/1 behavior and do-tables: the per-vertex route that the library's
     type-set table replaces, kept as its reference."""
     probs, do = classical._tables(vertices)
-    gamma = certify.gamma_values(probs)[0]
+    gamma = certify.gamma_values(probs)
     return gamma.astype(float), (gamma + 2 * certify.acde_values(do)).astype(float)
 
 
@@ -67,7 +67,7 @@ def lemma1_check(vertices: classical.VertexSet, mixtures: int = 0, seed: int = 0
         return False
     if vertices.crosstalk:
         return True
-    return bool((certify.pair_minima(probs)[0] - joint).min() >= -1e-12)
+    return bool((certify._pair_terms(probs).min(axis=-3) - joint).min() >= -1e-12)
 
 
 def memory_instrument() -> process.MpInstrument:

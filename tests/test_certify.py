@@ -225,22 +225,24 @@ def test_functional_ranges_on_deterministic_tables():
 
 def test_gamma_values_batch_equals_sequential_loop():
     # the batched kernel must reproduce, bit for bit, the per-table loop
-    # total += min_x T[x, b0, b1] over (b0, b1) in order, with ties taken
-    # at the smallest setting index; tables on a 1/8 grid force ties
+    # total += min_x T[x, b0, b1] over (b0, b1) in order, and gamma_functional
+    # the same gamma per table with ties taken at the smallest setting index;
+    # tables on a 1/8 grid force ties
     for n_x in (1, 2, 3, 5, 8):
         probs = RNG.dirichlet(np.ones(4), size=(300, n_x)).reshape(300, n_x, 2, 2)
         probs[:100] = np.round(probs[:100] * 8) / 8
         probs[:100] /= probs[:100].sum(axis=(-2, -1), keepdims=True)
-        gammas, argmin = certify.gamma_values(probs.reshape(3, 100, n_x, 2, 2))
-        gammas, argmin = gammas.reshape(300), argmin.reshape(300, 2, 2)
+        gammas = certify.gamma_values(probs.reshape(3, 100, n_x, 2, 2)).reshape(300)
+        labels = tuple(str(x) for x in range(n_x))
         for r, p in enumerate(probs):
+            gamma, argmin = certify.gamma_functional(process.Behavior(settings=labels, probs=p))
             total = 0.0
             for b0, b1 in itertools.product((0, 1), repeat=2):
                 terms = [p[x, 0, b0] + p[x, 1, b1] for x in range(n_x)]
                 idx = terms.index(min(terms))
-                assert argmin[r, b0, b1] == idx
+                assert argmin[b0, b1] == labels[idx]
                 total += terms[idx]
-            assert gammas[r] == total
+            assert gammas[r] == gamma == total
 
 
 def _settings_major(table):
@@ -277,8 +279,8 @@ def test_functionals_equal_the_plain_formulas_bit_for_bit(n_x):
     donehot = (rng.integers(0, 2, (300, 2, n_x, 1)) == np.arange(2)).astype(np.int8)
     for table, do in ((floats, dfloats), (onehot, donehot)):
         for probs in _layouts(table):
-            _assert_same_bits(certify.gamma_values(probs)[0], gamma_formula(probs))
-            _assert_same_bits(certify.pearl_values(probs), pearl_formula(probs))
+            _assert_same_bits(certify.gamma_values(probs), gamma_formula(probs))
+            _assert_same_bits(certify._pearl(probs.max(axis=-3)), pearl_formula(probs))
         for probs in _layouts(do):
             _assert_same_bits(certify.acde_values(probs), acde_formula(probs))
 
@@ -288,8 +290,8 @@ def test_functionals_of_vertex_tables_equal_the_plain_formulas(n_x):
     # the int8 tables the classical type-set table is built from keep int8
     probs, do = classical._tables(classical.enumerate_strategies(n_x, crosstalk=True))
     assert probs.dtype == do.dtype == np.int8
-    _assert_same_bits(certify.gamma_values(probs)[0], gamma_formula(probs))
-    _assert_same_bits(certify.pearl_values(probs), pearl_formula(probs))
+    _assert_same_bits(certify.gamma_values(probs), gamma_formula(probs))
+    _assert_same_bits(certify._pearl(probs.max(axis=-3)), pearl_formula(probs))
     _assert_same_bits(certify.acde_values(do), acde_formula(do))
 
 

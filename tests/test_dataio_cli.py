@@ -472,6 +472,13 @@ DECAY_ARGV = ["decay", "--t2", "364", "--echo-fidelity", "0.995", "--echo-interv
               "--initial-gamma", "0.642"]
 
 
+def test_cli_decay_negative_t_max_names_the_flag(tmp_path, capsys):
+    assert cli.main(DECAY_ARGV + ["--t-max", "-5", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: --t-max") and "-5.0 ms" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_jm_scan_grid_limit(tmp_path, capsys, monkeypatch):
     # --points is capped for every curve and scan before its grid is built
     assert cli.main(DECAY_ARGV + ["--points", str(cli.MAX_POINTS)]) == 0
@@ -638,13 +645,17 @@ def _explicit_yaml(key, *matrices):
     # only the partial swap has an angle; the flag would be dropped silently
     ("simulate --preset memory_test --exact --alpha 7.0", None, None, "--alpha"),
     ("simulate", "alpha.yaml", b"alpha: 7.0\n", "--alpha (config key alpha) 7.0"),
+    # a blank label would certify with "" as an argmin setting
+    ("certify", "blank.csv", b"x,a,b,count\nq,0,0,5\n,0,0,5\n,1,1,5\n",
+     ":3: empty setting label"),
+    ("certify", "blank_do.csv", b"do_a,x,b,count\n0,q,0,5\n0, ,1,5\n", ":3: empty setting label"),
 ], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
         "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2",
         "negative_seed_certify", "negative_seed_preset", "negative_seed_config",
         "wait_without_noise", "wait_without_noise_config", "nan_t2", "nan_sigma_k",
         "negative_sigma_k", "nan_decay_t2", "nan_unitary", "final_not_psd", "reps_trace_2",
         "four_reps", "state_trace_2", "not_unitary", "alpha_without_partial_swap",
-        "alpha_without_partial_swap_config"])
+        "alpha_without_partial_swap_config", "empty_setting_label", "empty_do_setting_label"])
 def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
     path = tmp_path / str(name)
     if content is not None:
