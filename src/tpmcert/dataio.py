@@ -175,8 +175,8 @@ def _as_matrix(obj, dim: int) -> np.ndarray:
 _NAMED_KEYS = ("initial_state", "unitary", "repreparations", "final_measurement")
 # scalar configuration keys and their types
 _CONFIG_SCALARS = {"protocol": str, "alpha": float, "shots": int, "seed": int, "resamples": int,
-                   "sigma_k": float, "wait_ms": float, "frozen_argmin": bool}
-# NoiseParams field -> key of the YAML noise block
+                   "sigma_k": float, "frozen_argmin": bool}
+# NoiseParams field -> key of the YAML noise block, which also holds wait_ms
 _NOISE_KEYS = {"t2": "t2_ms", "t1": "t1_ms", "echo_fidelity": "echo_fidelity",
                "echo_interval": "echo_interval_ms", "initial_gamma": "initial_gamma"}
 # preset name -> its shipped configuration file
@@ -196,6 +196,13 @@ def _typed(path: Path, key: str, value, kind: type):
     if not finite:
         raise ParseError(f"{path}: {key} must be a finite number, got {value!r}")
     return kind(value)
+
+
+def _reject_unknown(path: Path, block: str, doc: dict, known) -> None:
+    """Raise a ParseError naming the file and every key of doc outside known."""
+    unknown = sorted(set(doc) - set(known), key=str)
+    if unknown:
+        raise ParseError(f"{path}: unknown {block} keys {unknown}")
 
 
 def _named_or_explicit(path: Path, key: str, val):
@@ -227,10 +234,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping at top level")
-    known = set(_CONFIG_SCALARS) | set(_NAMED_KEYS) | {"settings", "noise"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ParseError(f"{path}: unknown configuration keys {unknown}")
+    _reject_unknown(path, "configuration", doc,
+                    [*_CONFIG_SCALARS, *_NAMED_KEYS, "settings", "noise"])
     doc = {key: val for key, val in doc.items() if val is not None}
     kwargs: dict = {}
     for key, kind in _CONFIG_SCALARS.items():
@@ -248,6 +253,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         nz = doc["noise"]
         if not isinstance(nz, dict):
             raise ParseError(f"{path}: noise must be a mapping")
+        _reject_unknown(path, "noise", nz, [*_NOISE_KEYS.values(), "wait_ms"])
         nz = {"t1_ms": proclib.DEFAULT_T1_MS, **nz}
         missing = [key for key in _NOISE_KEYS.values() if key not in nz]
         if missing:
@@ -285,13 +291,14 @@ def check_config(cfg: ExperimentConfig) -> None:
     certify.check_resamples(cfg.resamples)
     certify.check_sigma_k(cfg.sigma_k)
     if cfg.noise is None and cfg.wait_ms != 0.0:
-        raise ValidationError(f"--wait (config key wait_ms) {cfg.wait_ms} needs a noise block")
+        raise ValidationError(f"--wait (config key noise.wait_ms) {cfg.wait_ms} needs a "
+                              "noise block")
     swap = isinstance(cfg.unitary, str) and cfg.unitary == "partial_swap"
     if cfg.alpha is not None and not swap:
         raise ValidationError(f"--alpha (config key alpha) {cfg.alpha} sets the angle of the "
                               f"unitary partial_swap, which this configuration does not use")
     if not cfg.wait_ms >= 0.0:
-        raise DomainError(f"--wait (config key wait_ms): waiting time {cfg.wait_ms} ms is "
+        raise DomainError(f"--wait (config key noise.wait_ms): waiting time {cfg.wait_ms} ms is "
                           f"not a nonnegative number")
 
 

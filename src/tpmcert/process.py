@@ -55,9 +55,9 @@ class MpInstrument:
 
     def __post_init__(self):
         if not self.settings:
-            raise ValidationError("instrument declares no settings")
+            raise ValidationError("settings: instrument declares no settings")
         if len(self.settings) != len(set(self.settings)):
-            raise ValidationError("duplicate setting labels")
+            raise ValidationError("settings: duplicate setting labels")
         for x in self.settings:
             if x not in self.povm:
                 raise ValidationError(f"no POVM declared for setting {x!r}")
@@ -72,32 +72,36 @@ class MpInstrument:
         effects = np.array(pairs)
         effects.setflags(write=False)
         if raw:
-            self._check_raw(effects if len(raw) == len(pairs) else effects[raw], raw)
+            _check_members(linalg.assert_povm, effects[raw], 1,
+                           lambda i: f"POVM of setting {self.settings[raw[i[0]]]!r}")
         reps = Repreparations.of(self.repreparations)
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "repreparations", reps)
         object.__setattr__(self, "reps", reps.ops)
 
-    def _check_raw(self, stack: np.ndarray, raw: list[int]) -> None:
-        """One POVM check of the raw settings' stack; when it fails, the
-        settings are checked one by one to name the first bad one."""
-        try:
-            linalg.assert_povm(stack)
-        except ValidationError:
-            for pair, i in zip(stack, raw):
-                try:
-                    linalg.assert_povm(pair)
-                except ValidationError as exc:
-                    raise ValidationError(f"POVM of setting {self.settings[i]!r}: {exc}") from None
-            raise
+
+def _check_members(check, stack: np.ndarray, lead: int, name) -> None:
+    """Run check once on stack, whose first lead axes index its members.
+    When that fails, check the members one by one in C order and raise the
+    first bad one's own error, led by name(index); a stack with no leading
+    axis is its one member, index ().  Each check reduces over the whole
+    stack with max or min, so a failed stack always has a failing member."""
+    try:
+        check(stack)
+    except ValidationError:
+        for index in np.ndindex(stack.shape[:lead]):
+            try:
+                check(stack[index])
+            except ValidationError as exc:
+                raise ValidationError(f"{name(index)}: {exc}") from None
 
 
 def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
     """The two 2x2 operators of a binary measurement or re-preparation, as one
     read-only (2, 2, 2) array of their common dtype."""
+    ops = [np.asarray(m) for m in ops]
     if len(ops) != 2:
         raise ValidationError(f"{what} must be binary: got {len(ops)} entries, expected 2")
-    ops = [np.asarray(m) for m in ops]
     if any(m.shape != (2, 2) for m in ops):
         raise ValidationError(f"{what} must be 2x2 (qubit) matrices")
     pair = np.array(ops)
@@ -108,27 +112,23 @@ def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Checked:
     """An input validated once at construction and then kept as one read-only
-    array, ops; a failed check names what the input is.  np.asarray reads it
-    as that array.
+    array, ops, whose last core axes make one member; a failed check names
+    what the input is and, in a stack, its first bad member (_check_members).
+    np.asarray reads it as that array.
 
     Registry entries arrive checked: proclib.component builds each constant
     once per process and the partial swap per call.  So do a configuration's
-    explicit matrices: ExperimentConfig checks them when it is built.  Raw matrices are checked where they enter
-    (build_process, MpInstrument, born_rule, do_probabilities)."""
+    explicit matrices: ExperimentConfig checks them when it is built.  Raw
+    matrices are checked where they enter (build_process, MpInstrument,
+    born_rule, do_probabilities)."""
 
     ops: Sequence[np.ndarray] | np.ndarray
 
     def __post_init__(self):
         ops = self.form(self.ops)
-        try:
-            self.check(ops)
-        except ValidationError as exc:
-            raise ValidationError(f"{self.what}{self.where(ops)}: {exc}") from None
+        _check_members(self.check, ops, ops.ndim - self.core,
+                       lambda index: f"{self.what} {list(index)}" if index else self.what)
         object.__setattr__(self, "ops", ops)
-
-    def where(self, ops) -> str:
-        """What a failed check's message adds after what: nothing here."""
-        return ""
 
     @classmethod
     def of(cls, ops):
@@ -144,11 +144,10 @@ class _CheckedPair(_Checked):
     array of their common dtype; it indexes like the pair of matrices it was
     built from."""
 
+    core = 3
+
     def form(self, ops):
         return _qubit_pair(ops, self.what)
-
-    def __len__(self):
-        return 2
 
     def __getitem__(self, outcome):
         return self.ops[outcome]
@@ -160,6 +159,8 @@ class _TwoQubitOperator(_Checked):
     it.  A stack is checked at once; when that fails, its members are
     checked in order to name the first bad one by its index."""
 
+    core = 2
+
     def form(self, m):
         m = np.array(m, dtype=complex)
         if m.shape[-2:] != (4, 4):
@@ -168,16 +169,6 @@ class _TwoQubitOperator(_Checked):
             raise ValidationError(f"{self.what} is an empty stack of shape {m.shape}")
         m.setflags(write=False)
         return m
-
-    def where(self, ops) -> str:
-        if ops.ndim == 2:
-            return ""
-        for index in np.ndindex(ops.shape[:-2]):
-            try:
-                self.check(ops[index])
-            except ValidationError:
-                return f" {list(index)}"
-        return ""
 
 
 class InitialState(_TwoQubitOperator):

@@ -48,7 +48,7 @@ HOSTILE = {
     "resamples": (st.integers(max_value=1) | st.integers(min_value=certify.MAX_RESAMPLES + 1)
                   | not_an_int),
     "sigma_k": _below(0.0) | non_finite | not_a_number,
-    # BASE has no noise block, so any wait is one too many
+    # the wait lives in the noise block, so a top-level one is an unknown key
     "wait_ms": finite.filter(lambda v: v != 0.0) | non_finite | not_a_number,
     "frozen_argmin": st.integers() | finite | non_finite | strings | lists,
 }
@@ -62,6 +62,17 @@ NOISE_HOSTILE = {
     "initial_gamma": (_below(2.0 - math.sqrt(2.0), exclude=True) | _above(2.0, exclude=True)
                       | non_finite | not_a_number),
     "wait_ms": _below(0.0, exclude=True) | non_finite | not_a_number,
+}
+
+
+# a key outside the schema of its block, which the error must quote as it is
+def _unknown_key(known):
+    return st.from_regex(r"[a-z_]{1,10}", fullmatch=True).filter(lambda key: key not in known)
+
+
+UNKNOWN_KEYS = {
+    "top": _unknown_key({*BASE, *HOSTILE, *dataio._NAMED_KEYS, "settings", "noise"}),
+    "noise": _unknown_key(set(NOISE)),
 }
 
 
@@ -105,3 +116,14 @@ def test_hostile_scalar_exits_2_or_3(tmp_path_factory, key, data):
 def test_hostile_noise_value_exits_2_or_3(tmp_path_factory, key, data):
     value = data.draw(NOISE_HOSTILE[key], label=key)
     _assert_rejected(_simulate(tmp_path_factory, {**BASE, "noise": {**NOISE, key: value}}), key)
+
+
+@pytest.mark.parametrize("block", sorted(UNKNOWN_KEYS))
+@SETTINGS
+@given(data=st.data())
+def test_unknown_key_exits_2(tmp_path_factory, block, data):
+    key = data.draw(UNKNOWN_KEYS[block], label=block)
+    doc = {**BASE, key: 1.0} if block == "top" else {**BASE, "noise": {**NOISE, key: 1.0}}
+    result = _simulate(tmp_path_factory, doc)
+    assert result.rc == 2, result.err
+    _assert_rejected(result, repr(key))

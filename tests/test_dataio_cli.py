@@ -355,14 +355,15 @@ _KET1 = "[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]"
 @pytest.mark.parametrize("text, message", [
     (f"repreparations:\n  - {_KET0}\n", "repreparations: must be binary"),
     (f"repreparations: [{_KET0}, {_KET1}, {_KET0}]\n", "repreparations: must be binary"),
-    ("settings: []\n", "instrument declares no settings"),
-], ids=["one_repreparation", "three_repreparations", "no_settings"])
+    ("settings: []\n", "settings: instrument declares no settings"),
+    ("settings: [x, x]\n", "settings: duplicate setting labels"),
+], ids=["one_repreparation", "three_repreparations", "no_settings", "duplicate_settings"])
 def test_cli_rejects_malformed_instrument_configs(tmp_path, capsys, text, message):
     path = write(tmp_path, "inst.yaml", "shots: exact\n" + text)
     rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {path}: {message}")
     assert not (tmp_path / "report.json").exists()
 
 
@@ -604,6 +605,12 @@ def _explicit_yaml(key, *matrices):
     ("simulate", "negative_t2.yaml",
      b"noise:\n  t2_ms: -1\n  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n"
      b"  initial_gamma: 0.642\n", "noise.t2_ms must be positive"),
+    # a misspelt noise key would otherwise be dropped silently
+    ("simulate", "noise_typo.yaml",
+     b"noise:\n  t2_ms: 364.0\n  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n"
+     b"  initial_gamma: 0.642\n  include_t1: true\n  t2_typo_ms: 5.0\n",
+     "unknown noise keys ['include_t1', 't2_typo_ms']"),
+    ("simulate", "int_key.yaml", b"1: 2\nfoo: 3\n", "unknown configuration keys [1, 'foo']"),
     # a whole command line: its error names the flag and config key, not a file
     (f"certify --counts {FIXTURES / 'memory_observational.csv'} --seed -1", None, None,
      "--seed (config key seed) -1 is negative"),
@@ -613,8 +620,9 @@ def _explicit_yaml(key, *matrices):
      "--seed (config key seed) -3 is negative"),
     # a wait without a noise block would print the noiseless gamma
     ("simulate --preset memory_test --exact --wait 1000", None, None,
-     "--wait (config key wait_ms) 1000.0 needs a noise block"),
-    ("simulate", "wait.yaml", b"wait_ms: 5\n", "--wait (config key wait_ms) 5.0 needs"),
+     "--wait (config key noise.wait_ms) 1000.0 needs a noise block"),
+    # the wait lives in the noise block only
+    ("simulate", "wait.yaml", b"wait_ms: 5\n", "unknown configuration keys ['wait_ms']"),
     # NaN passes every comparison-based check, and report.json cannot hold it
     ("simulate", "nan_t2.yaml",
      b"noise:\n  t2_ms: .nan\n  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n"
@@ -651,6 +659,7 @@ def _explicit_yaml(key, *matrices):
     ("certify", "blank_do.csv", b"do_a,x,b,count\n0,q,0,5\n0, ,1,5\n", ":3: empty setting label"),
 ], ids=["noise_without_echo_fidelity", "missing_config", "non_utf8_counts",
         "alpha_not_a_number", "settings_not_a_list", "fractional_shots", "negative_t2",
+        "unknown_noise_keys", "unknown_int_and_str_keys",
         "negative_seed_certify", "negative_seed_preset", "negative_seed_config",
         "wait_without_noise", "wait_without_noise_config", "nan_t2", "nan_sigma_k",
         "negative_sigma_k", "nan_decay_t2", "nan_unitary", "final_not_psd", "reps_trace_2",

@@ -163,6 +163,31 @@ def test_a_stack_with_one_non_unitary_member_names_its_index():
         process.build_process(states, us[:3])
 
 
+_STATE_NOT_PSD = np.diag([1.5, -0.5, 0.0, 0.0])  # Hermitian, of unit trace
+_STATE_NOT_HERMITIAN = linalg.bell_state() + np.triu(np.full((4, 4), 0.1), 1)
+_STATE_TRACE_1_5 = np.diag([1.5, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("members, first", [
+    ((_STATE_NOT_PSD, _STATE_NOT_HERMITIAN), 0),
+    ((_STATE_NOT_HERMITIAN, _STATE_NOT_PSD), 0),
+    ((linalg.bell_state(), _STATE_NOT_PSD, _STATE_TRACE_1_5), 1),
+], ids=["not_psd_then_not_hermitian", "not_hermitian_then_not_psd",
+        "valid_then_not_psd_then_trace_1.5"])
+def test_a_stack_with_mixed_faults_names_its_first_bad_member_with_its_own_error(members, first):
+    # the stack's check may fail first on another member's fault; the
+    # message is the first bad member's own, as if it had been checked alone
+    for member in members[:first]:
+        linalg.assert_density_matrix(member)
+    with pytest.raises(ValidationError) as alone:
+        linalg.assert_density_matrix(members[first])
+    for call in (lambda: process.InitialState(np.array(members)),
+                 lambda: process.build_process(np.array(members), np.eye(4))):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == f"initial state [{first}]: {alone.value}"
+
+
 @pytest.mark.parametrize("states, unitaries, message", [
     ([linalg.bell_state()] * 3, [np.eye(4)] * 2,
      r"^initial states of shape \(3, 4, 4\) and unitaries of shape \(2, 4, 4\) do not broadcast$"),
@@ -421,6 +446,18 @@ def test_instrument_names_the_bad_raw_setting_beside_registry_pairs(bad, message
         process.MpInstrument(settings=labels, povm=povm,
                              repreparations=proclib.component("repreparations", "plus_minus"))
     assert str(err.value) == f"POVM of setting 'q': {message}"
+
+
+@pytest.mark.parametrize("labels", [("z", "p", "q"), ("z", "q", "p")])
+def test_raw_instrument_names_its_first_bad_setting_with_its_own_error(labels):
+    # p fails Hermiticity and q positivity; the stack fails on p's fault
+    # first, and the error names whichever comes first in settings order
+    povm = {"z": _Z, "p": (_Z[0], 1j * _Z[1]), "q": _NOT_PSD}
+    with pytest.raises(ValidationError) as alone:
+        linalg.assert_povm(povm[labels[1]])
+    with pytest.raises(ValidationError) as err:
+        process.MpInstrument(settings=labels, povm=povm, repreparations=_Z)
+    assert str(err.value) == f"POVM of setting {labels[1]!r}: {alone.value}"
 
 
 def test_mixed_instrument_checks_its_raw_pairs_once_and_equals_the_raw_one(monkeypatch):
