@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import certify, proclib, process
+from . import certify, linalg, proclib, process
 from .exceptions import DomainError, ParseError, ResourceLimitError, ValidationError
 
 OBS_HEADER = ["x", "a", "b", "count"]
@@ -310,32 +310,25 @@ def run_experiment(
     Exact mode propagates the ideal probabilities; finite shots draw one
     multinomial sample per setting (and per intervention row) with per-row
     seeds derived from the configured seed, so runs are reproducible.
-    A noise block attenuates all correlations toward the uniform table so
-    that gamma equals the decay_prediction of the noise model at the
-    configured waiting time.
+    A noise block depolarises the memory qubit E of the initial state to the
+    visibility at which gamma is the decay_prediction of its model at the
+    wait, exact when the fully depolarised memory gives pair terms of 1/2.
     """
     rho, u, inst, final = cfg.components
     op = process.build_process(rho, u)
-    behavior = process.born_rule(op, inst, final)
-    do_exact = process.do_probabilities(op, inst.repreparations, final)
-
     if cfg.noise is not None:
         # visibility vis maps the protocol's exact gamma g to 2 - vis (2 - g);
         # vis may pass 1 by rounding only (the memory test's g is 2 - sqrt(2))
         (_, target), = proclib.decay_prediction(cfg.noise, [cfg.wait_ms])
-        reach = 2.0 - float(certify.gamma_values(behavior.probs))
+        reach = 2.0 - float(certify.gamma_values(process.born_rule(op, inst, final).probs))
         if 2.0 - target > reach * (1.0 + 1e-12):
             raise ValidationError(f"noise.initial_gamma {cfg.noise.initial_gamma} lies "
                                   f"below the noiseless protocol's gamma {2.0 - reach!r}")
         vis = (2.0 - target) / reach if reach > 0.0 else 1.0
-        behavior = process.Behavior(
-            settings=behavior.settings,
-            probs=vis * (behavior.probs - 0.25) + 0.25,
-        )
-        do_exact = process.DoTable(
-            probs=vis * (do_exact.probs - 0.5) + 0.5,
-            do_settings=None,
-        )
+        memoryless = np.kron(op.marginal_state, linalg.ID2 / 2)  # E fully depolarised
+        op = process.build_process(vis * rho.ops + (1 - vis) * memoryless, u)
+    behavior = process.born_rule(op, inst, final)
+    do_exact = process.do_probabilities(op, inst.repreparations, final)
 
     if cfg.shots is None:
         do_table = do_exact

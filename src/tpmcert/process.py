@@ -74,6 +74,9 @@ class MpInstrument:
         if raw:
             _check_members(linalg.assert_povm, effects[raw], 1,
                            lambda i: f"POVM of setting {self.settings[raw[i[0]]]!r}")
+        undeclared = sorted(set(self.povm) - set(self.settings), key=str)
+        if undeclared:
+            raise ValidationError(f"POVM given for undeclared settings {undeclared}")
         reps = Repreparations.of(self.repreparations)
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "repreparations", reps)
@@ -224,14 +227,16 @@ class ProcessOperator:
     marginal_state: np.ndarray
 
 
-def _check_table(table, shape: tuple[int, ...], cells: tuple[int, ...], row_name,
+def _check_table(table, labels, shape: tuple[int, ...], cells: tuple[int, ...], row_name,
                  what: str) -> None:
-    """Derive table.probs from table.counts when those are given, else
-    validate table.probs.  Counts must be integers of the table's shape, none
-    negative, with at least one shot per row (row_name(*index) names a row in
-    errors); probs = counts / row total, and the counts are kept as a
-    read-only int64 copy.  Either way probs is kept as a read-only float64
-    copy, so that later changes to the caller's array do not reach it."""
+    """Refuse repeated labels, then derive table.probs from table.counts when
+    those are given, else validate table.probs.  Counts must be integers of
+    the table's shape, none negative, with at least one shot per row
+    (row_name(*index) names a row in errors); probs = counts / row total.
+    Counts and probs are kept as read-only int64 and float64 copies, which
+    later changes to the caller's arrays do not reach."""
+    if labels is not None and len(set(labels)) != len(labels):
+        raise ValidationError(f"{what}: duplicate setting labels")
     if table.counts is not None:
         if table.probs is not None:
             raise ValidationError(f"{what}: give probs or counts, not both")
@@ -283,7 +288,7 @@ class Behavior:
     counts: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_table(self, (len(self.settings), 2, 2), (1, 2),
+        _check_table(self, self.settings, (len(self.settings), 2, 2), (1, 2),
                      lambda x, *_: f"setting {self.settings[x]!r}", "behavior")
 
     def setting_index(self, label: str) -> int:
@@ -311,8 +316,8 @@ class DoTable:
         def row_name(a, k, *_):
             return f"do-table row (a={a}" + (f", x={labels[k]!r})" if labels else ")")
 
-        _check_table(self, (2, 1 if labels is None else len(labels), 2), (2,), row_name,
-                     "do-table")
+        _check_table(self, labels, (2, 1 if labels is None else len(labels), 2), (2,),
+                     row_name, "do-table")
 
 
 def build_process(rho: InitialState | np.ndarray, u: Unitary | np.ndarray) -> ProcessOperator:

@@ -244,9 +244,9 @@ DEFAULT_T1_MS = 1170.0
 class NoiseParams:
     """Dephasing-with-echo noise model parameters (times in milliseconds).
 
-    initial_gamma anchors the model to the measured zero-wait value; the
-    spontaneous-decay time t1 is stored but only enters when explicitly
-    enabled, as it is subdominant on millisecond scales.
+    initial_gamma anchors the model to the measured zero-wait value; t1, being
+    subdominant on millisecond scales, enters only when explicitly enabled.
+    A simulated run depolarises the memory qubit to the model's visibility.
     """
 
     t2: float

@@ -13,6 +13,7 @@ from tpmcert import certify, classical, cli, dataio, linalg, proclib, process
 from tpmcert.exceptions import DomainError, ParseError, ValidationError
 
 from helpers import preset_config
+from oracles import I2, SX, SZ, gamma_formula, partial_trace, sequential_probabilities
 
 SQRT2 = math.sqrt(2.0)
 
@@ -138,6 +139,37 @@ def test_noise_anchoring_follows_the_configured_protocol():
     for wait in (-50.0, math.nan):
         with pytest.raises(DomainError, match="wait_ms"):
             dataio.run_experiment(preset_config("memory_test", noise=low, wait_ms=wait))
+
+
+@pytest.mark.parametrize("wait", [0.0, 5.0])
+def test_noise_depolarises_the_memory_and_leaves_the_first_outcome_alone(wait):
+    # on |0><0| (x) |0><0| setting z reads a = 0 with certainty; noise on the
+    # memory E, which waits after A' is measured, cannot change P(a|x)
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    noise = proclib.NoiseParams(t2=10.0, t1=1170.0, echo_fidelity=1.0, echo_interval=2.5,
+                                initial_gamma=1.8)
+    parts = dict(protocol="custom", initial_state=rho, unitary="cnot_swap", settings=("z", "x"),
+                 repreparations="plus_minus", final_measurement="xz_diagonal")
+    clean, _, _ = dataio.run_experiment(dataio.ExperimentConfig(**parts))
+    noisy, do_table, report = dataio.run_experiment(
+        dataio.ExperimentConfig(**parts, noise=noise, wait_ms=wait))
+    # the oracle: the sequential run on vis rho + (1 - vis) rho_A' (x) id/2
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    u = swap @ (np.kron(I2, np.diag([1, 0])) + np.kron(SX, np.diag([0, 1])))
+    effects = [((I2 + SZ) / 2, (I2 - SZ) / 2), ((I2 + SX) / 2, (I2 - SX) / 2)]
+    reps = ((I2 - SX) / 2, (I2 + SX) / 2)
+    f0 = (I2 + (SX + SZ) / SQRT2) / 2
+    final = (f0, I2 - f0)
+    (_, target), = proclib.decay_prediction(noise, [wait])
+    clean_gamma = gamma_formula(sequential_probabilities(rho, u, effects, reps, final))
+    vis = (2.0 - target) / (2.0 - clean_gamma)
+    depolarised = vis * rho + (1 - vis) * np.kron(partial_trace(rho, (2, 2), [1]), I2 / 2)
+    want = sequential_probabilities(depolarised, u, effects, reps, final)
+    assert np.abs(noisy.probs - want).max() < 1e-12
+    want_do = sequential_probabilities(depolarised, u, [(I2, I2)], reps, final)
+    assert np.abs(do_table.probs - want_do.transpose(1, 0, 2)).max() < 1e-12
+    assert np.abs(noisy.probs.sum(axis=2) - clean.probs.sum(axis=2)).max() < 1e-12
+    assert abs(report.gamma - target) < 1e-9
 
 
 _RAW = dict(initial_state=linalg.bell_state(), unitary=proclib.partial_swap(1.0),

@@ -609,6 +609,33 @@ def test_tables_reject_bad_counts(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: process.Behavior(settings=("x", "x"),
+                              probs=[np.full((2, 2), 0.25), [[0.5, 0.0], [0.0, 0.5]]]),
+     "behavior: duplicate setting labels"),
+    (lambda: process.Behavior(settings=("u", "v", "u"), counts=np.ones((3, 2, 2), dtype=int)),
+     "behavior: duplicate setting labels"),
+    (lambda: process.DoTable(do_settings=("u", "u"), probs=np.full((2, 2, 2), 0.5)),
+     "do-table: duplicate setting labels"),
+], ids=["behavior_probs", "behavior_counts", "do_table"])
+def test_tables_refuse_repeated_setting_labels(make, message):
+    # a repeated label names two rows: the first table would certify with
+    # gamma 1.5, but its CHSH split reads the uniform row for both settings
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_instrument_refuses_povms_of_undeclared_settings():
+    # the undeclared y is no POVM at all; it is named, not dropped
+    povm = {"x": proclib.component("settings", "x"), "y": (5 * linalg.ID2, linalg.ID2),
+            2: proclib.component("settings", "z")}
+    with pytest.raises(ValidationError) as err:
+        process.MpInstrument(settings=("x",), povm=povm,
+                             repreparations=proclib.component("repreparations", "plus_minus"))
+    assert str(err.value) == "POVM given for undeclared settings [2, 'y']"
+
+
 @pytest.mark.parametrize("make", [
     lambda: process.Behavior(settings=("u",), counts=np.ones((1, 2, 2), dtype=int)),
     lambda: process.DoTable(counts=np.ones((2, 1, 2), dtype=int)),
