@@ -34,7 +34,6 @@ from .proclib import (
     partial_swap,
     partial_swap_gamma_curve,
     upsilon,
-    w222,
 )
 
 __version__ = "0.1.0"
@@ -68,5 +67,4 @@ __all__ = [
     "pearl_delta",
     "upsilon",
     "validate_process",
-    "w222",
 ]

@@ -282,8 +282,9 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
 def check_config(cfg: ExperimentConfig) -> None:
     """Raise for a value of cfg that no run accepts, naming its flag and
     config key: a negative seed, shots outside [1, MAX_COUNT], a resample count
-    or sigma_k that certify refuses, a wait without a noise block or an alpha
-    without partial_swap (ValidationError), or a negative or NaN wait (DomainError)."""
+    or sigma_k that certify refuses, a wait without a noise block, an alpha
+    without partial_swap or repeated setting labels (ValidationError), or a
+    negative or NaN wait (DomainError)."""
     certify.check_seed(cfg.seed)
     if cfg.shots is not None and not 1 <= cfg.shots <= MAX_COUNT:
         raise ValidationError(f"--shots (config key shots) {cfg.shots} is not between 1 "
@@ -300,6 +301,8 @@ def check_config(cfg: ExperimentConfig) -> None:
     if not cfg.wait_ms >= 0.0:
         raise DomainError(f"--wait (config key noise.wait_ms): waiting time {cfg.wait_ms} ms is "
                           f"not a nonnegative number")
+    if len(set(cfg.settings)) != len(cfg.settings):
+        raise ValidationError("settings: duplicate setting labels")
 
 
 def run_experiment(
@@ -321,7 +324,7 @@ def run_experiment(
         # vis may pass 1 by rounding only (the memory test's g is 2 - sqrt(2))
         (_, target), = proclib.decay_prediction(cfg.noise, [cfg.wait_ms])
         reach = 2.0 - float(certify.gamma_values(process.born_rule(op, inst, final).probs))
-        if 2.0 - target > reach * (1.0 + 1e-12):
+        if 2.0 - cfg.noise.initial_gamma > reach * (1.0 + 1e-12):
             raise ValidationError(f"noise.initial_gamma {cfg.noise.initial_gamma} lies "
                                   f"below the noiseless protocol's gamma {2.0 - reach!r}")
         vis = (2.0 - target) / reach if reach > 0.0 else 1.0

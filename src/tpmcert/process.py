@@ -35,7 +35,8 @@ class MpInstrument:
     """Measure-and-prepare instrument for the first time step.
 
     povm maps each setting label to the pair of effects (outcome 0, outcome 1)
-    on A'.  Re-preparations are indexed by outcome only, never by setting; that
+    on A'; its keys, in the mapping's order, are the instrument's settings.
+    Re-preparations are indexed by outcome only, never by setting; that
     restriction is what makes the later crosstalk analysis meaningful.
 
     Construction validates each input once: a setting's pair that arrives as
@@ -47,23 +48,18 @@ class MpInstrument:
     (2, 2, 2) indexed [a].
     """
 
-    settings: tuple[str, ...]
     povm: Mapping[str, BinaryPovm | tuple[np.ndarray, np.ndarray]]
     repreparations: Repreparations | tuple[np.ndarray, np.ndarray]
+    settings: tuple[str, ...] = field(init=False)
     effects: np.ndarray = field(init=False, repr=False, compare=False)
     reps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.settings:
+        settings = tuple(self.povm)
+        if not settings:
             raise ValidationError("settings: instrument declares no settings")
-        if len(self.settings) != len(set(self.settings)):
-            raise ValidationError("settings: duplicate setting labels")
-        for x in self.settings:
-            if x not in self.povm:
-                raise ValidationError(f"no POVM declared for setting {x!r}")
         pairs, raw = [], []  # raw: indices of the settings still to check
-        for i, x in enumerate(self.settings):
-            pair = self.povm[x]
+        for i, (x, pair) in enumerate(self.povm.items()):
             if isinstance(pair, BinaryPovm):
                 pairs.append(pair.ops)
             else:
@@ -73,11 +69,9 @@ class MpInstrument:
         effects.setflags(write=False)
         if raw:
             _check_members(linalg.assert_povm, effects[raw], 1,
-                           lambda i: f"POVM of setting {self.settings[raw[i[0]]]!r}")
-        undeclared = sorted(set(self.povm) - set(self.settings), key=str)
-        if undeclared:
-            raise ValidationError(f"POVM given for undeclared settings {undeclared}")
+                           lambda i: f"POVM of setting {settings[raw[i[0]]]!r}")
         reps = Repreparations.of(self.repreparations)
+        object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "repreparations", reps)
         object.__setattr__(self, "reps", reps.ops)
@@ -218,13 +212,22 @@ class Repreparations(_CheckedPair):
 
 @dataclass(frozen=True, eq=False)
 class ProcessOperator:
-    """Operator W on A' (x) A (x) B together with the marginal state on A'.
-
-    A stack of processes holds w (..., 8, 8) and marginal_state (..., 2, 2),
-    whose leading axes broadcast against those of w."""
+    """Operator W on A' (x) A (x) B, or a stack (..., 8, 8) of them;
+    build_process makes every one."""
 
     w: np.ndarray
-    marginal_state: np.ndarray
+
+    @property
+    def marginal_state(self) -> np.ndarray:
+        """The state on A', Tr_AB W / 2, with W's leading axes."""
+        return _partial_traces(self.w)[1] / 2.0
+
+
+def _partial_traces(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tr_B W on (A', A, A'~, A~) and Tr_AB W on (A', A'~) of w (..., 8, 8)."""
+    w6 = w.reshape(w.shape[:-2] + (2,) * 6)  # A', A, B, A'~, A~, B~
+    tr_b = w6[..., 0, :, :, 0] + w6[..., 1, :, :, 1]
+    return tr_b, tr_b[..., :, 0, :, 0] + tr_b[..., :, 1, :, 1]
 
 
 def _check_table(table, labels, shape: tuple[int, ...], cells: tuple[int, ...], row_name,
@@ -349,8 +352,8 @@ def build_process(rho: InitialState | np.ndarray, u: Unitary | np.ndarray) -> Pr
     uu = (v @ v.conj().swapaxes(-1, -2)).reshape((-1,) + (2,) * 8)  # A, E, B, E', A~, E~, B~, E'~
     # the matmul's rows and columns lead with the indices that the traces pair
     uu = uu.transpose(0, 2, 6, 4, 8, 1, 3, 5, 7).reshape(u.shape[:-2] + (2, 128))
-    rho4 = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # A', E, A'~, E~
-    rho_pt = rho4.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 1, 3, 2)  # rho^{T_E} as E, A', A'~, E~
+    # rho on (A', E, A'~, E~), then rho^{T_E} as E, A', A'~, E~
+    rho_pt = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 1, 3, 2)
     try:  # [(E, A', A'~), (E~, E', E'~, A, B, A~, B~)]
         s = rho_pt.reshape(rho.shape[:-2] + (8, 2)) @ uu
     except ValueError:  # the core shapes are fixed, so only the stacks can clash
@@ -363,8 +366,7 @@ def build_process(rho: InitialState | np.ndarray, u: Unitary | np.ndarray) -> Pr
     w = w.reshape(lead + (8, 8))
     w = 0.5 * (w + w.conj().swapaxes(-1, -2))
 
-    marginal = rho4[..., :, 0, :, 0] + rho4[..., :, 1, :, 1]
-    op = ProcessOperator(w=w, marginal_state=marginal)
+    op = ProcessOperator(w=w)
     problems = validate_process(op)
     if problems:
         raise ValidationError(f"constructed process is invalid: {problems}")
@@ -375,28 +377,21 @@ def validate_process(op: ProcessOperator | np.ndarray) -> list[str]:
     """Diagnostic check of the process-operator invariants; empty list = valid.
 
     Checks Hermiticity, positivity, Tr W = 2, and the causality marginal
-    Tr_B W = rho_A' (x) id_A, within PROCESS_ATOL.  A declared marginal state
-    must agree with the marginal derived from W itself.  A stack (..., 8, 8)
+    Tr_B W = rho_A' (x) id_A, within PROCESS_ATOL.  A stack (..., 8, 8)
     is checked at once, with one Hermiticity max and one eigvalsh; its
     problems are those of its first invalid member in C order, each led by
     that member's index, such as "[3]: positivity violated".
     """
-    if isinstance(op, ProcessOperator):
-        w, declared = op.w, op.marginal_state
-    else:
-        w, declared = np.asarray(op, dtype=complex), None
+    w = op.w if isinstance(op, ProcessOperator) else np.asarray(op, dtype=complex)
     if w.shape[-2:] != (8, 8):
         return [f"wrong shape {w.shape}, expected (8, 8)"]
     w_dag = w.conj().swapaxes(-1, -2)
     hermitian = np.abs(w - w_dag).max(axis=(-2, -1)) <= PROCESS_ATOL
     if not hermitian.all():
         w = np.where(hermitian[..., None, None], w, 0.5 * (w + w_dag))
-    w6 = w.reshape(w.shape[:-2] + (2,) * 6)             # A', A, B, A'~, A~, B~
-    tr_b = w6[..., 0, :, :, 0] + w6[..., 1, :, :, 1]    # A', A, A'~, A~
-    tr_ab = tr_b[..., :, 0, :, 0] + tr_b[..., :, 1, :, 1]
+    tr_b, tr_ab = _partial_traces(w)
     trace = (tr_ab[..., 0, 0] + tr_ab[..., 1, 1]).real
-    derived_marginal = tr_ab / 2.0
-    marginal_off = tr_b - derived_marginal[..., :, None, :, None] * linalg.ID2[:, None, :]
+    marginal_off = tr_b - (tr_ab / 2.0)[..., :, None, :, None] * linalg.ID2[:, None, :]
     faults = [
         (~hermitian, "not Hermitian"),
         (np.linalg.eigvalsh(w)[..., 0] < -PROCESS_ATOL, "positivity violated"),
@@ -404,9 +399,6 @@ def validate_process(op: ProcessOperator | np.ndarray) -> list[str]:
         (np.abs(marginal_off).max(axis=(-4, -3, -2, -1)) > PROCESS_ATOL,
          "marginal violated: Tr_B W is not rho_A' (x) id_A"),
     ]
-    if declared is not None:
-        faults.append((np.abs(derived_marginal - declared).max(axis=(-2, -1)) > PROCESS_ATOL,
-                       "declared marginal state disagrees with Tr_{AB} W / 2"))
     bad = faults[0][0]
     for fault, _ in faults[1:]:
         bad = bad | fault
@@ -459,7 +451,7 @@ def born_rule(
     """
     final = FinalMeasurement.of(final_povm).ops
     probs = contract(op.w, inst.effects, inst.reps, final)
-    return Behavior(settings=tuple(inst.settings), probs=probs)
+    return Behavior(settings=inst.settings, probs=probs)
 
 
 def do_probabilities(

@@ -108,41 +108,26 @@ def _constant(key: str, name: str):
 
 def pauli_instrument(settings: Sequence[str], repreparations) -> process.MpInstrument:
     """First-time instrument of signed-Pauli settings and re-preparations."""
-    return process.MpInstrument(
-        settings=tuple(settings),
-        povm={x: component("settings", x) for x in settings},
-        repreparations=repreparations,
-    )
-
-
-def memory_final_povm() -> process.FinalMeasurement:
-    return component("final_measurement", "xz_diagonal")
-
-
-def w222() -> process.ProcessOperator:
-    """The canonical rank-2 maximally violating process of the memory test:
-    the Bell state through cnot_swap_unitary.  W is a three-qubit GHZ
-    projector plus its bit-flip image on the middle (re-preparation) slot."""
-    return process.build_process(component("initial_state", "bell"),
-                                 component("unitary", "cnot_swap"))
+    return process.MpInstrument(povm={x: component("settings", x) for x in settings},
+                                repreparations=repreparations)
 
 
 def upsilon(p: float) -> process.ProcessOperator:
-    """Interpolating family p * W + (1-p) * H_A' W H_A' built on w222.
+    """Interpolating family of the memory test: the mixed initial state
+    p * rho_bell + (1-p) * H_A' rho_bell H_A' through cnot_swap_unitary.
 
-    The Hadamard twirl acts on A'.  Endpoints are entangled across A' : AB
-    (partial transpose over A' has eigenvalue -1/2), the midpoint p = 1/2 is PPT
-    across every cut.  Best gamma: 2 - sqrt(1 + (1 - 2p)^2), see upsilon_best_gamma.
+    W is linear in the initial state, so this is p * W + (1-p) * H_A' W H_A',
+    the Hadamard twirl on A' of the memory test's process upsilon(1): a
+    three-qubit GHZ projector plus its bit-flip image on the middle
+    (re-preparation) slot.  Endpoints are entangled across A' : AB (partial
+    transpose over A' has eigenvalue -1/2), the midpoint p = 1/2 is PPT across
+    every cut.  Best gamma: 2 - sqrt(1 + (1 - 2p)^2), see upsilon_best_gamma.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"mixing weight {p} outside [0, 1]")
-    base, h = w222().w, linalg.HADAMARD
-    twirled = np.einsum("ij,jakb,lk->ialb", h, base.reshape(2, 4, 2, 4), h.conj())
-    w = p * base + (1.0 - p) * twirled.reshape(8, 8)
-    w6 = w.reshape((2,) * 6)  # A', A, B, A'~, A~, B~
-    tr_a = w6[:, 0, :, :, 0] + w6[:, 1, :, :, 1]  # A', B, A'~, B~
-    marginal = (tr_a[:, 0, :, 0] + tr_a[:, 1, :, 1]) / 2.0
-    return process.ProcessOperator(w=w, marginal_state=marginal)
+    bell, h = component("initial_state", "bell").ops, np.kron(linalg.HADAMARD, linalg.ID2)
+    return process.build_process(p * bell + (1.0 - p) * (h @ bell @ h),
+                                 component("unitary", "cnot_swap"))
 
 
 def _negative_part(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +164,8 @@ def upsilon_best_gamma(p: float, n_starts: int = 24) -> float:
     starts = [[linalg.bloch_projector(n / np.linalg.norm(n)) for n in d] for d in dirs]
     rho_t = np.array([component("repreparations", "plus_minus").ops]
                      + [s[:2] for s in starts]).swapaxes(-1, -2)
-    final = _binary(np.array([memory_final_povm()[0]] + [s[2] for s in starts]))
+    final = _binary(np.array([component("final_measurement", "xz_diagonal")[0]]
+                             + [s[2] for s in starts]))
     # outcome o of the setting of pair k = (b0, b1) meets F_b with b = (b0, b1)[o]
     meets = np.array([[[1 - b0, b0], [1 - b1, b1]] for b0 in (0, 1) for b1 in (0, 1)])
     prev = np.inf
@@ -200,7 +186,7 @@ def upsilon_best_gamma(p: float, n_starts: int = 24) -> float:
         final = _binary(_negative_part(lin[:, 0] - lin[:, 1])[0])
     labels, gammas = ("00", "01", "10", "11"), []  # setting of pair (b0, b1)
     for e, reps, f in zip(effects, rho_t.swapaxes(-1, -2), final):
-        inst = process.MpInstrument(settings=labels, povm=dict(zip(labels, e)), repreparations=reps)
+        inst = process.MpInstrument(povm=dict(zip(labels, e)), repreparations=reps)
         gammas.append(certify.gamma_functional(process.born_rule(op, inst, f))[0])
     return min(gammas)
 

@@ -32,7 +32,7 @@ def do_fixture(fixtures_dir) -> Path:
 def ideal_memory_behavior():
     from tpmcert import proclib, process
 
-    from helpers import memory_instrument
+    from helpers import memory_instrument, memory_process
 
-    op = proclib.w222()
-    return process.born_rule(op, memory_instrument(), proclib.memory_final_povm())
+    final = proclib.component("final_measurement", "xz_diagonal")
+    return process.born_rule(memory_process(), memory_instrument(), final)

@@ -1,5 +1,5 @@
 """Test helpers built on tpmcert: mixtures of classical vertices, the Lemma 1
-potential-outcome check, the memory test's instrument,
+potential-outcome check, the memory test's process and instrument,
 entanglement-breaking channels and random ones, and the shipped presets.
 
 Unlike oracles.py, these call into the library: they assemble its parts for
@@ -68,6 +68,14 @@ def lemma1_check(vertices: classical.VertexSet, mixtures: int = 0, seed: int = 0
     if vertices.crosstalk:
         return True
     return bool((certify._pair_terms(probs).min(axis=-3) - joint).min() >= -1e-12)
+
+
+def memory_process() -> process.ProcessOperator:
+    """The memory test's process W_222, upsilon(1): the Bell state through
+    cnot_swap.  W is a three-qubit GHZ projector plus its bit-flip image on
+    the middle (re-preparation) slot."""
+    return process.build_process(proclib.component("initial_state", "bell"),
+                                 proclib.component("unitary", "cnot_swap"))
 
 
 def memory_instrument() -> process.MpInstrument:

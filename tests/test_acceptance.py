@@ -138,7 +138,6 @@ def test_criterion_06_chsh_mapping_identity():
     for _ in range(100):
         labels = ("0", "1", "2", "3")
         inst = process.MpInstrument(
-            settings=labels,
             povm={x: random_binary_povm(rng) for x in labels},
             repreparations=(random_density(rng, 2), random_density(rng, 2)),
         )
@@ -156,7 +155,7 @@ def test_criterion_06_chsh_mapping_identity():
 
 def test_criterion_07_entanglement_breaking_classicalisation():
     rng = np.random.default_rng(770)
-    inst, final = memory_instrument(), proclib.memory_final_povm()
+    inst, final = memory_instrument(), proclib.component("final_measurement", "xz_diagonal")
     u = proclib.cnot_swap_unitary()
     start = time.perf_counter()
     worst = math.inf

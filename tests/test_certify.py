@@ -26,7 +26,6 @@ def uniform_behavior(n_settings=4):
 def random_quantum_behavior(rng, n_settings=4):
     labels = tuple(str(i) for i in range(n_settings))
     inst = process.MpInstrument(
-        settings=labels,
         povm={x: random_binary_povm(rng) for x in labels},
         repreparations=(random_density(rng, 2), random_density(rng, 2)),
     )

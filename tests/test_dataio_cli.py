@@ -134,8 +134,10 @@ def test_noise_anchoring_follows_the_configured_protocol():
     low = proclib.NoiseParams(
         t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
     )
-    with pytest.raises(ValidationError, match="noise.initial_gamma"):
-        dataio.run_experiment(preset_config("partial_swap", noise=low))
+    # refused whatever the wait: the anchor is out of reach, not the wait's target
+    for wait in (0.0, 35.0, 100.0):
+        with pytest.raises(ValidationError, match="noise.initial_gamma"):
+            dataio.run_experiment(preset_config("partial_swap", noise=low, wait_ms=wait))
     for wait in (-50.0, math.nan):
         with pytest.raises(DomainError, match="wait_ms"):
             dataio.run_experiment(preset_config("memory_test", noise=low, wait_ms=wait))
@@ -788,7 +790,7 @@ def test_every_registry_entry_runs_as_its_explicit_matrices():
             if key == "settings":  # settings are named only; compare the instruments
                 reps = proclib.component("repreparations", "plus_minus")
                 named = proclib.pauli_instrument((name,), reps)
-                raw = process.MpInstrument(settings=(name,), repreparations=tuple(reps),
+                raw = process.MpInstrument(repreparations=tuple(reps),
                                            povm={name: tuple(proclib.component(key, name))})
                 assert named.effects.tobytes() == raw.effects.tobytes(), name
                 continue

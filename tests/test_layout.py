@@ -41,3 +41,18 @@ def test_every_library_name_is_reached():
                  for name in _defined(node)
                  if name not in outside and in_src[name] == _references(node)[name]]
     assert unreached == []
+
+
+def test_the_public_surface_is_listed_once():
+    # every name in __all__ resolves on the package, and every public name
+    # that __init__ imports is in __all__, so that `from tpmcert import *`
+    # gives exactly what __init__ re-exports
+    import tpmcert
+
+    missing = [name for name in tpmcert.__all__ if not hasattr(tpmcert, name)]
+    tree = ast.parse((REPO / "src" / "tpmcert" / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unlisted = sorted(name for name in imported
+                      if not name.startswith("_") and name not in tpmcert.__all__)
+    assert missing == [] and unlisted == []

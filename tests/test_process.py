@@ -7,7 +7,7 @@ import pytest
 from tpmcert import certify, linalg, proclib, process
 from tpmcert.exceptions import ValidationError
 
-from helpers import memory_instrument
+from helpers import memory_instrument, memory_process
 from oracles import (
     build_process_reference,
     explicit_process_contraction,
@@ -24,6 +24,7 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(202)
+FINAL_XZ = proclib.component("final_measurement", "xz_diagonal")
 
 
 def random_valid_setup(rng, n_settings=3):
@@ -32,7 +33,6 @@ def random_valid_setup(rng, n_settings=3):
     effects, reps = random_instrument_arrays(rng, n_settings)
     labels = tuple(str(i) for i in range(n_settings))
     inst = process.MpInstrument(
-        settings=labels,
         povm={x: effects[i] for i, x in enumerate(labels)},
         repreparations=reps,
     )
@@ -91,7 +91,7 @@ def test_stacked_build_equals_single_builds_bit_for_bit():
     grid = process.build_process(rhos[:6].reshape(2, 3, 4, 4), us[:6].reshape(2, 3, 4, 4))
     assert grid.w.tobytes() == stack.w[:6].tobytes()
     shared = process.build_process(rhos[0], us)
-    assert shared.marginal_state.shape == (2, 2)
+    assert shared.marginal_state.shape == (len(us), 2, 2)  # derived from each member's W
     for i, (rho, u) in enumerate(zip(rhos, us)):
         single = process.build_process(rho, u)
         reference = build_process_reference(rho, u).tobytes()
@@ -99,7 +99,7 @@ def test_stacked_build_equals_single_builds_bit_for_bit():
         assert stack.marginal_state[i].tobytes() == single.marginal_state.tobytes()
         assert shared.w[i].tobytes() == build_process_reference(rhos[0], u).tobytes()
     first = process.build_process(rhos[0], us[0])
-    assert shared.marginal_state.tobytes() == first.marginal_state.tobytes()
+    assert np.abs(shared.marginal_state - first.marginal_state).max() < 1e-15
 
 
 def test_stacked_validate_reports_the_problems_of_the_first_bad_member():
@@ -118,17 +118,15 @@ def test_stacked_validate_reports_the_problems_of_the_first_bad_member():
                                                             linalg.dm(linalg.KET_0)),
     }
     ws = np.array([op.w for op in ops])
-    marginals = np.array([op.marginal_state for op in ops])
-    assert process.validate_process(process.ProcessOperator(w=ws, marginal_state=marginals)) == []
+    assert process.validate_process(process.ProcessOperator(w=ws)) == []
     assert process.validate_process(ws) == []
     for message, fault in faults.items():
         for i in range(len(ops)):
             bad = ws.copy()
             bad[i] = fault(bad[i])
-            alone = process.validate_process(
-                process.ProcessOperator(w=bad[i], marginal_state=marginals[i]))
+            alone = process.validate_process(process.ProcessOperator(w=bad[i]))
             assert any(p.startswith(message) for p in alone)
-            got = process.validate_process(process.ProcessOperator(w=bad, marginal_state=marginals))
+            got = process.validate_process(process.ProcessOperator(w=bad))
             assert got == [f"[{i}]: {p}" for p in alone]
             assert process.validate_process(bad) == [f"[{i}]: {p}" for p in
                                                      process.validate_process(bad[i])]
@@ -213,7 +211,7 @@ def test_stacked_contraction_equals_born_rule_per_process_bit_for_bit():
         do = process.contract(stack.w.reshape(5, 6, 8, 8), identity, inst.reps, final.ops)
         assert born.shape == (len(rhos), n_settings, 2, 2) and do.shape == (5, 6, 2, 2)
         for i in range(len(rhos)):
-            op = process.ProcessOperator(w=stack.w[i], marginal_state=stack.marginal_state[i])
+            op = process.ProcessOperator(w=stack.w[i])
             assert born[i].tobytes() == process.born_rule(op, inst, final).probs.tobytes()
             table = process.do_probabilities(op, inst.repreparations, final)
             assert do.reshape(-1, 2, 2)[i].tobytes() == table.probs[:, 0, :].tobytes()
@@ -227,6 +225,7 @@ def test_build_process_marginal_and_trace():
         tr_b = partial_trace(op.w, (2, 2, 2), {2})
         marg = partial_trace(rho, (2, 2), {1})
         assert np.abs(tr_b - np.kron(marg, linalg.ID2)).max() < 1e-9
+        assert np.abs(op.marginal_state - marg).max() < 1e-12
         assert abs(np.trace(op.w).real - 2.0) < 1e-9
 
 
@@ -291,7 +290,6 @@ def test_born_rule_bell_correlations():
     # common-cause process, both measurements sigma_z: perfectly correlated
     op = process.build_process(linalg.bell_state(), linalg.SWAP)
     inst = process.MpInstrument(
-        settings=("z",),
         povm={"z": linalg.observable_povm(linalg.SIGMA_Z)},
         repreparations=(linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1)),
     )
@@ -301,7 +299,7 @@ def test_born_rule_bell_correlations():
 
 def test_born_rule_ideal_memory_configuration():
     op = process.build_process(linalg.bell_state(), proclib.cnot_swap_unitary())
-    beh = process.born_rule(op, memory_instrument(), proclib.memory_final_povm())
+    beh = process.born_rule(op, memory_instrument(), FINAL_XZ)
     gamma, _ = certify.gamma_functional(beh)
     assert abs(gamma - (2 - math.sqrt(2))) < 1e-12
 
@@ -362,7 +360,7 @@ def test_do_probabilities_normalized_and_zero_acde():
 
 
 def test_validate_process_accepts_w222():
-    assert process.validate_process(proclib.w222()) == []
+    assert process.validate_process(memory_process()) == []
 
 
 def test_validate_process_flags_marginal_violation():
@@ -372,7 +370,7 @@ def test_validate_process_flags_marginal_violation():
 
 
 def test_validate_process_flags_negative_eigenvalue():
-    w = proclib.w222().w.copy()
+    w = memory_process().w.copy()
     w[0, 0] -= 0.1
     w[7, 7] += 0.1  # keep the trace at 2 so only positivity/marginal trip
     problems = process.validate_process(w)
@@ -383,7 +381,6 @@ def test_instrument_rejects_setting_dependent_structure():
     effects = linalg.observable_povm(linalg.SIGMA_Z)
     with pytest.raises(ValidationError):
         process.MpInstrument(
-            settings=("z",),
             povm={"z": (effects[0], effects[0])},  # does not sum to id
             repreparations=(linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1)),
         )
@@ -397,20 +394,20 @@ _TRACE_2 = (2.0 * linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1))
     (lambda op, inst: process.born_rule(op, inst, _NOT_PSD), "negative eigenvalue"),
     (lambda op, inst: process.do_probabilities(op, inst.repreparations, _NOT_PSD),
      "negative eigenvalue"),
-    (lambda op, inst: process.do_probabilities(op, _TRACE_2, proclib.memory_final_povm()),
+    (lambda op, inst: process.do_probabilities(op, _TRACE_2, FINAL_XZ),
      "state trace 2.0 != 1"),
     (lambda op, inst: process.FinalMeasurement(_NOT_PSD), "negative eigenvalue"),
     (lambda op, inst: process.Repreparations(_TRACE_2), "state trace 2.0 != 1"),
     # a checked POVM is not a checked pair of states: (id, 0) has trace 2
     (lambda op, inst: process.do_probabilities(
-        op, process.FinalMeasurement((linalg.ID2, 0 * linalg.ID2)), proclib.memory_final_povm()),
+        op, process.FinalMeasurement((linalg.ID2, 0 * linalg.ID2)), FINAL_XZ),
      "state trace 2.0 != 1"),
 ], ids=["born_final_not_psd", "do_final_not_psd", "do_reps_trace_2",
         "final_measurement_not_psd", "repreparations_trace_2", "do_reps_a_povm"])
 def test_born_and_do_validate_raw_inputs(call, message):
     # raw matrices from outside callers are still checked where they enter
     with pytest.raises(ValidationError, match=message):
-        call(proclib.w222(), memory_instrument())
+        call(memory_process(), memory_instrument())
 
 
 @pytest.mark.parametrize("make, message", [
@@ -419,9 +416,9 @@ def test_born_and_do_validate_raw_inputs(call, message):
     (lambda: process.BinaryPovm((linalg.ID2, linalg.ID2)),
      "POVM: POVM effects do not sum to the identity"),
     (lambda: process.Repreparations(_TRACE_2), "re-preparations: state trace 2.0 != 1"),
-    (lambda: process.do_probabilities(proclib.w222(), _TRACE_2, proclib.memory_final_povm()),
+    (lambda: process.do_probabilities(memory_process(), _TRACE_2, FINAL_XZ),
      "re-preparations: state trace 2.0 != 1"),
-    (lambda: process.born_rule(proclib.w222(), memory_instrument(), _NOT_PSD),
+    (lambda: process.born_rule(memory_process(), memory_instrument(), _NOT_PSD),
      "final measurement: POVM effect has a negative eigenvalue"),
 ], ids=["final_measurement", "binary_povm", "repreparations", "do_reps", "born_final"])
 def test_checked_pair_errors_start_with_what_the_pair_is(make, message):
@@ -441,9 +438,9 @@ _Z = linalg.observable_povm(linalg.SIGMA_Z)
 @pytest.mark.parametrize("labels", [("x", "q", "z"), ("z", "x", "q"), ("q",)])
 def test_instrument_names_the_bad_raw_setting_beside_registry_pairs(bad, message, labels):
     # x is the registry's checked pair, z and q raw; the error names q
-    povm = {"x": proclib.component("settings", "x"), "z": _Z, "q": bad}
+    pairs = {"x": proclib.component("settings", "x"), "z": _Z, "q": bad}
     with pytest.raises(ValidationError) as err:
-        process.MpInstrument(settings=labels, povm=povm,
+        process.MpInstrument(povm={x: pairs[x] for x in labels},
                              repreparations=proclib.component("repreparations", "plus_minus"))
     assert str(err.value) == f"POVM of setting 'q': {message}"
 
@@ -452,12 +449,23 @@ def test_instrument_names_the_bad_raw_setting_beside_registry_pairs(bad, message
 def test_raw_instrument_names_its_first_bad_setting_with_its_own_error(labels):
     # p fails Hermiticity and q positivity; the stack fails on p's fault
     # first, and the error names whichever comes first in settings order
-    povm = {"z": _Z, "p": (_Z[0], 1j * _Z[1]), "q": _NOT_PSD}
+    pairs = {"z": _Z, "p": (_Z[0], 1j * _Z[1]), "q": _NOT_PSD}
     with pytest.raises(ValidationError) as alone:
-        linalg.assert_povm(povm[labels[1]])
+        linalg.assert_povm(pairs[labels[1]])
     with pytest.raises(ValidationError) as err:
-        process.MpInstrument(settings=labels, povm=povm, repreparations=_Z)
+        process.MpInstrument(povm={x: pairs[x] for x in labels}, repreparations=_Z)
     assert str(err.value) == f"POVM of setting {labels[1]!r}: {alone.value}"
+
+
+def test_instrument_settings_follow_the_mapping_order():
+    # the POVM mapping alone names the settings, in its own order, and the
+    # effects stack follows that order
+    reps = proclib.component("repreparations", "plus_minus")
+    for labels in itertools.permutations(("x", "z", "-x")):
+        povm = {x: proclib.component("settings", x) for x in labels}
+        inst = process.MpInstrument(povm=povm, repreparations=reps)
+        assert inst.settings == labels
+        assert inst.effects.tobytes() == np.array([povm[x].ops for x in labels]).tobytes()
 
 
 def test_mixed_instrument_checks_its_raw_pairs_once_and_equals_the_raw_one(monkeypatch):
@@ -473,12 +481,12 @@ def test_mixed_instrument_checks_its_raw_pairs_once_and_equals_the_raw_one(monke
         return _check(effects, *args)
 
     monkeypatch.setattr(linalg, "assert_povm", counted)
-    want = process.MpInstrument(settings=labels, povm=raw, repreparations=reps)
+    want = process.MpInstrument(povm=raw, repreparations=reps)
     assert stacks == [(4, 2, 2, 2)]
-    got = process.MpInstrument(settings=labels, povm=mixed,
+    got = process.MpInstrument(povm=mixed,
                                repreparations=proclib.component("repreparations", "plus_minus"))
     assert stacks == [(4, 2, 2, 2), (2, 2, 2, 2)]
-    process.MpInstrument(settings=labels, povm=checked, repreparations=got.repreparations)
+    process.MpInstrument(povm=checked, repreparations=got.repreparations)
     assert len(stacks) == 2
     assert got.effects.dtype == want.effects.dtype
     assert got.effects.tobytes() == want.effects.tobytes()
@@ -500,9 +508,7 @@ def test_born_and_do_equal_the_kron_loop_bit_for_bit():
 
     def check(op, effects, reps, final):
         labels = tuple(str(i) for i in range(len(effects)))
-        inst = process.MpInstrument(
-            settings=labels, povm=dict(zip(labels, effects)), repreparations=reps
-        )
+        inst = process.MpInstrument(povm=dict(zip(labels, effects)), repreparations=reps)
         beh = process.born_rule(op, inst, final)
         assert np.array_equal(beh.probs, kron_born_probs(op.w, effects, reps, final))
         table = process.do_probabilities(op, reps, final)
@@ -537,23 +543,22 @@ def test_instrument_and_do_require_binary_inputs():
     z = linalg.observable_povm(linalg.SIGMA_Z)
     one = (linalg.dm(linalg.KET_0),)
     three = (linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1), linalg.dm(linalg.KET_PLUS))
-    op = proclib.w222()
+    op = memory_process()
     for reps in (one, three):
         with pytest.raises(ValidationError, match="re-preparations must be binary"):
-            process.MpInstrument(settings=("z",), povm={"z": z}, repreparations=reps)
+            process.MpInstrument(povm={"z": z}, repreparations=reps)
         with pytest.raises(ValidationError, match="re-preparations must be binary"):
             process.do_probabilities(op, reps, z)
     # a valid three-outcome POVM is still not a binary setting
     with pytest.raises(ValidationError, match="setting 'z' must be binary"):
         process.MpInstrument(
-            settings=("z",),
             povm={"z": z + (np.zeros((2, 2), dtype=complex),)},
             repreparations=(linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1)),
         )
     with pytest.raises(ValidationError, match="final measurement must be binary"):
         process.do_probabilities(op, (linalg.dm(linalg.KET_0),) * 2, z[:1])
     with pytest.raises(ValidationError, match="no settings"):
-        process.MpInstrument(settings=(), povm={}, repreparations=(z[0], z[1]))
+        process.MpInstrument(povm={}, repreparations=(z[0], z[1]))
 
 
 def test_tables_derive_probabilities_from_counts():
@@ -626,21 +631,11 @@ def test_tables_refuse_repeated_setting_labels(make, message):
     assert str(err.value) == message
 
 
-def test_instrument_refuses_povms_of_undeclared_settings():
-    # the undeclared y is no POVM at all; it is named, not dropped
-    povm = {"x": proclib.component("settings", "x"), "y": (5 * linalg.ID2, linalg.ID2),
-            2: proclib.component("settings", "z")}
-    with pytest.raises(ValidationError) as err:
-        process.MpInstrument(settings=("x",), povm=povm,
-                             repreparations=proclib.component("repreparations", "plus_minus"))
-    assert str(err.value) == "POVM given for undeclared settings [2, 'y']"
-
-
 @pytest.mark.parametrize("make", [
     lambda: process.Behavior(settings=("u",), counts=np.ones((1, 2, 2), dtype=int)),
     lambda: process.DoTable(counts=np.ones((2, 1, 2), dtype=int)),
     memory_instrument,
-    proclib.w222,
+    memory_process,
 ], ids=["Behavior", "DoTable", "MpInstrument", "ProcessOperator"])
 def test_array_dataclasses_compare_and_hash_by_identity(make):
     # field-wise == on array fields is ambiguous, so these compare by identity

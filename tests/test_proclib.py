@@ -8,7 +8,7 @@ from tpmcert import certify, linalg, proclib, process
 from tpmcert.exceptions import DomainError, ValidationError
 
 from helpers import (EbChannel, apply_eb_channel, eb_channel_terms, memory_instrument,
-                     random_eb_channel)
+                     memory_process, random_eb_channel)
 from oracles import (
     pair_bounds,
     partial_transpose,
@@ -23,6 +23,7 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(303)
+FINAL_XZ = proclib.component("final_measurement", "xz_diagonal")
 
 # regression values frozen from the first oracle runs
 CROSSING_TIME_MS = 64.39302961222297
@@ -30,7 +31,7 @@ UPSILON_PT_MIN = {0.0: -0.5, 0.25: -0.25, 0.5: 0.0, 0.75: -0.25, 1.0: -0.5}
 
 
 def test_w222_spectrum_and_trace():
-    op = proclib.w222()
+    op = memory_process()
     eigs = np.sort(np.linalg.eigvalsh(op.w))
     assert np.abs(eigs[:6]).max() < 1e-12
     assert np.abs(eigs[6:] - 1.0).max() < 1e-12
@@ -40,18 +41,17 @@ def test_w222_spectrum_and_trace():
 
 def test_w222_equals_compiled_memory_process():
     built = process.build_process(linalg.bell_state(), proclib.cnot_swap_unitary())
-    assert np.abs(built.w - proclib.w222().w).max() < 1e-12
+    assert np.abs(built.w - memory_process().w).max() < 1e-12
 
 
 def test_w222_optimal_measurements_reach_quantum_bound():
-    beh = process.born_rule(
-        proclib.w222(), memory_instrument(), proclib.memory_final_povm()
-    )
+    beh = process.born_rule(memory_process(), memory_instrument(), FINAL_XZ)
     assert abs(certify.gamma_functional(beh)[0] - (2 - math.sqrt(2))) < 1e-12
 
 
 def test_upsilon_endpoint_is_w222():
-    assert np.array_equal(proclib.upsilon(1.0).w, proclib.w222().w)
+    # upsilon(1) is the Bell state through cnot_swap, built the same way
+    assert proclib.upsilon(1.0).w.tobytes() == memory_process().w.tobytes()
 
 
 def test_upsilon_valid_for_all_p():
@@ -95,8 +95,7 @@ def test_upsilon_best_gamma_in_a_rotated_frame(monkeypatch):
 
     def rotated(p):
         op = upsilon(p)
-        return process.ProcessOperator(w=rot @ op.w @ rot.conj().T,
-                                       marginal_state=op.marginal_state)
+        return process.ProcessOperator(w=rot @ op.w @ rot.conj().T)
 
     monkeypatch.setattr(proclib, "upsilon", rotated)
     for p in (0.0, 0.25, 0.504548, 1.0):
@@ -110,7 +109,7 @@ def test_upsilon_best_gamma_descends_like_the_oracle(monkeypatch):
     # from that start, so they end at the same value, up to slow convergence
     # (the library stops after 100 sweeps)
     rng = np.random.default_rng(7)
-    start = list(memory_instrument().reps), proclib.memory_final_povm()
+    start = list(memory_instrument().reps), FINAL_XZ
     for _ in range(10):
         op = process.build_process(random_density(rng, 4), random_unitary(rng, 4))
         monkeypatch.setattr(proclib, "upsilon", lambda p: op)
@@ -137,7 +136,6 @@ def test_all_instrument_pair_bounds_against_born_rule():
         bounds, optimal = pair_bounds(op.w, reps, final)
 
         inst = process.MpInstrument(
-            settings=("0", "1", "2"),
             povm=dict(zip(("0", "1", "2"), effects)),
             repreparations=reps,
         )
@@ -147,9 +145,7 @@ def test_all_instrument_pair_bounds_against_born_rule():
 
         # one setting per pair, each using the oracle's own optimal effect
         povm = {f"{b0}{b1}": (e, np.eye(2) - e) for (b0, b1), e in optimal.items()}
-        attaining = process.MpInstrument(
-            settings=tuple(povm), povm=povm, repreparations=reps
-        )
+        attaining = process.MpInstrument(povm=povm, repreparations=reps)
         beh = process.born_rule(op, attaining, final)
         assert np.abs(bounds - _pair_minima(beh)).max() < 1e-12
         assert abs(bounds.sum() - certify.gamma_functional(beh)[0]) < 1e-12
@@ -286,7 +282,7 @@ def test_eb_channel_output_is_valid_and_separable_by_terms():
 
 
 def test_eb_channel_classicalizes_the_pipeline():
-    inst, final = memory_instrument(), proclib.memory_final_povm()
+    inst, final = memory_instrument(), FINAL_XZ
     u = proclib.cnot_swap_unitary()
     for _ in range(20):
         ch = random_eb_channel(RNG)
