@@ -69,11 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decay", help="predicted gamma over waiting time")
     p.add_argument("--t2", type=float, required=True, help="dephasing time, ms")
-    p.add_argument("--t1", type=float, default=proclib.DEFAULT_T1_MS, help="relaxation time, ms")
+    p.add_argument("--t1", type=float, help="relaxation time, ms (default: no relaxation)")
     p.add_argument("--echo-fidelity", type=float, required=True)
     p.add_argument("--echo-interval", type=float, required=True, help="ms")
     p.add_argument("--initial-gamma", type=float, required=True)
-    p.add_argument("--include-t1", action="store_true")
     p.add_argument("--t-max", type=float, default=200.0)
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--out", default=None, help="write decay_curve.csv here")
@@ -146,16 +145,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_decay(args) -> int:
     params = proclib.NoiseParams(
         t2=args.t2,
-        t1=args.t1,
         echo_fidelity=args.echo_fidelity,
         echo_interval=args.echo_interval,
         initial_gamma=args.initial_gamma,
+        t1=args.t1,
     )
     if not args.t_max >= 0.0:
         raise DomainError(f"--t-max: waiting time {args.t_max} ms is not a nonnegative number")
     times = np.linspace(0.0, args.t_max, args.points)
-    curve = proclib.decay_prediction(params, times, include_t1=args.include_t1)
-    crossing = proclib.classical_crossing_time(params, include_t1=args.include_t1)
+    curve = proclib.decay_prediction(params, times)
+    crossing = proclib.classical_crossing_time(params)
     print(f"classical crossing time: {crossing:.4f} ms")
     for t, g in curve[:: max(1, len(curve) // 10)]:
         print(f"  t = {t:8.2f} ms   gamma = {g:.6f}")

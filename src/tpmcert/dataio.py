@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -104,11 +104,14 @@ class ExperimentConfig:
     their checked forms (proclib.FORMS), checks the scalars (check_config),
     and resolves the components once into components: the state, the
     unitary, the instrument of the settings and the final measurement.  A
-    bad value raises ValidationError, DomainError or ResourceLimitError
-    naming its key; dataclasses.replace builds and checks a new
-    configuration.  protocol is a free-form label (memory_test,
-    partial_swap, custom): a config file must give it as a string, and no
-    code reads it.
+    noise block depolarises that state's memory qubit E once, to the
+    visibility at which gamma is decay_prediction at the wait (exact when
+    the fully depolarised memory gives pair terms of 1/2).  A bad value, an
+    initial_gamma below the noiseless gamma included, raises ValidationError,
+    DomainError or ResourceLimitError naming its key; dataclasses.replace
+    builds and checks a new configuration.  protocol is a free-form label
+    (memory_test, partial_swap, custom): a config file must give it as a
+    string, and no code reads it.
     """
 
     protocol: str = "memory_test"
@@ -139,8 +142,20 @@ class ExperimentConfig:
                 object.__setattr__(self, key, value)
             parts.append(value)
         state, unitary, reps, final = parts
-        object.__setattr__(self, "components",
-                           (state, unitary, proclib.pauli_instrument(self.settings, reps), final))
+        inst = proclib.pauli_instrument(self.settings, reps)
+        if self.noise is not None:
+            # visibility vis maps the protocol's exact gamma g to 2 - vis (2 - g);
+            # vis may pass 1 by rounding only (the memory test's g is 2 - sqrt(2))
+            (_, target), = proclib.decay_prediction(self.noise, [self.wait_ms])
+            op = process.build_process(state, unitary)
+            reach = 2.0 - float(certify.gamma_values(process.born_rule(op, inst, final).probs))
+            if 2.0 - self.noise.initial_gamma > reach * (1.0 + 1e-12):
+                raise ValidationError(f"noise.initial_gamma {self.noise.initial_gamma} lies "
+                                      f"below the noiseless protocol's gamma {2.0 - reach!r}")
+            vis = (2.0 - target) / reach if reach > 0.0 else 1.0
+            memoryless = np.kron(op.marginal_state, linalg.ID2 / 2)  # E fully depolarised
+            state = process.InitialState(vis * state.ops + (1 - vis) * memoryless)
+        object.__setattr__(self, "components", (state, unitary, inst, final))
 
 
 def _checked(key: str, value):
@@ -254,12 +269,12 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         if not isinstance(nz, dict):
             raise ParseError(f"{path}: noise must be a mapping")
         _reject_unknown(path, "noise", nz, [*_NOISE_KEYS.values(), "wait_ms"])
-        nz = {"t1_ms": proclib.DEFAULT_T1_MS, **nz}
-        missing = [key for key in _NOISE_KEYS.values() if key not in nz]
+        missing = [_NOISE_KEYS[f.name] for f in fields(proclib.NoiseParams)
+                   if f.default is MISSING and _NOISE_KEYS[f.name] not in nz]
         if missing:
             raise ParseError(f"{path}: noise block lacks {missing}")
         values = {name: _typed(path, f"noise.{key}", nz[key], float)
-                  for name, key in _NOISE_KEYS.items()}
+                  for name, key in _NOISE_KEYS.items() if key in nz}
         try:
             kwargs["noise"] = proclib.NoiseParams(**values)
         except ValidationError as exc:
@@ -283,8 +298,8 @@ def check_config(cfg: ExperimentConfig) -> None:
     """Raise for a value of cfg that no run accepts, naming its flag and
     config key: a negative seed, shots outside [1, MAX_COUNT], a resample count
     or sigma_k that certify refuses, a wait without a noise block, an alpha
-    without partial_swap or repeated setting labels (ValidationError), or a
-    negative or NaN wait (DomainError)."""
+    without partial_swap or repeated setting labels (ValidationError), or an
+    alpha outside [0, pi] or a negative or NaN wait (DomainError)."""
     certify.check_seed(cfg.seed)
     if cfg.shots is not None and not 1 <= cfg.shots <= MAX_COUNT:
         raise ValidationError(f"--shots (config key shots) {cfg.shots} is not between 1 "
@@ -298,6 +313,8 @@ def check_config(cfg: ExperimentConfig) -> None:
     if cfg.alpha is not None and not swap:
         raise ValidationError(f"--alpha (config key alpha) {cfg.alpha} sets the angle of the "
                               f"unitary partial_swap, which this configuration does not use")
+    if cfg.alpha is not None and not 0.0 <= cfg.alpha <= math.pi:
+        raise DomainError(f"--alpha (config key alpha) {cfg.alpha} is outside [0, pi]")
     if not cfg.wait_ms >= 0.0:
         raise DomainError(f"--wait (config key noise.wait_ms): waiting time {cfg.wait_ms} ms is "
                           f"not a nonnegative number")
@@ -313,23 +330,10 @@ def run_experiment(
     Exact mode propagates the ideal probabilities; finite shots draw one
     multinomial sample per setting (and per intervention row) with per-row
     seeds derived from the configured seed, so runs are reproducible.
-    A noise block depolarises the memory qubit E of the initial state to the
-    visibility at which gamma is the decay_prediction of its model at the
-    wait, exact when the fully depolarised memory gives pair terms of 1/2.
+    A noise block is already in the state of cfg.components.
     """
     rho, u, inst, final = cfg.components
     op = process.build_process(rho, u)
-    if cfg.noise is not None:
-        # visibility vis maps the protocol's exact gamma g to 2 - vis (2 - g);
-        # vis may pass 1 by rounding only (the memory test's g is 2 - sqrt(2))
-        (_, target), = proclib.decay_prediction(cfg.noise, [cfg.wait_ms])
-        reach = 2.0 - float(certify.gamma_values(process.born_rule(op, inst, final).probs))
-        if 2.0 - cfg.noise.initial_gamma > reach * (1.0 + 1e-12):
-            raise ValidationError(f"noise.initial_gamma {cfg.noise.initial_gamma} lies "
-                                  f"below the noiseless protocol's gamma {2.0 - reach!r}")
-        vis = (2.0 - target) / reach if reach > 0.0 else 1.0
-        memoryless = np.kron(op.marginal_state, linalg.ID2 / 2)  # E fully depolarised
-        op = process.build_process(vis * rho.ops + (1 - vis) * memoryless, u)
     behavior = process.born_rule(op, inst, final)
     do_exact = process.do_probabilities(op, inst.repreparations, final)
 

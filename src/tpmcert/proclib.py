@@ -222,28 +222,24 @@ def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float
     return out
 
 
-# relaxation time t1 in ms when a noise block or `decay --t1` gives none
-DEFAULT_T1_MS = 1170.0
-
-
 @dataclass(frozen=True)
 class NoiseParams:
     """Dephasing-with-echo noise model parameters (times in milliseconds).
 
-    initial_gamma anchors the model to the measured zero-wait value; t1, being
-    subdominant on millisecond scales, enters only when explicitly enabled.
-    A simulated run depolarises the memory qubit to the model's visibility.
+    initial_gamma anchors the model to the measured zero-wait value; the
+    model relaxes exactly when t1 is given.  A simulated run depolarises the
+    memory qubit to the model's visibility.
     """
 
     t2: float
-    t1: float
     echo_fidelity: float
     echo_interval: float
     initial_gamma: float
+    t1: float | None = None
 
     def __post_init__(self):
         # every message starts with the name of the field at fault
-        for name in ("t2", "t1", "echo_interval"):
+        for name in ("t2", "echo_interval") + (("t1",) if self.t1 is not None else ()):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.echo_fidelity <= 1.0:
@@ -253,14 +249,13 @@ class NoiseParams:
                                   f"got {self.initial_gamma}")
 
 
-def decay_prediction(
-    params: NoiseParams, times: Sequence[float], include_t1: bool = False
-) -> list[tuple[float, float]]:
+def decay_prediction(params: NoiseParams, times: Sequence[float]) -> list[tuple[float, float]]:
     """Predicted gamma over waiting time.
 
     The zero-wait visibility is (2 - initial_gamma)/sqrt(2); it decays by pure
     dephasing exp(-t/t2) times a per-echo infidelity factor applied with a
-    continuous exponent t/echo_interval, and gamma follows as 2 - sqrt(2) v(t).
+    continuous exponent t/echo_interval, and, when params gives t1, by
+    relaxation exp(-t/(2 t1)); gamma follows as 2 - sqrt(2) v(t).
     Written as gamma0 + (2 - gamma0)(1 - decay) so the model anchors exactly.
     """
     out = []
@@ -269,23 +264,21 @@ def decay_prediction(
         if not t >= 0.0:
             raise DomainError(f"waiting time {t} ms is not a nonnegative number")
         d = math.exp(-t / params.t2) * params.echo_fidelity ** (t / params.echo_interval)
-        if include_t1:
+        if params.t1 is not None:
             d *= math.exp(-t / (2.0 * params.t1))
         out.append((t, params.initial_gamma + (2.0 - params.initial_gamma) * (1.0 - d)))
     return out
 
 
-def classical_crossing_time(
-    params: NoiseParams, include_t1: bool = False, t_max: float = 1e6
-) -> float:
-    """Waiting time t* = ln(2 - gamma0) / (1/t2 - ln(F)/echo_interval [+ 1/(2 t1)])
-    at which the predicted gamma reaches the classical bound 1; zero if the
-    model starts at 1, infinity if it starts above 1 or if t* > t_max."""
+def classical_crossing_time(params: NoiseParams, t_max: float = 1e6) -> float:
+    """Waiting time t* = ln(2 - gamma0) / (1/t2 - ln(F)/echo_interval [+ 1/(2 t1)
+    if params gives t1]) at which the predicted gamma reaches the classical bound
+    1; zero if the model starts at 1, infinity if it starts above 1 or if t* > t_max."""
     start = params.initial_gamma - 1.0
     if start >= 0.0:
         return 0.0 if start == 0.0 else math.inf
     rate = 1.0 / params.t2 - math.log(params.echo_fidelity) / params.echo_interval
-    if include_t1:
+    if params.t1 is not None:
         rate += 1.0 / (2.0 * params.t1)
     t = math.log(2.0 - params.initial_gamma) / rate
     return t if t <= t_max else math.inf

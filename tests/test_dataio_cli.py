@@ -174,6 +174,38 @@ def test_noise_depolarises_the_memory_and_leaves_the_first_outcome_alone(wait):
     assert abs(report.gamma - target) < 1e-9
 
 
+def test_noisy_run_builds_and_contracts_one_process(monkeypatch):
+    # the noise resolves into the state when the configuration is built, so
+    # a noisy run takes the path of a noiseless one
+    noise = proclib.NoiseParams(t2=364.0, echo_fidelity=0.995, echo_interval=2.5,
+                                initial_gamma=0.7)
+    cfg = preset_config("memory_test", noise=noise, wait_ms=35.0)
+    calls = dict.fromkeys(("build_process", "born_rule"), 0)
+    for name in calls:
+        def counted(*args, _call=getattr(process, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(process, name, counted)
+    _, _, report = dataio.run_experiment(cfg)
+    assert calls == {"build_process": 1, "born_rule": 1}
+    (_, want), = proclib.decay_prediction(noise, [35.0])
+    assert abs(report.gamma - want) < 1e-9
+
+
+def test_noise_block_t1_enters_simulate_through_the_decay_model(tmp_path):
+    # a t1_ms of the noise block relaxes the memory as decay --t1 predicts
+    path = write(tmp_path, "t1.yaml", "shots: exact\nnoise:\n  t2_ms: 364.0\n"
+                 "  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n  initial_gamma: 0.642\n"
+                 "  t1_ms: 100.0\n  wait_ms: 35.0\n")
+    cfg = dataio.load_config(path)
+    assert cfg.noise.t1 == 100.0
+    _, _, report = dataio.run_experiment(cfg)
+    (_, want), = proclib.decay_prediction(cfg.noise, [35.0])
+    (_, without), = proclib.decay_prediction(dataclasses.replace(cfg.noise, t1=None), [35.0])
+    assert abs(report.gamma - want) < 1e-9
+    assert want > without + 0.1
+
+
 _RAW = dict(initial_state=linalg.bell_state(), unitary=proclib.partial_swap(1.0),
             repreparations=(linalg.dm(linalg.KET_PLUS_I), linalg.dm(linalg.KET_MINUS_I)),
             final_measurement=linalg.observable_povm(linalg.SIGMA_X))
@@ -352,6 +384,13 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
          "--out", str(tmp_path)]
     )
     assert rc == 3
+    assert capsys.readouterr().err == ("domain error: --alpha (config key alpha) 5.0 is outside "
+                                       "[0, pi]\n")
+    # the same angle in a file names the file
+    path = write(tmp_path, "wide.yaml", "unitary: partial_swap\nalpha: 4\n")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (f"domain error: {path}: --alpha (config key alpha) 4.0 "
+                                       "is outside [0, pi]\n")
 
 
 def test_cli_classical_bound(capsys):
@@ -512,6 +551,25 @@ def test_cli_decay_negative_t_max_names_the_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("domain error: --t-max") and "-5.0 ms" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_decay_t1_is_applied_when_given(capsys):
+    params = proclib.NoiseParams(t2=364.0, echo_fidelity=0.995, echo_interval=2.5,
+                                 initial_gamma=0.642, t1=100.0)
+    crossing = proclib.classical_crossing_time(params)
+    assert f"{crossing:.4f}" == "31.3786"
+    assert cli.main(DECAY_ARGV + ["--t1", "100"]) == 0
+    assert f"classical crossing time: {crossing:.4f} ms" in capsys.readouterr().out
+    # without --t1 the model has no relaxation
+    assert cli.main(DECAY_ARGV) == 0
+    assert "classical crossing time: 64.3930 ms" in capsys.readouterr().out
+
+
+def test_cli_decay_has_no_include_t1_switch(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(DECAY_ARGV + ["--include-t1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --include-t1" in capsys.readouterr().err
 
 
 def test_cli_jm_scan_grid_limit(tmp_path, capsys, monkeypatch):
@@ -687,6 +745,13 @@ def _explicit_yaml(key, *matrices):
     # only the partial swap has an angle; the flag would be dropped silently
     ("simulate --preset memory_test --exact --alpha 7.0", None, None, "--alpha"),
     ("simulate", "alpha.yaml", b"alpha: 7.0\n", "--alpha (config key alpha) 7.0"),
+    # the anchor is refused as the file loads, so the error names the file
+    ("simulate", "low_anchor.yaml",
+     b"protocol: partial_swap\nalpha: 2.356194490192345\nunitary: partial_swap\n"
+     b"repreparations: plus_minus_i\nfinal_measurement: x\nshots: exact\nnoise:\n"
+     b"  t2_ms: 364.0\n  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n"
+     b"  initial_gamma: 0.7\n  wait_ms: 35\n",
+     "noise.initial_gamma 0.7 lies below the noiseless protocol's gamma"),
     # a blank label would certify with "" as an argmin setting
     ("certify", "blank.csv", b"x,a,b,count\nq,0,0,5\n,0,0,5\n,1,1,5\n",
      ":3: empty setting label"),
@@ -698,7 +763,8 @@ def _explicit_yaml(key, *matrices):
         "wait_without_noise", "wait_without_noise_config", "nan_t2", "nan_sigma_k",
         "negative_sigma_k", "nan_decay_t2", "nan_unitary", "final_not_psd", "reps_trace_2",
         "four_reps", "state_trace_2", "not_unitary", "alpha_without_partial_swap",
-        "alpha_without_partial_swap_config", "empty_setting_label", "empty_do_setting_label"])
+        "alpha_without_partial_swap_config", "unreachable_noise_anchor", "empty_setting_label",
+        "empty_do_setting_label"])
 def test_cli_hostile_input_exits_2(tmp_path, capsys, command, name, content, fragment):
     path = tmp_path / str(name)
     if content is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -293,7 +294,7 @@ def test_eb_channel_classicalizes_the_pipeline():
 
 def reference_noise_params():
     return proclib.NoiseParams(
-        t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
+        t2=364.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
     )
 
 
@@ -324,24 +325,25 @@ def test_decay_crossing_time_regression():
 def test_crossing_time_between_power_of_two_and_t_max():
     # t* = 64.39 ms lies below t_max = 1.01 t*, but the first power of two
     # above t* (128) does not; the crossing is inf exactly when t* > t_max
-    params = reference_noise_params()
-    for include_t1 in (False, True):
+    for t1 in (None, 1170.0):
+        params = dataclasses.replace(reference_noise_params(), t1=t1)
+
         def gamma_minus_one(t):
             d = math.exp(-t / 364.0) * 0.995 ** (t / 2.5)
-            if include_t1:
+            if t1 is not None:
                 d *= math.exp(-t / (2 * 1170.0))
             return (0.642 + (2 - 0.642) * (1 - d)) - 1.0
 
         oracle = brentq(gamma_minus_one, 1e-9, 1000.0, xtol=1e-12)
-        got = proclib.classical_crossing_time(params, include_t1, t_max=1.01 * oracle)
+        got = proclib.classical_crossing_time(params, t_max=1.01 * oracle)
         assert abs(got - oracle) < 1e-9
-        assert proclib.classical_crossing_time(params, include_t1, t_max=0.99 * oracle) == math.inf
+        assert proclib.classical_crossing_time(params, t_max=0.99 * oracle) == math.inf
 
 
 def test_decay_t1_flag_only_accelerates():
     params = reference_noise_params()
     base = proclib.decay_prediction(params, [50.0])[0][1]
-    with_t1 = proclib.decay_prediction(params, [50.0], include_t1=True)[0][1]
+    with_t1 = proclib.decay_prediction(dataclasses.replace(params, t1=1170.0), [50.0])[0][1]
     assert with_t1 > base
 
 
