@@ -8,7 +8,7 @@ device-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -37,38 +37,32 @@ DEFAULT_SIGMA_K = 3.0
 
 @dataclass(frozen=True)
 class CertReport:
-    """All certification outputs for one data set."""
+    """The report.json schema: each field is one key of the file, in file
+    order, and to_json_dict writes them as they are.
+
+    gamma_stderr is the bootstrap standard error of gamma, drawn from seed
+    with resamples resamples; a table without counts gets no bootstrap, so
+    None and 0 resamples.  acde is None without an interventional table, and
+    chsh, the pair [CHSH', CHSH''] with gamma = 2 - (CHSH' + CHSH'')/4, None
+    below two settings.  argmin maps each pair "b0b1", in the order 00, 01,
+    10, 11, to the setting that attains its minimum in gamma.
+    """
 
     gamma: float
+    gamma_stderr: float | None
     pearl_delta: float
-    argmin_settings: Mapping[tuple[int, int], str]
-    acde: float | None = None
-    chsh_pair: tuple[float, float] | None = None
-    fidelity_lower_bound: float | None = None
-    verdict_nonclassical: bool = False
-    verdict_crosstalk_witnessed: bool = False
-    std_errors: Mapping[str, float] | None = None
-    seed: int = 0
-    n_resamples: int = 0
+    acde: float | None
+    chsh: list[float] | None
+    fidelity_lb: float
+    verdict_nonclassical: bool
+    verdict_crosstalk_witnessed: bool
+    argmin: dict[str, str]
+    seed: int
+    resamples: int
 
     def to_json_dict(self) -> dict:
-        """Fixed-field-order dictionary matching the report.json schema."""
-        errs = self.std_errors or {}
-        return {
-            "gamma": self.gamma,
-            "gamma_stderr": errs.get("gamma"),
-            "pearl_delta": self.pearl_delta,
-            "acde": self.acde,
-            "chsh": list(self.chsh_pair) if self.chsh_pair is not None else None,
-            "fidelity_lb": self.fidelity_lower_bound,
-            "verdict_nonclassical": self.verdict_nonclassical,
-            "verdict_crosstalk_witnessed": self.verdict_crosstalk_witnessed,
-            "argmin": {
-                f"{b0}{b1}": x for (b0, b1), x in sorted(self.argmin_settings.items())
-            },
-            "seed": self.seed,
-            "resamples": self.n_resamples,
-        }
+        """The report.json document: the fields, in their order."""
+        return asdict(self)
 
 
 # The kernels below work on [..., b0, b1] cell slices: numpy adds or compares
@@ -309,41 +303,40 @@ def certify_behavior(
     sigma_k: float = DEFAULT_SIGMA_K,
     frozen_argmin: bool = False,
 ) -> CertReport:
-    """Evaluate every functional on one data set and assemble the report.
+    """Evaluate every functional on one data set into its report.
 
     A do-table with a setting index must have the behavior's setting labels.
     Statistical verdicts use a sigma_k * stderr margin (sigma_k positive and
     finite) when the behavior carries counts and plain strict inequalities
-    otherwise.  The fidelity bound is evaluated at the gamma estimate clamped
-    into its domain (a sampled gamma can fluctuate slightly past the quantum
-    bound).
+    otherwise; the bootstrap errors of Pearl's delta, ACDE and gamma + 2 ACDE
+    decide them and are not reported.  The fidelity bound is evaluated at the
+    gamma estimate clamped into its domain (a sampled gamma can fluctuate
+    slightly past the quantum bound).
     """
     check_sigma_k(sigma_k)
     check_do_settings(behavior, do_table)
     gamma, argmin = gamma_functional(behavior)
     delta = pearl_delta(behavior)
-    chsh = chsh_decomposition(behavior, argmin) if len(behavior.settings) >= 2 else None
     acde_value = acde(do_table) if do_table is not None else None
 
     errors: dict[str, float] = {}
     if behavior.counts is not None:
         errors = bootstrap_errors(behavior, n_resamples, seed, do_table=do_table,
                                   frozen_argmin=frozen_argmin)
-    fid = fidelity_lower_bound(min(max(gamma, GAMMA_MAX_VIOLATION), 2.0))
     lhs = gamma if acde_value is None else gamma + 2.0 * acde_value
     lhs_err = errors.get("gamma" if acde_value is None else "corrected_lhs", 0.0)
     delta_err = errors.get("pearl_delta", 0.0)
 
     return CertReport(
         gamma=gamma,
+        gamma_stderr=errors.get("gamma"),
         pearl_delta=delta,
-        argmin_settings=argmin,
         acde=acde_value,
-        chsh_pair=chsh,
-        fidelity_lower_bound=fid,
+        chsh=list(chsh_decomposition(behavior, argmin)) if len(behavior.settings) >= 2 else None,
+        fidelity_lb=fidelity_lower_bound(min(max(gamma, GAMMA_MAX_VIOLATION), 2.0)),
         verdict_nonclassical=bool(lhs < 1.0 - sigma_k * lhs_err),
         verdict_crosstalk_witnessed=bool(delta > 1.0 + sigma_k * delta_err),
-        std_errors=errors or None,
+        argmin={f"{b0}{b1}": x for (b0, b1), x in argmin.items()},
         seed=seed,
-        n_resamples=n_resamples if errors else 0,
+        resamples=n_resamples if errors else 0,
     )

@@ -8,8 +8,9 @@ Subcommands:
   classical-bound exact classical minima over the vertices' type sets
   jm-scan         joint-measurability margin of the partial-swap assemblage
 
-Exit codes: 0 success, 2 parse/validation error or an --out that cannot be
-written, 3 domain error.
+Exit codes: 0 success, 1 a standard output closed before the run ends
+(`tpmcert jm-scan | head -1`; the files under --out are written first), 2
+parse/validation error or an --out that cannot be written, 3 domain error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -83,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical-bound", help="exact classical minima")
     p.add_argument("--x", type=int, default=4, help="setting-alphabet size")
-    p.add_argument("--skip-crosstalk", action="store_true")
 
     p = sub.add_parser("jm-scan", help="joint-measurability margin per angle")
     p.add_argument("--points", type=int, default=33, help="alpha grid points")
@@ -111,15 +112,14 @@ def _cmd_certify(args) -> int:
         **{key: val for key, val in given.items() if val is not None},
     )
     dataio.emit_report(report, out_dir=args.out)
-    d = report.to_json_dict()
-    print(f"gamma           = {d['gamma']:.6f}"
-          + (f" +- {d['gamma_stderr']:.6f}" if d["gamma_stderr"] else ""))
-    print(f"pearl_delta     = {d['pearl_delta']:.6f}")
-    if d["acde"] is not None:
-        print(f"acde            = {d['acde']:.6f}")
-    print(f"fidelity_lb     = {d['fidelity_lb']:.6f}")
-    print(f"nonclassical    = {d['verdict_nonclassical']}")
-    print(f"crosstalk       = {d['verdict_crosstalk_witnessed']}")
+    print(f"gamma           = {report.gamma:.6f}"
+          + (f" +- {report.gamma_stderr:.6f}" if report.gamma_stderr else ""))
+    print(f"pearl_delta     = {report.pearl_delta:.6f}")
+    if report.acde is not None:
+        print(f"acde            = {report.acde:.6f}")
+    print(f"fidelity_lb     = {report.fidelity_lb:.6f}")
+    print(f"nonclassical    = {report.verdict_nonclassical}")
+    print(f"crosstalk       = {report.verdict_crosstalk_witnessed}")
     return 0
 
 
@@ -133,12 +133,11 @@ def _cmd_simulate(args) -> int:
     cfg = dataio.load_config(path, **overrides)
     _, _, report = dataio.run_experiment(cfg)
     dataio.emit_report(report, out_dir=args.out)
-    d = report.to_json_dict()
-    print(f"gamma        = {d['gamma']:.9f}")
-    print(f"pearl_delta  = {d['pearl_delta']:.9f}")
-    print(f"acde         = {d['acde']:.9f}")
-    print(f"fidelity_lb  = {d['fidelity_lb']:.6f}")
-    print(f"nonclassical = {d['verdict_nonclassical']}")
+    print(f"gamma        = {report.gamma:.9f}")
+    print(f"pearl_delta  = {report.pearl_delta:.9f}")
+    print(f"acde         = {report.acde:.9f}")
+    print(f"fidelity_lb  = {report.fidelity_lb:.6f}")
+    print(f"nonclassical = {report.verdict_nonclassical}")
     return 0
 
 
@@ -155,11 +154,11 @@ def _cmd_decay(args) -> int:
     times = np.linspace(0.0, args.t_max, args.points)
     curve = proclib.decay_prediction(params, times)
     crossing = proclib.classical_crossing_time(params)
+    path = dataio.write_curve(args.out, "decay_curve", curve) if args.out else None
     print(f"classical crossing time: {crossing:.4f} ms")
     for t, g in curve[:: max(1, len(curve) // 10)]:
         print(f"  t = {t:8.2f} ms   gamma = {g:.6f}")
-    if args.out:
-        path = dataio.write_curve(args.out, "decay_curve", curve)
+    if path:
         print(f"wrote {path}")
     return 0
 
@@ -167,14 +166,14 @@ def _cmd_decay(args) -> int:
 def _cmd_swap_curve(args) -> int:
     alphas = np.linspace(0.0, math.pi, args.points)
     curve = proclib.partial_swap_gamma_curve(alphas)
+    path = dataio.write_curve(args.out, "swap_curve", curve) if args.out else None
     for alpha, gamma in curve[:: max(1, len(curve) // 10)]:
         print(f"  alpha = {alpha:.4f}   gamma = {gamma:.9f}")
     violations = [a for a, g in curve if g < 1.0 - 1e-9]
     if violations:
         print(f"violations (gamma < 1) for alpha in "
               f"[{min(violations):.4f}, {max(violations):.4f}]")
-    if args.out:
-        path = dataio.write_curve(args.out, "swap_curve", curve)
+    if path:
         print(f"wrote {path}")
     return 0
 
@@ -185,24 +184,21 @@ def _cmd_classical_bound(args) -> int:
     min_gamma = classical.classical_minimum_gamma(args.x)
     print(f"min gamma over {classical.vertex_count(args.x)} no-crosstalk vertices: "
           f"{min_gamma:.12f}")
-    if not args.skip_crosstalk:
-        worst = classical.classical_minimum_corrected(args.x)
-        print(f"min (gamma + 2 ACDE) over {classical.vertex_count(args.x, crosstalk=True)} "
-              f"crosstalk vertices: {worst:.12f}")
+    worst = classical.classical_minimum_corrected(args.x)
+    print(f"min (gamma + 2 ACDE) over {classical.vertex_count(args.x, crosstalk=True)} "
+          f"crosstalk vertices: {worst:.12f}")
     return 0
 
 
 def _cmd_jm_scan(args) -> int:
     alphas = np.linspace(0.0, math.pi, args.points)
     region = compat.partial_swap_compat_region(alphas)
-    rows = []
-    for alpha in alphas:
-        margin = region[float(alpha)]
+    rows = [(float(alpha), region[float(alpha)]) for alpha in alphas]
+    path = dataio.write_curve(args.out, "jm_scan", rows) if args.out else None
+    for alpha, margin in rows:
         flag = "incompatible" if margin < -1e-9 else "compatible"
-        rows.append((float(alpha), margin))
         print(f"  alpha = {alpha:.4f}   min margin = {margin:+.6f}   {flag}")
-    if args.out:
-        path = dataio.write_curve(args.out, "jm_scan", rows)
+    if path:
         print(f"wrote {path}")
     return 0
 
@@ -228,7 +224,15 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"--{name.replace('_', '-')} must be a finite number, "
                                       f"got {value}")
-        return _COMMANDS[args.command](args)
+        rc = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not as the interpreter exits
+        return rc
+    except BrokenPipeError:
+        # the reader of stdout has gone: what is still buffered goes to
+        # devnull, so that the final flush cannot fail again
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ValidationError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

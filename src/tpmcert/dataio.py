@@ -12,9 +12,9 @@ becomes a process.Behavior and an interventional one a process.DoTable, each
 holding an int64 counts array from which its probabilities are derived and
 which the bootstrap resamples.
 
-report.json follows the fixed schema of CertReport.to_json_dict; curve CSVs
-carry the columns abscissa,value,stderr_lo,stderr_hi with empty stderr fields
-when a curve is exact.
+report.json holds the fields of certify.CertReport, its schema; curve CSVs
+carry the columns abscissa,value,stderr_lo,stderr_hi, whose stderr fields no
+curve fills.
 """
 
 from __future__ import annotations
@@ -213,11 +213,13 @@ def _typed(path: Path, key: str, value, kind: type):
     return kind(value)
 
 
-def _reject_unknown(path: Path, block: str, doc: dict, known) -> None:
-    """Raise a ParseError naming the file and every key of doc outside known."""
+def _given(path: Path, block: str, doc: dict, known) -> dict:
+    """The keys of doc whose value is not null, with their values; a
+    ParseError names the file and every key of doc outside known."""
     unknown = sorted(set(doc) - set(known), key=str)
     if unknown:
         raise ParseError(f"{path}: unknown {block} keys {unknown}")
+    return {key: val for key, val in doc.items() if val is not None}
 
 
 def _named_or_explicit(path: Path, key: str, val):
@@ -237,9 +239,11 @@ def _named_or_explicit(path: Path, key: str, val):
 
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     """Read an experiment configuration from a UTF-8 YAML document and build
-    it once, with the given fields replaced.  A null value keeps the default
-    of its key.  A bad document raises ParseError or ValidationError naming
-    the file; a bad override raises without the file's name."""
+    it once, with the given fields replaced.  A key with a null value, at the
+    top level or in the noise block, is a key not given: an optional one keeps
+    its default (t1_ms no T1, wait_ms a zero wait) and a required one is
+    missing.  A bad document raises ParseError or ValidationError naming the
+    file; a bad override raises without the file's name."""
     import yaml  # only configuration files need it
 
     path = Path(path)
@@ -249,9 +253,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping at top level")
-    _reject_unknown(path, "configuration", doc,
-                    [*_CONFIG_SCALARS, *_NAMED_KEYS, "settings", "noise"])
-    doc = {key: val for key, val in doc.items() if val is not None}
+    doc = _given(path, "configuration", doc,
+                 [*_CONFIG_SCALARS, *_NAMED_KEYS, "settings", "noise"])
     kwargs: dict = {}
     for key, kind in _CONFIG_SCALARS.items():
         if key in doc:
@@ -265,10 +268,9 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         if key in doc:
             kwargs[key] = _named_or_explicit(path, key, doc[key])
     if "noise" in doc:
-        nz = doc["noise"]
-        if not isinstance(nz, dict):
+        if not isinstance(doc["noise"], dict):
             raise ParseError(f"{path}: noise must be a mapping")
-        _reject_unknown(path, "noise", nz, [*_NOISE_KEYS.values(), "wait_ms"])
+        nz = _given(path, "noise", doc["noise"], [*_NOISE_KEYS.values(), "wait_ms"])
         missing = [_NOISE_KEYS[f.name] for f in fields(proclib.NoiseParams)
                    if f.default is MISSING and _NOISE_KEYS[f.name] not in nz]
         if missing:
@@ -369,12 +371,6 @@ def run_experiment(
 
 # --- emission ----------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
 def _write(out_dir: Path, name: str, text: str) -> Path:
     """Write text to out_dir/name, making out_dir if needed; a failure is an
     OSError that names out_dir."""
@@ -387,15 +383,14 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
-def write_curve(out_dir: str | Path, name: str, rows: Sequence[tuple]) -> Path:
-    """Write one curve CSV (columns abscissa,value,stderr_lo,stderr_hi) with
-    round-trip-precision numbers; missing stderr fields stay empty."""
+def write_curve(out_dir: str | Path, name: str, rows: Sequence[tuple[float, float]]) -> Path:
+    """Write the (abscissa, value) rows as out_dir/name.csv in round-trip
+    precision, under the columns abscissa,value,stderr_lo,stderr_hi; no curve
+    carries errors, so the stderr fields stay empty."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(["abscissa", "value", "stderr_lo", "stderr_hi"])
-    for row in rows:
-        padded = tuple(row) + (None,) * (4 - len(row))
-        writer.writerow([_fmt(v) for v in padded])
+    writer.writerows((repr(float(x)), repr(float(y)), "", "") for x, y in rows)
     return _write(Path(out_dir), f"{name}.csv", text.getvalue())
 
 

@@ -17,7 +17,7 @@ The dataclasses below hold arrays, so they compare and hash by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ class MpInstrument:
 
     povm maps each setting label to the pair of effects (outcome 0, outcome 1)
     on A'; its keys, in the mapping's order, are the instrument's settings.
+    It is read once, at construction, and not kept.
     Re-preparations are indexed by outcome only, never by setting; that
     restriction is what makes the later crosstalk analysis meaningful.
 
@@ -48,18 +49,18 @@ class MpInstrument:
     (2, 2, 2) indexed [a].
     """
 
-    povm: Mapping[str, BinaryPovm | tuple[np.ndarray, np.ndarray]]
+    povm: InitVar[Mapping[str, BinaryPovm | tuple[np.ndarray, np.ndarray]]]
     repreparations: Repreparations | tuple[np.ndarray, np.ndarray]
     settings: tuple[str, ...] = field(init=False)
     effects: np.ndarray = field(init=False, repr=False, compare=False)
     reps: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        settings = tuple(self.povm)
+    def __post_init__(self, povm):
+        settings = tuple(povm)
         if not settings:
             raise ValidationError("settings: instrument declares no settings")
         pairs, raw = [], []  # raw: indices of the settings still to check
-        for i, (x, pair) in enumerate(self.povm.items()):
+        for i, (x, pair) in enumerate(povm.items()):
             if isinstance(pair, BinaryPovm):
                 pairs.append(pair.ops)
             else:

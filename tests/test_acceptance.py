@@ -70,7 +70,7 @@ def test_criterion_02_classical_bound_by_enumeration(capsys):
     vertices = classical.enumerate_strategies(4, crosstalk=True)
     worst_corrected = classical.check_corrected_bound(vertices)
     elapsed = time.perf_counter() - start
-    rc = cli.main(["classical-bound", "--x", "4", "--skip-crosstalk"])
+    rc = cli.main(["classical-bound", "--x", "4"])
     out = capsys.readouterr().out
     ok = (
         min_gamma == 1.0

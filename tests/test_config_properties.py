@@ -53,11 +53,12 @@ HOSTILE = {
     "frozen_argmin": st.integers() | finite | non_finite | strings | lists,
 }
 
-must_be_positive = _below(0.0) | non_finite | not_a_number | st.none()
+must_be_positive = _below(0.0) | non_finite | not_a_number
 NOISE_HOSTILE = {
-    "t2_ms": must_be_positive,
+    # a required key set to null is missing; a null t1_ms means no T1
+    "t2_ms": must_be_positive | st.none(),
     "t1_ms": must_be_positive,
-    "echo_interval_ms": must_be_positive,
+    "echo_interval_ms": must_be_positive | st.none(),
     "echo_fidelity": _below(0.0) | _above(1.0, exclude=True) | non_finite | not_a_number,
     "initial_gamma": (_below(2.0 - math.sqrt(2.0), exclude=True) | _above(2.0, exclude=True)
                       | non_finite | not_a_number),

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -206,6 +208,20 @@ def test_noise_block_t1_enters_simulate_through_the_decay_model(tmp_path):
     assert want > without + 0.1
 
 
+def test_null_noise_keys_are_keys_not_given(tmp_path, capsys):
+    # as at the top level, a null in the noise block keeps an optional key's
+    # default (no T1, a zero wait) and leaves a required key missing
+    noise = ("noise:\n  t2_ms: 364.0\n  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n"
+             "  initial_gamma: 0.642\n")
+    nulls = write(tmp_path, "nulls.yaml", noise + "  t1_ms: null\n  wait_ms: null\n")
+    cfg = dataio.load_config(nulls)
+    assert cfg == dataio.load_config(write(tmp_path, "plain.yaml", noise))
+    assert cfg.noise.t1 is None and cfg.wait_ms == 0.0
+    bad = write(tmp_path, "bad.yaml", noise.replace("364.0", "null"))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: noise block lacks ['t2_ms']\n"
+
+
 _RAW = dict(initial_state=linalg.bell_state(), unitary=proclib.partial_swap(1.0),
             repreparations=(linalg.dm(linalg.KET_PLUS_I), linalg.dm(linalg.KET_MINUS_I)),
             final_measurement=linalg.observable_povm(linalg.SIGMA_X))
@@ -411,14 +427,19 @@ def test_cli_classical_bound_enumerates_each_vertex_set_once(monkeypatch, capsys
     # the minima come from the type sets, so no vertex set is enumerated
     monkeypatch.setattr(classical, "enumerate_strategies", counted)
     assert cli.main(["classical-bound", "--x", "3"]) == 0
-    assert cli.main(["classical-bound", "--x", "3", "--skip-crosstalk"]) == 0
     assert calls == []
     out = capsys.readouterr().out.splitlines()
     assert out == [
         "min gamma over 32 no-crosstalk vertices: 1.000000000000",
         "min (gamma + 2 ACDE) over 512 crosstalk vertices: 1.000000000000",
-        "min gamma over 32 no-crosstalk vertices: 1.000000000000",
     ]
+
+
+def test_cli_classical_bound_has_no_skip_crosstalk_switch(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classical-bound", "--x", "3", "--skip-crosstalk"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --skip-crosstalk" in capsys.readouterr().err
 
 
 _KET0 = "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]"
@@ -794,7 +815,7 @@ def test_cli_classical_bound_hostile_x_exits_2(capsys, x, fragment):
     assert cli.main(["classical-bound", "--x", x]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {fragment}\n" and captured.out == ""
-    assert cli.main(["classical-bound", "--x", str(cli.MAX_SETTINGS), "--skip-crosstalk"]) == 0
+    assert cli.main(["classical-bound", "--x", str(cli.MAX_SETTINGS)]) == 0
 
 
 @pytest.mark.parametrize("text, key", [
@@ -870,34 +891,32 @@ def test_preset_matches_shipped_config(configs_dir, name):
     assert preset_config(name) == dataio.load_config(configs_dir / f"{name}.yaml")
 
 
+def _src_env():
+    """The environment of a subprocess that imports tpmcert from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize costs most of the CLI start-up; only the upsilon
     # optimizer needs it, and it imports it when called
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     code = "import sys, tpmcert.cli; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
 
 
 def test_cli_import_leaves_out_yaml():
     # only load_config reads YAML, and it imports yaml when called
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     code = "import sys, tpmcert.cli; print('yaml' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
 
 
 def test_runtime_needs_no_scipy(tmp_path):
     # scipy is a test dependency only: the optimizer and the CLI run without it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -906,7 +925,7 @@ def test_runtime_needs_no_scipy(tmp_path):
         "assert abs(gamma - (2 - (1 + 0.4 ** 2) ** 0.5)) < 1e-9, gamma\n"
         "sys.exit(cli.main(['swap-curve', '--points', '3']))\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), cwd=tmp_path,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert "alpha = 3.1416" in result.stdout
@@ -942,6 +961,43 @@ def test_cli_out_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (CERTIFY_ARGV[:3], "report.json"),
+    (["simulate", "--preset", "memory_test", "--exact"], "report.json"),
+    (DECAY_ARGV, "decay_curve.csv"),
+    (["swap-curve", "--points", "9"], "swap_curve.csv"),
+    (["jm-scan", "--points", "3"], "jm_scan.csv"),
+], ids=["certify", "simulate", "decay", "swap-curve", "jm-scan"])
+def test_cli_closed_stdout_exits_1_after_writing_outputs(tmp_path, argv, name):
+    # no input was bad, so no error line: the outputs are written before
+    # anything is printed, and the run ends with exit code 1
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == 1 and err.getvalue() == ""
+    assert (tmp_path / name).stat().st_size > 0
+
+
+def test_cli_piped_into_head_exits_1_quietly():
+    # `tpmcert jm-scan --points 2000 | head -1`: the scan's 2000 lines
+    # overflow the pipe, so it writes on after its reader has gone
+    argv = [sys.executable, "-m", "tpmcert.cli", "jm-scan", "--points", "2000"]
+    with subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1 and err == b""
+    assert first.startswith(b"  alpha = 0.0000")
+
+
 def test_config_with_reduced_setting_list():
     cfg = preset_config("memory_test", settings=("x", "z"))
     behavior, _, _ = dataio.run_experiment(cfg)
@@ -961,7 +1017,7 @@ def test_sampled_gamma_converges_at_large_shots():
             "memory_test", shots=10**6, seed=seed, resamples=300
         )
         _, _, report = dataio.run_experiment(cfg)
-        if abs(report.gamma - exact) <= 3.0 * report.std_errors["gamma"]:
+        if abs(report.gamma - exact) <= 3.0 * report.gamma_stderr:
             hits += 1
     assert hits >= 19
 

@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -56,3 +59,17 @@ def test_the_public_surface_is_listed_once():
     unlisted = sorted(name for name in imported
                       if not name.startswith("_") and name not in tpmcert.__all__)
     assert missing == [] and unlisted == []
+
+
+def test_report_keys_are_declared_once():
+    # CertReport's fields are report.json's keys: the README lists them, and
+    # every pinned report carries them, in that order
+    from tpmcert.certify import CertReport
+
+    fields = [f.name for f in dataclasses.fields(CertReport)]
+    block = (REPO / "README.md").read_text().split("`report.json` (", 1)[1].split("```")[1]
+    assert re.findall(r'"([a-z_]+)":', block) == fields
+    goldens = sorted((REPO / "tests" / "golden").glob("*/report.json"))
+    assert len(goldens) == 5
+    for path in goldens:
+        assert list(json.loads(path.read_text())) == fields, path

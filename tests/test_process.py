@@ -468,6 +468,18 @@ def test_instrument_settings_follow_the_mapping_order():
         assert inst.effects.tobytes() == np.array([povm[x].ops for x in labels]).tobytes()
 
 
+def test_instrument_keeps_no_povm_mapping():
+    # the mapping is read once, into settings and effects: the instrument
+    # keeps no reference to it, and a caller who changes its arrays later
+    # changes nothing the instrument holds
+    pair = [np.array(e) for e in _Z]
+    inst = process.MpInstrument(povm={"z": tuple(pair)}, repreparations=_Z)
+    assert not hasattr(inst, "povm")
+    before = inst.effects.tobytes()
+    pair[0][...] = 0.0
+    assert inst.effects.tobytes() == before
+
+
 def test_mixed_instrument_checks_its_raw_pairs_once_and_equals_the_raw_one(monkeypatch):
     labels = proclib.SETTING_LABELS
     checked = {x: proclib.component("settings", x) for x in labels}
