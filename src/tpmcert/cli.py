@@ -143,11 +143,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decay(args) -> int:
     params = proclib.NoiseParams(
-        t2=args.t2,
+        t2_ms=args.t2,
         echo_fidelity=args.echo_fidelity,
-        echo_interval=args.echo_interval,
+        echo_interval_ms=args.echo_interval,
         initial_gamma=args.initial_gamma,
-        t1=args.t1,
+        t1_ms=args.t1,
     )
     if not args.t_max >= 0.0:
         raise DomainError(f"--t-max: waiting time {args.t_max} ms is not a nonnegative number")

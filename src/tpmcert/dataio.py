@@ -161,15 +161,14 @@ class ExperimentConfig:
 def _checked(key: str, value):
     """The explicit matrices value given under key, in their checked form; a
     failed check names the key instead of the form.  A configuration is one
-    process, so a stack of states or unitaries is refused."""
+    process: a stack of states or unitaries is refused before any check."""
     form = proclib.FORMS[key]
+    if form.core == 2 and np.ndim(value) != 2:
+        raise ValidationError(f"{key}: must be a 4x4 (two-qubit) matrix")
     try:
-        checked = form.of(value)
+        return form.of(value)
     except ValidationError as exc:
         raise ValidationError(f"{key}: {str(exc).removeprefix(form.what).lstrip(': ')}") from None
-    if key in ("initial_state", "unitary") and checked.ops.ndim != 2:
-        raise ValidationError(f"{key}: must be a 4x4 (two-qubit) matrix")
-    return checked
 
 
 def _as_matrix(obj, dim: int) -> np.ndarray:
@@ -186,14 +185,12 @@ def _as_matrix(obj, dim: int) -> np.ndarray:
 
 
 # configuration keys that may name a registered component or give explicit
-# matrices; the last two give a pair of 2x2 operators
+# matrices, as many as one member of the key's form (proclib.FORMS) holds:
+# one 4x4 matrix (core 2 axes) or a pair of 2x2 ones (core 3)
 _NAMED_KEYS = ("initial_state", "unitary", "repreparations", "final_measurement")
 # scalar configuration keys and their types
 _CONFIG_SCALARS = {"protocol": str, "alpha": float, "shots": int, "seed": int, "resamples": int,
                    "sigma_k": float, "frozen_argmin": bool}
-# NoiseParams field -> key of the YAML noise block, which also holds wait_ms
-_NOISE_KEYS = {"t2": "t2_ms", "t1": "t1_ms", "echo_fidelity": "echo_fidelity",
-               "echo_interval": "echo_interval_ms", "initial_gamma": "initial_gamma"}
 # preset name -> its shipped configuration file
 PRESETS = {path.stem: path for path in sorted(Path(__file__).with_name("configs").glob("*.yaml"))}
 
@@ -225,10 +222,10 @@ def _given(path: Path, block: str, doc: dict, known) -> dict:
 def _named_or_explicit(path: Path, key: str, val):
     """A component name as it is, or the explicit matrices that the file path
     gives under key as complex arrays: one 4x4 matrix, or a pair of 2x2 ones
-    for the keys of the last two.  ExperimentConfig checks them."""
+    (see _NAMED_KEYS).  ExperimentConfig checks them."""
     if isinstance(val, str):
         return val
-    pair = key in _NAMED_KEYS[2:]
+    pair = proclib.FORMS[key].core == 3
     if pair and not isinstance(val, list):
         raise ParseError(f"{path}: {key} must be a name or a list of matrices")
     try:
@@ -270,18 +267,17 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     if "noise" in doc:
         if not isinstance(doc["noise"], dict):
             raise ParseError(f"{path}: noise must be a mapping")
-        nz = _given(path, "noise", doc["noise"], [*_NOISE_KEYS.values(), "wait_ms"])
-        missing = [_NOISE_KEYS[f.name] for f in fields(proclib.NoiseParams)
-                   if f.default is MISSING and _NOISE_KEYS[f.name] not in nz]
+        params = fields(proclib.NoiseParams)
+        nz = _given(path, "noise", doc["noise"], [*(f.name for f in params), "wait_ms"])
+        missing = [f.name for f in params if f.default is MISSING and f.name not in nz]
         if missing:
             raise ParseError(f"{path}: noise block lacks {missing}")
-        values = {name: _typed(path, f"noise.{key}", nz[key], float)
-                  for name, key in _NOISE_KEYS.items() if key in nz}
+        values = {f.name: _typed(path, f"noise.{f.name}", nz[f.name], float)
+                  for f in params if f.name in nz}
         try:
             kwargs["noise"] = proclib.NoiseParams(**values)
-        except ValidationError as exc:
-            name, rule = str(exc).split(" ", 1)
-            raise ValidationError(f"{path}: noise.{_NOISE_KEYS[name]} {rule}") from None
+        except ValidationError as exc:  # its message starts with the field's name
+            raise ValidationError(f"{path}: noise.{exc}") from None
         if "wait_ms" in nz:
             kwargs["wait_ms"] = _typed(path, "noise.wait_ms", nz["wait_ms"], float)
     errors = (ValidationError, DomainError, ResourceLimitError)

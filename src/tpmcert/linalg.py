@@ -1,6 +1,6 @@
 """Dense complex linear algebra kernel: batched state, POVM and unitary
-checks, and the small zoo of qubit states and gates everything else is
-built from.
+checks, all to the one absolute tolerance HERM_ATOL, and the small zoo of
+qubit states and gates everything else is built from.
 
 Index convention: in any composite space the leftmost tensor factor is the
 slowest-varying index (row-major), matching ``numpy.kron``.
@@ -54,22 +54,22 @@ def bloch_projector(n: Sequence[float]) -> np.ndarray:
     return 0.5 * (ID2 + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERM_ATOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """True if m, or every matrix of a stack (..., d, d), is Hermitian."""
-    return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max() <= atol)
+    return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERM_ATOL)
 
 
-def assert_density_matrix(rho: np.ndarray, atol: float = HERM_ATOL) -> None:
+def assert_density_matrix(rho: np.ndarray) -> None:
     """Raise unless rho, or every matrix of a stack (..., d, d), is a
     unit-trace positive-semidefinite matrix."""
     rho = np.asarray(rho)
-    if not is_hermitian(rho, atol):
+    if not is_hermitian(rho):
         raise ValidationError("state is not Hermitian within tolerance")
     traces = np.trace(rho, axis1=-2, axis2=-1).real
     off = np.abs(traces - 1.0)
-    if off.max() > atol:
+    if off.max() > HERM_ATOL:
         raise ValidationError(f"state trace {np.ravel(traces)[off.argmax()]} != 1")
-    if np.linalg.eigvalsh(rho).min() < -atol:
+    if np.linalg.eigvalsh(rho).min() < -HERM_ATOL:
         raise ValidationError("state has a negative eigenvalue")
 
 
@@ -81,25 +81,26 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
-def assert_unitary(u: np.ndarray, atol: float = HERM_ATOL) -> None:
+def assert_unitary(u: np.ndarray) -> None:
     """Raise unless u, or every matrix of a stack (..., d, d), is unitary."""
     d = u.shape[-1]
-    if u.shape[-2:] != (d, d) or not np.abs(u.conj().swapaxes(-1, -2) @ u - _eye(d)).max() <= atol:
+    square = u.shape[-2:] == (d, d)
+    if not (square and np.abs(u.conj().swapaxes(-1, -2) @ u - _eye(d)).max() <= HERM_ATOL):
         raise ValidationError("matrix is not unitary within tolerance")
 
 
-def assert_povm(effects: Sequence[np.ndarray], atol: float = HERM_ATOL) -> None:
+def assert_povm(effects: Sequence[np.ndarray]) -> None:
     """Raise unless the effects are PSD and sum to the identity.
 
     effects is a sequence of d x d effects, or a stack (..., k, d, d) of
     POVMs with k effects each, all checked at once.
     """
     e = np.asarray(effects)
-    if not is_hermitian(e, atol):
+    if not is_hermitian(e):
         raise ValidationError("POVM effect is not Hermitian")
-    if np.linalg.eigvalsh(e).min() < -atol:
+    if np.linalg.eigvalsh(e).min() < -HERM_ATOL:
         raise ValidationError("POVM effect has a negative eigenvalue")
-    if np.abs(e.sum(axis=-3) - _eye(e.shape[-1])).max() > atol:
+    if np.abs(e.sum(axis=-3) - _eye(e.shape[-1])).max() > HERM_ATOL:
         raise ValidationError("POVM effects do not sum to the identity")
 
 

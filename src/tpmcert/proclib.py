@@ -224,22 +224,22 @@ def partial_swap_gamma_curve(alphas: Sequence[float]) -> list[tuple[float, float
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Dephasing-with-echo noise model parameters (times in milliseconds).
-
-    initial_gamma anchors the model to the measured zero-wait value; the
-    model relaxes exactly when t1 is given.  A simulated run depolarises the
-    memory qubit to the model's visibility.
+    """Dephasing-with-echo noise model parameters, times in milliseconds; the
+    fields are the keys of a config file's noise block, which also holds
+    wait_ms.  initial_gamma anchors the model to the measured zero-wait value;
+    the model relaxes exactly when t1_ms is given.  A simulated run
+    depolarises the memory qubit to the model's visibility.
     """
 
-    t2: float
+    t2_ms: float
     echo_fidelity: float
-    echo_interval: float
+    echo_interval_ms: float
     initial_gamma: float
-    t1: float | None = None
+    t1_ms: float | None = None
 
     def __post_init__(self):
         # every message starts with the name of the field at fault
-        for name in ("t2", "echo_interval") + (("t1",) if self.t1 is not None else ()):
+        for name in ("t2_ms", "echo_interval_ms") + (("t1_ms",) if self.t1_ms is not None else ()):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.echo_fidelity <= 1.0:
@@ -253,9 +253,9 @@ def decay_prediction(params: NoiseParams, times: Sequence[float]) -> list[tuple[
     """Predicted gamma over waiting time.
 
     The zero-wait visibility is (2 - initial_gamma)/sqrt(2); it decays by pure
-    dephasing exp(-t/t2) times a per-echo infidelity factor applied with a
-    continuous exponent t/echo_interval, and, when params gives t1, by
-    relaxation exp(-t/(2 t1)); gamma follows as 2 - sqrt(2) v(t).
+    dephasing exp(-t/t2_ms) times a per-echo infidelity factor applied with a
+    continuous exponent t/echo_interval_ms, and, when params gives t1_ms, by
+    relaxation exp(-t/(2 t1_ms)); gamma follows as 2 - sqrt(2) v(t).
     Written as gamma0 + (2 - gamma0)(1 - decay) so the model anchors exactly.
     """
     out = []
@@ -263,22 +263,22 @@ def decay_prediction(params: NoiseParams, times: Sequence[float]) -> list[tuple[
         t = float(t)
         if not t >= 0.0:
             raise DomainError(f"waiting time {t} ms is not a nonnegative number")
-        d = math.exp(-t / params.t2) * params.echo_fidelity ** (t / params.echo_interval)
-        if params.t1 is not None:
-            d *= math.exp(-t / (2.0 * params.t1))
+        d = math.exp(-t / params.t2_ms) * params.echo_fidelity ** (t / params.echo_interval_ms)
+        if params.t1_ms is not None:
+            d *= math.exp(-t / (2.0 * params.t1_ms))
         out.append((t, params.initial_gamma + (2.0 - params.initial_gamma) * (1.0 - d)))
     return out
 
 
-def classical_crossing_time(params: NoiseParams, t_max: float = 1e6) -> float:
-    """Waiting time t* = ln(2 - gamma0) / (1/t2 - ln(F)/echo_interval [+ 1/(2 t1)
-    if params gives t1]) at which the predicted gamma reaches the classical bound
-    1; zero if the model starts at 1, infinity if it starts above 1 or if t* > t_max."""
+def classical_crossing_time(params: NoiseParams) -> float:
+    """Waiting time t* = ln(2 - gamma0) / (1/t2_ms - ln(F)/echo_interval_ms
+    [+ 1/(2 t1_ms) if params gives t1_ms]) at which the predicted gamma reaches
+    the classical bound 1, at any scale; zero if the model starts at 1,
+    infinity if it starts above 1."""
     start = params.initial_gamma - 1.0
     if start >= 0.0:
         return 0.0 if start == 0.0 else math.inf
-    rate = 1.0 / params.t2 - math.log(params.echo_fidelity) / params.echo_interval
-    if params.t1 is not None:
-        rate += 1.0 / (2.0 * params.t1)
-    t = math.log(2.0 - params.initial_gamma) / rate
-    return t if t <= t_max else math.inf
+    rate = 1.0 / params.t2_ms - math.log(params.echo_fidelity) / params.echo_interval_ms
+    if params.t1_ms is not None:
+        rate += 1.0 / (2.0 * params.t1_ms)
+    return math.log(2.0 - params.initial_gamma) / rate

@@ -408,6 +408,31 @@ def classical_vertex_values(n, crosstalk):
     return responses, gammas, corrected
 
 
+def no_crosstalk_feasible(probs):
+    """Whether the behavior probs[x, a, b] is a mixture of the 4 * 2^|X|
+    deterministic no-crosstalk vertices, a = f(x) and b = g(a): a feasibility
+    LP (scipy's HiGHS) over the vertices written out in loops."""
+    import itertools
+
+    from scipy.optimize import linprog
+
+    probs = np.asarray(probs, dtype=float)
+    n = len(probs)
+    columns = []
+    for f in itertools.product((0, 1), repeat=n):
+        for g in itertools.product((0, 1), repeat=2):
+            vertex = np.zeros((n, 2, 2))
+            for x in range(n):
+                vertex[x, f[x], g[f[x]]] = 1.0
+            columns.append(vertex.ravel())
+    # the weights reproduce every cell and sum to one
+    a_eq = np.vstack([np.array(columns).T, np.ones(len(columns))])
+    b_eq = np.append(probs.ravel(), 1.0)
+    result = linprog(np.zeros(len(columns)), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                     method="highs")
+    return result.status == 0
+
+
 def bootstrap_errors_reference(behavior, n_resamples, seed=0, do_table=None,
                                frozen_argmin=False):
     """certify.bootstrap_errors as it stood with an (R, X, 2, 2) resample array

@@ -235,7 +235,7 @@ def test_criterion_09_joint_measurability_boundary():
 
 def test_criterion_10_decay_model():
     params = proclib.NoiseParams(
-        t2=364.0, echo_fidelity=0.995, echo_interval=2.5,
+        t2_ms=364.0, echo_fidelity=0.995, echo_interval_ms=2.5,
         initial_gamma=0.642,
     )
     curve = proclib.decay_prediction(params, np.linspace(0.0, 300.0, 600))

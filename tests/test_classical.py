@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tpmcert import certify, classical
+from tpmcert import certify, classical, linalg, proclib, process
 from tpmcert.exceptions import ResourceLimitError, ValidationError
 
 from helpers import lemma1_check, mixture, vertex_table_values
-from oracles import classical_vertex_values
+from oracles import (classical_vertex_values, no_crosstalk_feasible, random_binary_povm,
+                     random_density, random_instrument_arrays, random_unitary)
 
 RNG = np.random.default_rng(505)
 
@@ -303,3 +308,55 @@ def test_tables_keep_the_settings_axis_outermost():
     assert probs.shape == (4096, 4, 2, 2) and do.shape == (4096, 2, 4, 2)
     assert np.argmax(probs.strides) == 1
     assert np.argmax(do.strides) == 2
+
+
+def _drawn_behavior(case) -> process.Behavior:
+    """The exact behavior of a drawn case: a random process and instrument
+    ("process"), a Bell state depolarised to visibility v through cnot_swap
+    with settings at angles theta in the x-z plane and the memory test's
+    re-preparations and final measurement ("bell"), or a random mixture of
+    the no-crosstalk vertices ("mixture")."""
+    kind, first, second = case
+    if kind == "bell":
+        rho = first * linalg.bell_state() + (1 - first) * np.eye(4) / 4
+        op = process.build_process(rho, proclib.component("unitary", "cnot_swap"))
+        povm = {}
+        for i, theta in enumerate(second):
+            up = linalg.bloch_projector([math.sin(theta), 0.0, math.cos(theta)])
+            povm[str(i)] = (up, linalg.ID2 - up)
+        inst = process.MpInstrument(
+            povm=povm, repreparations=proclib.component("repreparations", "plus_minus"))
+        return process.born_rule(op, inst, proclib.component("final_measurement", "xz_diagonal"))
+    rng = np.random.default_rng(first)
+    if kind == "mixture":
+        vertices = classical.enumerate_strategies(second, crosstalk=False)
+        return mixture(vertices, rng.dirichlet(np.full(len(vertices), 0.3)))[0]
+    effects, reps = random_instrument_arrays(rng, second)
+    op = process.build_process(random_density(rng, 4), random_unitary(rng, 4))
+    inst = process.MpInstrument(povm={str(i): e for i, e in enumerate(effects)},
+                                repreparations=reps)
+    return process.born_rule(op, inst, random_binary_povm(rng))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.tuples(st.just("process"), seeds, st.integers(1, 4))
+       | st.tuples(st.just("bell"), st.floats(0.5, 1.0),
+                   st.lists(st.floats(0.0, 2 * math.pi), min_size=2, max_size=4))
+       | st.tuples(st.just("mixture"), seeds, st.integers(1, 4)))
+@example(case=("bell", 1.0, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]))  # the memory test
+@example(case=("bell", 0.8, [0.0, math.pi / 2]))
+def test_exact_verdicts_hold_against_the_no_crosstalk_polytope(case):
+    # an exact-statistics verdict that excludes the no-crosstalk model, either
+    # gamma < 1 without a do-table or Pearl's delta > 1, must mean that the
+    # behavior lies outside that model's polytope, which an LP over its
+    # vertices decides; every mixture of the vertices lies inside, at gamma >= 1
+    behavior = _drawn_behavior(case)
+    report = certify.certify_behavior(behavior)
+    feasible = no_crosstalk_feasible(behavior.probs)
+    if case[0] == "mixture":
+        assert feasible and report.gamma >= 1.0 - 1e-12
+    if report.verdict_nonclassical or report.verdict_crosstalk_witnessed:
+        assert not feasible

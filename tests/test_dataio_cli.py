@@ -114,7 +114,7 @@ def test_partial_swap_preset_tracks_closed_form():
 
 def test_noise_anchoring_at_zero_wait():
     noise = proclib.NoiseParams(
-        t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
+        t2_ms=364.0, t1_ms=1170.0, echo_fidelity=0.995, echo_interval_ms=2.5, initial_gamma=0.642
     )
     cfg = preset_config("memory_test", noise=noise, wait_ms=0.0)
     _, _, report = dataio.run_experiment(cfg)
@@ -125,7 +125,7 @@ def test_noise_anchoring_follows_the_configured_protocol():
     # the zero-wait gamma is initial_gamma whatever the protocol reaches
     # without noise, and a wait gives the decay model's prediction
     noise = proclib.NoiseParams(
-        t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.9
+        t2_ms=364.0, t1_ms=1170.0, echo_fidelity=0.995, echo_interval_ms=2.5, initial_gamma=0.9
     )
     for wait in (0.0, 10.0):
         cfg = preset_config("partial_swap", noise=noise, wait_ms=wait)
@@ -134,7 +134,7 @@ def test_noise_anchoring_follows_the_configured_protocol():
         assert abs(report.gamma - want) < 1e-9
     # without noise the partial swap at 3 pi / 4 reaches (3 - sqrt(2)) / 2 = 0.793 only
     low = proclib.NoiseParams(
-        t2=364.0, t1=1170.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
+        t2_ms=364.0, t1_ms=1170.0, echo_fidelity=0.995, echo_interval_ms=2.5, initial_gamma=0.642
     )
     # refused whatever the wait: the anchor is out of reach, not the wait's target
     for wait in (0.0, 35.0, 100.0):
@@ -150,7 +150,7 @@ def test_noise_depolarises_the_memory_and_leaves_the_first_outcome_alone(wait):
     # on |0><0| (x) |0><0| setting z reads a = 0 with certainty; noise on the
     # memory E, which waits after A' is measured, cannot change P(a|x)
     rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    noise = proclib.NoiseParams(t2=10.0, t1=1170.0, echo_fidelity=1.0, echo_interval=2.5,
+    noise = proclib.NoiseParams(t2_ms=10.0, t1_ms=1170.0, echo_fidelity=1.0, echo_interval_ms=2.5,
                                 initial_gamma=1.8)
     parts = dict(protocol="custom", initial_state=rho, unitary="cnot_swap", settings=("z", "x"),
                  repreparations="plus_minus", final_measurement="xz_diagonal")
@@ -179,7 +179,7 @@ def test_noise_depolarises_the_memory_and_leaves_the_first_outcome_alone(wait):
 def test_noisy_run_builds_and_contracts_one_process(monkeypatch):
     # the noise resolves into the state when the configuration is built, so
     # a noisy run takes the path of a noiseless one
-    noise = proclib.NoiseParams(t2=364.0, echo_fidelity=0.995, echo_interval=2.5,
+    noise = proclib.NoiseParams(t2_ms=364.0, echo_fidelity=0.995, echo_interval_ms=2.5,
                                 initial_gamma=0.7)
     cfg = preset_config("memory_test", noise=noise, wait_ms=35.0)
     calls = dict.fromkeys(("build_process", "born_rule"), 0)
@@ -200,10 +200,10 @@ def test_noise_block_t1_enters_simulate_through_the_decay_model(tmp_path):
                  "  echo_fidelity: 0.995\n  echo_interval_ms: 2.5\n  initial_gamma: 0.642\n"
                  "  t1_ms: 100.0\n  wait_ms: 35.0\n")
     cfg = dataio.load_config(path)
-    assert cfg.noise.t1 == 100.0
+    assert cfg.noise.t1_ms == 100.0
     _, _, report = dataio.run_experiment(cfg)
     (_, want), = proclib.decay_prediction(cfg.noise, [35.0])
-    (_, without), = proclib.decay_prediction(dataclasses.replace(cfg.noise, t1=None), [35.0])
+    (_, without), = proclib.decay_prediction(dataclasses.replace(cfg.noise, t1_ms=None), [35.0])
     assert abs(report.gamma - want) < 1e-9
     assert want > without + 0.1
 
@@ -216,7 +216,7 @@ def test_null_noise_keys_are_keys_not_given(tmp_path, capsys):
     nulls = write(tmp_path, "nulls.yaml", noise + "  t1_ms: null\n  wait_ms: null\n")
     cfg = dataio.load_config(nulls)
     assert cfg == dataio.load_config(write(tmp_path, "plain.yaml", noise))
-    assert cfg.noise.t1 is None and cfg.wait_ms == 0.0
+    assert cfg.noise.t1_ms is None and cfg.wait_ms == 0.0
     bad = write(tmp_path, "bad.yaml", noise.replace("364.0", "null"))
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {bad}: noise block lacks ['t2_ms']\n"
@@ -277,12 +277,16 @@ def test_run_experiment_validates_each_input_once(monkeypatch, tmp_path, capsys)
     ("unitary", 2.0 * np.eye(4), "unitary: matrix is not unitary within tolerance"),
     ("unitary", np.full((4, 4), np.nan), "unitary: matrix is not unitary within tolerance"),
     ("unitary", np.array([np.eye(4)] * 2), "unitary: must be a 4x4 (two-qubit) matrix"),
+    ("unitary", np.array([np.eye(4), 2.0 * np.eye(4)]),
+     "unitary: must be a 4x4 (two-qubit) matrix"),
+    ("initial_state", np.array([np.eye(4) / 4, np.diag([2.0, 0.0, 0.0, 0.0])]),
+     "initial_state: must be a 4x4 (two-qubit) matrix"),
     ("final_measurement", (np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])),
      "final_measurement: POVM effect has a negative eigenvalue"),
     ("repreparations", (np.diag([2.0, 0.0]), np.diag([0.0, 1.0])),
      "repreparations: state trace 2.0 != 1"),
-], ids=["state_trace_2", "not_unitary", "nan_unitary", "unitary_stack", "final_not_psd",
-        "reps_trace_2"])
+], ids=["state_trace_2", "not_unitary", "nan_unitary", "unitary_stack", "bad_unitary_stack",
+        "bad_state_stack", "final_not_psd", "reps_trace_2"])
 def test_config_from_arrays_names_the_bad_key_when_built(key, value, message):
     with pytest.raises(ValidationError) as err:
         dataio.ExperimentConfig(protocol="custom", **dict(_RAW, **{key: value}))
@@ -575,8 +579,8 @@ def test_cli_decay_negative_t_max_names_the_flag(tmp_path, capsys):
 
 
 def test_cli_decay_t1_is_applied_when_given(capsys):
-    params = proclib.NoiseParams(t2=364.0, echo_fidelity=0.995, echo_interval=2.5,
-                                 initial_gamma=0.642, t1=100.0)
+    params = proclib.NoiseParams(t2_ms=364.0, echo_fidelity=0.995, echo_interval_ms=2.5,
+                                 initial_gamma=0.642, t1_ms=100.0)
     crossing = proclib.classical_crossing_time(params)
     assert f"{crossing:.4f}" == "31.3786"
     assert cli.main(DECAY_ARGV + ["--t1", "100"]) == 0

@@ -5,6 +5,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import yaml
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -46,6 +48,40 @@ def test_every_library_name_is_reached():
     assert unreached == []
 
 
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """The defaulted parameters of fn as (position, name); position is None
+    for a keyword-only one."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return ([(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if default is not None])
+
+
+def test_every_defaulted_parameter_is_set_by_library_code():
+    # a parameter with a default is an option: it stays only if some call in
+    # src/ or perfbench/ sets it, by keyword or by position (a call with *
+    # or ** sets them all); a value that only tests change is a constant
+    paths = sorted((REPO / "src" / "tpmcert").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in paths + sorted((REPO / "perfbench").glob("*.py"))}
+    set_by = {}  # function name -> the positions and names its calls set
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            given = set_by.setdefault(name, set())
+            if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                    or any(kw.arg is None for kw in call.keywords)):
+                given.add("*")
+            given |= set(range(len(call.args))) | {kw.arg for kw in call.keywords if kw.arg}
+    unset = [f"{node.name}({param})" for path in paths for node in trees[path].body
+             if isinstance(node, ast.FunctionDef) for i, param in _defaulted(node)
+             if not set_by.get(node.name, set()) & {"*", i, param}]
+    assert unset == []
+
+
 def test_the_public_surface_is_listed_once():
     # every name in __all__ resolves on the package, and every public name
     # that __init__ imports is in __all__, so that `from tpmcert import *`
@@ -59,6 +95,22 @@ def test_the_public_surface_is_listed_once():
     unlisted = sorted(name for name in imported
                       if not name.startswith("_") and name not in tpmcert.__all__)
     assert missing == [] and unlisted == []
+
+
+def test_readme_config_gives_every_key(tmp_path):
+    # the README's one YAML block is a config file with every key the loader
+    # takes, at the top level and in the noise block, and it loads
+    from tpmcert import dataio, proclib
+
+    readme = (REPO / "README.md").read_text()
+    assert readme.count("```yaml") == 1
+    path = tmp_path / "every_key.yaml"
+    path.write_text(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    dataio.load_config(path)
+    doc = yaml.safe_load(path.read_text())
+    assert set(doc) == {*dataio._CONFIG_SCALARS, *dataio._NAMED_KEYS, "settings", "noise"}
+    noise_keys = {f.name for f in dataclasses.fields(proclib.NoiseParams)} | {"wait_ms"}
+    assert set(doc["noise"]) == noise_keys
 
 
 def test_report_keys_are_declared_once():

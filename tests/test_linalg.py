@@ -9,9 +9,9 @@ from oracles import partial_trace, partial_transpose, random_unitary, unvectoriz
 RNG = np.random.default_rng(101)
 
 
-def herm_eigenvalues(m, atol=linalg.HERM_ATOL):
+def herm_eigenvalues(m):
     """Ascending real eigenvalues of a Hermitian matrix."""
-    if not linalg.is_hermitian(m, atol):
+    if not linalg.is_hermitian(m):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)
 
@@ -70,7 +70,7 @@ def test_partial_transpose_preserves_trace_and_hermiticity():
     m = m + m.conj().T
     pt = partial_transpose(m, (2, 2), 0)
     assert abs(np.trace(pt) - np.trace(m)) < 1e-13
-    assert linalg.is_hermitian(pt, 1e-13)
+    assert np.abs(pt - pt.conj().T).max() <= 1e-13
 
 
 def test_vectorize_convention():
@@ -113,7 +113,7 @@ def test_herm_eigenvalues_rejects_non_hermitian():
 
 
 def test_unitary_check_rejects_nan_in_every_caller():
-    # NaN fails every comparison, so the check must not pass on "max > atol"
+    # NaN fails every comparison, so the check must not pass on "max > HERM_ATOL"
     one_nan = np.eye(4, dtype=complex)
     one_nan[2, 1] = np.nan
     reps = (linalg.dm(linalg.KET_0), linalg.dm(linalg.KET_1))
@@ -130,8 +130,8 @@ def test_stacked_checks_reject_any_bad_member():
     # a bad member gets the same error as when checked alone
     z = np.array(linalg.observable_povm(linalg.SIGMA_Z))
     povms = np.stack([z, np.array(linalg.observable_povm(linalg.SIGMA_X))])
-    linalg.assert_povm(povms, 1e-10)
-    linalg.assert_density_matrix(povms[:, 0], 1e-10)
+    linalg.assert_povm(povms)
+    linalg.assert_density_matrix(povms[:, 0])
 
     def one_bad(stack, index, value):
         out = stack.copy()
@@ -146,7 +146,7 @@ def test_stacked_checks_reject_any_bad_member():
     for message, stack in bad_povms.items():
         for checked in (stack, stack[1]):
             with pytest.raises(ValidationError, match=message):
-                linalg.assert_povm(checked, 1e-10)
+                linalg.assert_povm(checked)
     states = povms[:, 0]
     bad_states = {
         "not Hermitian": one_bad(states, (1, 0, 1), 0.1),
@@ -156,18 +156,18 @@ def test_stacked_checks_reject_any_bad_member():
     for message, stack in bad_states.items():
         for checked in (stack, stack[1]):
             with pytest.raises(ValidationError, match=message):
-                linalg.assert_density_matrix(checked, 1e-10)
+                linalg.assert_density_matrix(checked)
 
 
 def test_stacked_unitary_check_rejects_any_bad_member():
     us = np.array([np.eye(4, dtype=complex), linalg.SWAP, 1j * linalg.SWAP])
-    linalg.assert_unitary(us, 1e-10)
-    linalg.assert_unitary(us.reshape(1, 3, 4, 4), 1e-10)
+    linalg.assert_unitary(us)
+    linalg.assert_unitary(us.reshape(1, 3, 4, 4))
     for index, value in (((1, 0, 0), 0.1), ((2, 3, 3), np.nan)):
         bad = us.copy()
         bad[index] = value
         for checked in (bad, bad[index[0]]):
             with pytest.raises(ValidationError, match="not unitary"):
-                linalg.assert_unitary(checked, 1e-10)
+                linalg.assert_unitary(checked)
     with pytest.raises(ValidationError, match="not unitary"):
-        linalg.assert_unitary(np.ones((2, 4, 3)), 1e-10)
+        linalg.assert_unitary(np.ones((2, 4, 3)))

@@ -275,7 +275,7 @@ def test_eb_channel_output_is_valid_and_separable_by_terms():
         ch = random_eb_channel(RNG)
         rho = random_density(RNG, 4)
         out = apply_eb_channel(rho, ch, target=1)
-        linalg.assert_density_matrix(out, atol=1e-9)
+        linalg.assert_density_matrix(out)
         # every term in the retained decomposition is PSD (x) PSD
         for kept, prep in eb_channel_terms(rho, ch, target=1):
             assert np.linalg.eigvalsh(kept).min() > -1e-10
@@ -294,7 +294,7 @@ def test_eb_channel_classicalizes_the_pipeline():
 
 def reference_noise_params():
     return proclib.NoiseParams(
-        t2=364.0, echo_fidelity=0.995, echo_interval=2.5, initial_gamma=0.642
+        t2_ms=364.0, echo_fidelity=0.995, echo_interval_ms=2.5, initial_gamma=0.642
     )
 
 
@@ -322,11 +322,9 @@ def test_decay_crossing_time_regression():
     assert abs(got - CROSSING_TIME_MS) < 0.1
 
 
-def test_crossing_time_between_power_of_two_and_t_max():
-    # t* = 64.39 ms lies below t_max = 1.01 t*, but the first power of two
-    # above t* (128) does not; the crossing is inf exactly when t* > t_max
+def test_crossing_time_equals_the_root_at_any_scale():
     for t1 in (None, 1170.0):
-        params = dataclasses.replace(reference_noise_params(), t1=t1)
+        params = dataclasses.replace(reference_noise_params(), t1_ms=t1)
 
         def gamma_minus_one(t):
             d = math.exp(-t / 364.0) * 0.995 ** (t / 2.5)
@@ -335,22 +333,28 @@ def test_crossing_time_between_power_of_two_and_t_max():
             return (0.642 + (2 - 0.642) * (1 - d)) - 1.0
 
         oracle = brentq(gamma_minus_one, 1e-9, 1000.0, xtol=1e-12)
-        got = proclib.classical_crossing_time(params, t_max=1.01 * oracle)
-        assert abs(got - oracle) < 1e-9
-        assert proclib.classical_crossing_time(params, t_max=0.99 * oracle) == math.inf
+        assert abs(proclib.classical_crossing_time(params) - oracle) < 1e-9
+    # a crossing far past 1e6 ms: lossless echoes, so the rate is 1/t2_ms
+    slow = proclib.NoiseParams(t2_ms=1e9, echo_fidelity=1.0, echo_interval_ms=2.0,
+                               initial_gamma=0.7)
+    assert proclib.classical_crossing_time(slow) == math.log(2 - 0.7) / (1 / 1e9)
+    assert math.isfinite(proclib.classical_crossing_time(slow))
 
 
 def test_decay_t1_flag_only_accelerates():
     params = reference_noise_params()
     base = proclib.decay_prediction(params, [50.0])[0][1]
-    with_t1 = proclib.decay_prediction(dataclasses.replace(params, t1=1170.0), [50.0])[0][1]
+    with_t1 = proclib.decay_prediction(dataclasses.replace(params, t1_ms=1170.0), [50.0])[0][1]
     assert with_t1 > base
 
 
 def test_noise_params_validation():
     with pytest.raises(ValidationError):
-        proclib.NoiseParams(t2=-1, t1=1, echo_fidelity=0.9, echo_interval=1, initial_gamma=1.0)
+        proclib.NoiseParams(t2_ms=-1, t1_ms=1, echo_fidelity=0.9, echo_interval_ms=1,
+                            initial_gamma=1.0)
     with pytest.raises(ValidationError):
-        proclib.NoiseParams(t2=1, t1=1, echo_fidelity=0.0, echo_interval=1, initial_gamma=1.0)
+        proclib.NoiseParams(t2_ms=1, t1_ms=1, echo_fidelity=0.0, echo_interval_ms=1,
+                            initial_gamma=1.0)
     with pytest.raises(ValidationError):
-        proclib.NoiseParams(t2=1, t1=1, echo_fidelity=0.9, echo_interval=1, initial_gamma=0.2)
+        proclib.NoiseParams(t2_ms=1, t1_ms=1, echo_fidelity=0.9, echo_interval_ms=1,
+                            initial_gamma=0.2)
