@@ -65,21 +65,16 @@ class CertReport:
         return asdict(self)
 
 
-# The kernels below work on [..., b0, b1] cell slices: numpy adds or compares
-# long strided slices far faster than it reduces over a trailing axis of length
-# 2 or 4.  They reduce over settings fastest with settings outermost in memory,
-# the layout of the stacks that classical._tables builds; bootstrap_errors
-# folds one setting's frequencies at a time, with the resamples innermost.
+# The kernels below work on [..., b0, b1] cell slices and never reduce over a
+# trailing axis of length 2 or 4, which numpy does far more slowly.  Settings
+# outermost in memory (classical._tables' stacks) reduce fastest; bootstrap_errors
+# folds one setting at a time, resamples innermost, into one workspace.
 
 
 def _pair_terms(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """T[..., b0, b1] = P(0, b0) + P(1, b1) of probs (..., 2, 2), laid out in
-    memory like probs; of every setting at once for probs (..., X, 2, 2)."""
-    t = np.empty_like(probs) if out is None else out
-    for b0 in (0, 1):
-        for b1 in (0, 1):
-            np.add(probs[..., 0, b0], probs[..., 1, b1], out=t[..., b0, b1])
-    return t
+    """T[..., b0, b1] = P(0, b0) + P(1, b1) of probs (..., 2, 2), of every
+    setting at once for probs (..., X, 2, 2), in one broadcast add."""
+    return np.add(probs[..., 0, :, None], probs[..., 1, None, :], out=out)
 
 
 def _gamma(minima: np.ndarray) -> np.ndarray:
@@ -117,8 +112,8 @@ def gamma_functional(b: Behavior) -> tuple[float, dict[tuple[int, int], str]]:
     chosen setting is recorded per (b0, b1) so the result is reproducible.
     """
     t = _pair_terms(b.probs)
-    idx = t.argmin(axis=0)
-    argmin = {(b0, b1): b.settings[idx[b0, b1]] for b0 in (0, 1) for b1 in (0, 1)}
+    idx = t.argmin(axis=0).tolist()
+    argmin = {(b0, b1): b.settings[idx[b0][b1]] for b0 in (0, 1) for b1 in (0, 1)}
     return float(_gamma(t.min(axis=0))), argmin
 
 
@@ -148,15 +143,11 @@ def chsh_decomposition(
     """
     if len(b.settings) < 2:
         raise ValidationError("need at least two settings for a CHSH split")
-    c = b.probs[:, :, 0] - b.probs[:, :, 1]  # c[x, a]
-
-    def at(b0: int, b1: int) -> np.ndarray:
-        return c[b.setting_index(argmin[(b0, b1)])]
-
-    c00, c01, c10, c11 = at(0, 0), at(0, 1), at(1, 0), at(1, 1)
+    c = (b.probs[:, :, 0] - b.probs[:, :, 1]).tolist()  # c[x][a], as Python floats
+    c00, c01, c10, c11 = (c[b.setting_index(argmin[k])] for k in ((0, 0), (0, 1), (1, 0), (1, 1)))
     chsh1 = -2.0 * (c00[0] + c00[1]) + 2.0 * (c10[0] - c10[1])
     chsh2 = -2.0 * (c01[0] - c01[1]) + 2.0 * (c11[0] + c11[1])
-    return float(chsh1), float(chsh2)
+    return chsh1, chsh2
 
 
 def fidelity_lower_bound(gamma: float) -> float:

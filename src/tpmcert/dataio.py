@@ -163,9 +163,9 @@ def _checked(key: str, value):
     failed check names the key instead of the form.  A configuration is one
     process: a stack of states or unitaries is refused before any check."""
     form = proclib.FORMS[key]
-    if form.core == 2 and np.ndim(value) != 2:
-        raise ValidationError(f"{key}: must be a 4x4 (two-qubit) matrix")
     try:
+        if form.core == 2 and form.form(value).ndim != 2:
+            raise ValidationError(f"{form.what} must be a 4x4 (two-qubit) matrix")
         return form.of(value)
     except ValidationError as exc:
         raise ValidationError(f"{key}: {str(exc).removeprefix(form.what).lstrip(': ')}") from None

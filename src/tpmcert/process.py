@@ -97,7 +97,10 @@ def _check_members(check, stack: np.ndarray, lead: int, name) -> None:
 def _qubit_pair(ops: Sequence[np.ndarray], what: str) -> np.ndarray:
     """The two 2x2 operators of a binary measurement or re-preparation, as one
     read-only (2, 2, 2) array of their common dtype."""
-    ops = [np.asarray(m) for m in ops]
+    try:
+        ops = [np.asarray(m) for m in ops]
+    except ValueError:  # a ragged entry, which numpy cannot shape
+        raise ValidationError(f"{what} must be 2x2 (qubit) matrices") from None
     if len(ops) != 2:
         raise ValidationError(f"{what} must be binary: got {len(ops)} entries, expected 2")
     if any(m.shape != (2, 2) for m in ops):
@@ -159,12 +162,16 @@ class _TwoQubitOperator(_Checked):
 
     core = 2
 
-    def form(self, m):
-        m = np.array(m, dtype=complex)
+    @classmethod
+    def form(cls, m):
+        try:
+            m = np.array(m, dtype=complex)
+        except ValueError:  # a ragged nested sequence, which numpy cannot shape
+            raise ValidationError(f"{cls.what} must be a 4x4 (two-qubit) matrix") from None
         if m.shape[-2:] != (4, 4):
-            raise ValidationError(f"{self.what} must be a 4x4 (two-qubit) matrix")
+            raise ValidationError(f"{cls.what} must be a 4x4 (two-qubit) matrix")
         if not m.size:
-            raise ValidationError(f"{self.what} is an empty stack of shape {m.shape}")
+            raise ValidationError(f"{cls.what} is an empty stack of shape {m.shape}")
         m.setflags(write=False)
         return m
 
@@ -378,37 +385,44 @@ def validate_process(op: ProcessOperator | np.ndarray) -> list[str]:
     """Diagnostic check of the process-operator invariants; empty list = valid.
 
     Checks Hermiticity, positivity, Tr W = 2, and the causality marginal
-    Tr_B W = rho_A' (x) id_A, within PROCESS_ATOL.  A stack (..., 8, 8)
-    is checked at once, with one Hermiticity max and one eigvalsh; its
-    problems are those of its first invalid member in C order, each led by
-    that member's index, such as "[3]: positivity violated".
+    Tr_B W = rho_A' (x) id_A, within PROCESS_ATOL; a W with a NaN or infinite
+    entry has the one problem "not finite".  A stack (..., 8, 8) is checked
+    as one first, by one maximum or minimum per check (one eigvalsh).  Only
+    if that fails are the members checked in C order, as _check_members does:
+    the first bad one's problems, led by its index ("[3]: positivity violated").
     """
     w = op.w if isinstance(op, ProcessOperator) else np.asarray(op, dtype=complex)
     if w.shape[-2:] != (8, 8):
         return [f"wrong shape {w.shape}, expected (8, 8)"]
+    if not w.size or not _process_problems(w):
+        return []
+    for index in np.ndindex(w.shape[:-2]):  # a single W is its one member, index ()
+        problems = _process_problems(w[index])
+        if problems:
+            return [f"{list(index)}: {problem}" if index else problem for problem in problems]
+
+
+def _process_problems(w: np.ndarray) -> list[str]:
+    """The problems of w (..., 8, 8) taken as one, each check reduced over the
+    stack; any non-finite entry fails the Hermiticity max (NaN - NaN is NaN)."""
     w_dag = w.conj().swapaxes(-1, -2)
-    hermitian = np.abs(w - w_dag).max(axis=(-2, -1)) <= PROCESS_ATOL
-    if not hermitian.all():
-        w = np.where(hermitian[..., None, None], w, 0.5 * (w + w_dag))
+    problems = []
+    if not np.abs(w - w_dag).max() <= PROCESS_ATOL:
+        if not np.isfinite(w).all():
+            return ["not finite"]
+        problems.append("not Hermitian")
+        w = 0.5 * (w + w_dag)
+    if np.linalg.eigvalsh(w).min() < -PROCESS_ATOL:
+        problems.append("positivity violated")
     tr_b, tr_ab = _partial_traces(w)
     trace = (tr_ab[..., 0, 0] + tr_ab[..., 1, 1]).real
+    off = np.abs(trace - 2.0)
+    if off.max() > PROCESS_ATOL:
+        problems.append(f"trace is {trace.flat[off.argmax()]:.6g}, expected 2")
     marginal_off = tr_b - (tr_ab / 2.0)[..., :, None, :, None] * linalg.ID2[:, None, :]
-    faults = [
-        (~hermitian, "not Hermitian"),
-        (np.linalg.eigvalsh(w)[..., 0] < -PROCESS_ATOL, "positivity violated"),
-        (np.abs(trace - 2.0) > PROCESS_ATOL, None),  # the message names the trace
-        (np.abs(marginal_off).max(axis=(-4, -3, -2, -1)) > PROCESS_ATOL,
-         "marginal violated: Tr_B W is not rho_A' (x) id_A"),
-    ]
-    bad = faults[0][0]
-    for fault, _ in faults[1:]:
-        bad = bad | fault
-    if not bad.any():
-        return []
-    index = tuple(np.argwhere(bad)[0].tolist())
-    lead = f"{list(index)}: " if index else ""
-    return [lead + (problem or f"trace is {trace[index]:.6g}, expected 2")
-            for fault, problem in faults if fault[index]]
+    if np.abs(marginal_off).max() > PROCESS_ATOL:
+        problems.append("marginal violated: Tr_B W is not rho_A' (x) id_A")
+    return problems
 
 
 def contract(w: np.ndarray, effects: np.ndarray, reps: np.ndarray, final: np.ndarray) -> np.ndarray:

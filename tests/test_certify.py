@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,29 @@ def _random_counts(rng, rows, on_grid):
     weights[weights.sum(axis=-1) == 0, 0] = 1.0
     return rng.multinomial(rng.integers(1, 3000, size=rows[:-1]),
                            weights / weights.sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("n_x", [2, 4, 8])
+@pytest.mark.parametrize("with_do", [True, False], ids=["do_table", "no_do_table"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["live", "frozen"])
+def test_bootstrap_memory_grows_with_the_resamples_alone(n_x, with_do, frozen):
+    # the fold keeps one setting's resamples at a time in views of one
+    # workspace: about 192 B per resample at every |X|.  An out= ufunc that
+    # numpy copied, because it could not rule out overlap, would pass 200 B
+    rng = np.random.default_rng(n_x)
+    labels = tuple(f"s{x}" for x in range(n_x))
+    beh = process.Behavior(settings=labels, counts=rng.integers(1, 1000, size=(n_x, 2, 2)))
+    table = (process.DoTable(do_settings=labels, counts=rng.integers(1, 1000, size=(2, n_x, 2)))
+             if with_do else None)
+    n_resamples = 10_000
+    certify.bootstrap_errors(beh, 2, do_table=table, frozen_argmin=frozen)  # first-call set-up
+    tracemalloc.start()
+    try:
+        certify.bootstrap_errors(beh, n_resamples, do_table=table, frozen_argmin=frozen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n_resamples <= 200.0
 
 
 def test_bootstrap_errors_equal_the_reference_bit_for_bit():

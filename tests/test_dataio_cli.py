@@ -285,8 +285,15 @@ def test_run_experiment_validates_each_input_once(monkeypatch, tmp_path, capsys)
      "final_measurement: POVM effect has a negative eigenvalue"),
     ("repreparations", (np.diag([2.0, 0.0]), np.diag([0.0, 1.0])),
      "repreparations: state trace 2.0 != 1"),
+    ("initial_state", [[1, 0], [0]], "initial_state: must be a 4x4 (two-qubit) matrix"),
+    ("unitary", [[1, 0], [0]], "unitary: must be a 4x4 (two-qubit) matrix"),
+    ("repreparations", ([[1, 0], [0]], np.eye(2) / 2),
+     "repreparations: must be 2x2 (qubit) matrices"),
+    ("final_measurement", (np.eye(2), [[0, 0], [0]]),
+     "final_measurement: must be 2x2 (qubit) matrices"),
 ], ids=["state_trace_2", "not_unitary", "nan_unitary", "unitary_stack", "bad_unitary_stack",
-        "bad_state_stack", "final_not_psd", "reps_trace_2"])
+        "bad_state_stack", "final_not_psd", "reps_trace_2", "ragged_state", "ragged_unitary",
+        "ragged_reps", "ragged_final"])
 def test_config_from_arrays_names_the_bad_key_when_built(key, value, message):
     with pytest.raises(ValidationError) as err:
         dataio.ExperimentConfig(protocol="custom", **dict(_RAW, **{key: value}))

@@ -139,6 +139,16 @@ def test_stacked_validate_reports_the_problems_of_the_first_bad_member():
     assert process.validate_process(grid) == ["[1, 0]: trace is 2.02, expected 2"]
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "nanj"])
+def test_validate_process_reports_a_non_finite_w(entry):
+    # off the diagonal, where eigvalsh used to stop with LinAlgError
+    w = memory_process().w.copy()
+    w[3, 5] = entry
+    assert process.validate_process(w) == ["not finite"]
+    assert process.validate_process(np.array([memory_process().w, w])) == ["[1]: not finite"]
+
+
 def test_a_stack_with_one_non_unitary_member_names_its_index():
     us = np.array([proclib.partial_swap(alpha) for alpha in (0.0, 1.0, 2.0, 3.0)])
     for i in range(len(us)):
@@ -455,6 +465,12 @@ def test_raw_instrument_names_its_first_bad_setting_with_its_own_error(labels):
     with pytest.raises(ValidationError) as err:
         process.MpInstrument(povm={x: pairs[x] for x in labels}, repreparations=_Z)
     assert str(err.value) == f"POVM of setting {labels[1]!r}: {alone.value}"
+
+
+def test_instrument_refuses_a_ragged_raw_pair():
+    with pytest.raises(ValidationError) as err:
+        process.MpInstrument(povm={"z": _Z, "q": ([[1, 0], [0]], np.eye(2))}, repreparations=_Z)
+    assert str(err.value) == "POVM of setting 'q' must be 2x2 (qubit) matrices"
 
 
 def test_instrument_settings_follow_the_mapping_order():
