@@ -101,9 +101,13 @@ def enumerate_strategies(x_alphabet_size: int, crosstalk: bool = False) -> Verte
     k = n if crosstalk else 1
     bits = n + 2 * k
     # vertex v spells its responses in binary, most significant bit first;
-    # digit d of every vertex is one contiguous row
-    shifts = np.arange(bits - 1, -1, -1)[:, None]
-    digits = ((np.arange(total, dtype=np.int32) >> shifts) & 1).astype(np.int8)
+    # digit d of every vertex is one contiguous row.  The index is the
+    # narrowest unsigned type that holds total - 1, and each masked digit is
+    # written straight into the int8 table (the low byte carries the digit),
+    # so |X| = 6 with crosstalk, 2^18 vertices, takes a few ms
+    idx = np.arange(total, dtype=np.min_scalar_type(total - 1))
+    shifts = np.arange(bits - 1, -1, -1, dtype=idx.dtype)[:, None]
+    digits = np.bitwise_and(idx >> shifts, 1, dtype=np.int8, casting="unsafe")
     return VertexSet(digits[:n].T, digits[n:].reshape(2, k, total).transpose(2, 0, 1), crosstalk)
 
 

@@ -248,6 +248,8 @@ def _check_table(table, labels, shape: tuple[int, ...], cells: tuple[int, ...], 
     later changes to the caller's arrays do not reach."""
     if labels is not None and len(set(labels)) != len(labels):
         raise ValidationError(f"{what}: duplicate setting labels")
+    if 0 in shape:  # only the settings axis can be empty
+        raise ValidationError(f"{what} declares no settings")
     if table.counts is not None:
         if table.probs is not None:
             raise ValidationError(f"{what}: give probs or counts, not both")
@@ -275,12 +277,12 @@ def _check_table(table, labels, shape: tuple[int, ...], cells: tuple[int, ...], 
 
 
 def check_probabilities(p: np.ndarray, cells: tuple[int, ...], what: str) -> None:
-    """Raise unless no probability in p lies below -PROCESS_ATOL and each
-    row, p summed over the axes cells, sums to one within PROCESS_ATOL.  The
-    tables of a stack are checked at once."""
-    if p.min() < -PROCESS_ATOL:
-        raise ValidationError(f"negative probability in {what}")
-    if np.abs(p.sum(axis=cells) - 1.0).max() > PROCESS_ATOL:
+    """Raise unless every probability in p is at least -PROCESS_ATOL and each
+    row, p summed over the axes cells, sums to one within PROCESS_ATOL; a NaN
+    fails both.  The tables of a stack are checked at once."""
+    if not p.min() >= -PROCESS_ATOL:
+        raise ValidationError(f"negative or NaN probability in {what}")
+    if not np.abs(p.sum(axis=cells) - 1.0).max() <= PROCESS_ATOL:
         raise ValidationError(f"{what} not normalized per row")
 
 
@@ -404,12 +406,13 @@ def validate_process(op: ProcessOperator | np.ndarray) -> list[str]:
 
 def _process_problems(w: np.ndarray) -> list[str]:
     """The problems of w (..., 8, 8) taken as one, each check reduced over the
-    stack; any non-finite entry fails the Hermiticity max (NaN - NaN is NaN)."""
+    stack; finiteness is tested first, as inf - inf on the diagonal would
+    warn in the Hermiticity difference."""
+    if not np.isfinite(w).all():
+        return ["not finite"]
     w_dag = w.conj().swapaxes(-1, -2)
     problems = []
     if not np.abs(w - w_dag).max() <= PROCESS_ATOL:
-        if not np.isfinite(w).all():
-            return ["not finite"]
         problems.append("not Hermitian")
         w = 0.5 * (w + w_dag)
     if np.linalg.eigvalsh(w).min() < -PROCESS_ATOL:

@@ -185,6 +185,25 @@ def test_vertex_values_match_independent_oracle():
             assert lhs.tolist() == corrected
 
 
+@pytest.mark.parametrize("n, crosstalk", [(6, False), (7, False), (14, False), (15, False),
+                                          (17, False), (2, True), (3, True), (5, True),
+                                          (6, True)])
+def test_enumeration_is_the_binary_expansion_at_every_digit_type(n, crosstalk):
+    # vertex v's responses are the binary digits of v, most significant
+    # first: a(x) for every x, then b(0, x) and b(1, x).  The digit table is
+    # built from an index of the narrowest unsigned type that holds every v
+    # (uint8 up to 8 digits, uint16 up to 16, uint32 above); these 8, 9, 16,
+    # 17, 19 and 6, 9, 15, 18 digits sit on both sides of every switch
+    k = n if crosstalk else 1
+    bits = n + 2 * k
+    digits = np.indices((2,) * bits, dtype=np.int8).reshape(bits, -1).T  # (V, bits)
+    vertices = classical.enumerate_strategies(n, crosstalk=crosstalk)
+    assert np.array_equal(vertices.a_response, digits[:, :n])
+    assert np.array_equal(vertices.b_response, digits[:, n:].reshape(-1, 2, k))
+    for arr in (vertices.a_response, vertices.b_response):
+        assert arr.dtype == np.int8 and not arr.flags.writeable and arr.strides[0] == 1
+
+
 def test_classical_minima_at_five_settings():
     assert classical.classical_minimum_gamma(5) == 1.0
     vertices = classical.enumerate_strategies(5, crosstalk=True)

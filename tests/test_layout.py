@@ -125,3 +125,17 @@ def test_report_keys_are_declared_once():
     assert len(goldens) == 5
     for path in goldens:
         assert list(json.loads(path.read_text())) == fields, path
+
+
+def test_every_bench_file_says_where_its_numbers_come_from():
+    # a speed claim counts only with a before/after pair from a named
+    # harness and machine: every committed BENCH_*.json parses and records
+    # both revisions, the method, the machine and the python and numpy runs
+    benches = sorted(REPO.glob("BENCH_*.json"))
+    assert benches
+    for path in benches:
+        doc = json.loads(path.read_text())
+        revisions = doc.get("revisions", {})
+        assert re.fullmatch(r"[0-9a-f]{40}", str(revisions.get("parent"))), path
+        assert revisions.get("change"), path
+        assert all(doc.get(key) for key in ("method", "machine", "python", "numpy")), path

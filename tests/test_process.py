@@ -139,12 +139,14 @@ def test_stacked_validate_reports_the_problems_of_the_first_bad_member():
     assert process.validate_process(grid) == ["[1, 0]: trace is 2.02, expected 2"]
 
 
-@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)],
-                         ids=["nan", "inf", "nanj"])
-def test_validate_process_reports_a_non_finite_w(entry):
-    # off the diagonal, where eigvalsh used to stop with LinAlgError
+@pytest.mark.parametrize("entry, at", [(np.nan, (3, 5)), (np.inf, (3, 5)),
+                                       (complex(0.0, np.nan), (3, 5)), (np.inf, (2, 2))],
+                         ids=["nan", "inf", "nanj", "inf_diagonal"])
+def test_validate_process_reports_a_non_finite_w(entry, at):
+    # off the diagonal, where eigvalsh used to stop with LinAlgError, and on
+    # it, where the Hermiticity difference inf - inf used to warn
     w = memory_process().w.copy()
-    w[3, 5] = entry
+    w[at] = entry
     assert process.validate_process(w) == ["not finite"]
     assert process.validate_process(np.array([memory_process().w, w])) == ["[1]: not finite"]
 
@@ -635,9 +637,39 @@ def test_tables_keep_read_only_float_copies_of_their_probabilities():
     (lambda: process.DoTable(do_settings=("u", "v"), counts=[[[1, 0], [2, 2]], [[1, 1], [0, 0]]]),
      r"do-table row \(a=1, x='v'\) has no shots"),
     (lambda: process.DoTable(counts=[[[0, 0]], [[1, 1]]]), r"do-table row \(a=0\) has no shots"),
+    (lambda: process.Behavior(settings=(), counts=np.zeros((0, 2, 2), dtype=int)),
+     "^behavior declares no settings$"),
 ], ids=["shape", "float", "negative", "empty_setting", "both", "empty_do_row",
-        "empty_do_row_without_settings"])
+        "empty_do_row_without_settings", "no_settings"])
 def test_tables_reject_bad_counts(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: process.Behavior(settings=("x", "z"), probs=[[[np.nan, 0.25], [0.25, 0.25]],
+                                                          [[0.25, 0.25], [0.25, 0.25]]]),
+     "^negative or NaN probability in behavior$"),
+    (lambda: process.DoTable(probs=[[[0.5, 0.5], [0.5, 0.5]], [[0.5, np.nan], [0.5, 0.5]]],
+                             do_settings=("x", "z")),
+     "^negative or NaN probability in do-table$"),
+    (lambda: process.DoTable(probs=[[[np.nan, 0.5]], [[0.5, 0.5]]]),
+     "^negative or NaN probability in do-table$"),
+    (lambda: process.Behavior(settings=("x",), probs=[[[1.5, -0.5], [0.0, 0.0]]]),
+     "^negative or NaN probability in behavior$"),
+    (lambda: process.Behavior(settings=("x",), probs=[[[0.5, 0.5], [0.5, 0.0]]]),
+     "^behavior not normalized per row$"),
+    (lambda: process.Behavior(settings=("x",), probs=[[[np.inf, 0.0], [0.0, 0.0]]]),
+     "^behavior not normalized per row$"),
+    (lambda: process.Behavior(settings=(), probs=np.zeros((0, 2, 2))),
+     "^behavior declares no settings$"),
+    (lambda: process.DoTable(probs=np.zeros((2, 0, 2)), do_settings=()),
+     "^do-table declares no settings$"),
+], ids=["behavior_nan", "do_table_nan", "do_table_nan_without_settings", "negative",
+        "unnormalized", "inf", "behavior_no_settings", "do_table_no_settings"])
+def test_tables_reject_bad_probabilities(make, message):
+    # a NaN cell would pass a check written with < and >, and certify would
+    # then report NaN, which report.json cannot hold
     with pytest.raises(ValidationError, match=message):
         make()
 
