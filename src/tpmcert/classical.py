@@ -28,6 +28,7 @@ type-set route is tested against.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,8 @@ class VertexSet:
     the vertex axis innermost in memory; any other layout gives the same
     values.  Construction rejects other shapes, an empty set or no settings,
     and a response other than 0 or 1, so every table built from the vertices
-    is a normalized distribution.
+    is a normalized distribution; an array of neither an integer nor the bool
+    dtype is refused whatever it holds, so no fraction or NaN gets through.
     """
 
     a_response: np.ndarray
@@ -63,7 +65,7 @@ class VertexSet:
                                   f"not (V, X) and (V, 2, {'X' if self.crosstalk else 1}) "
                                   f"with V, X >= 1")
         for arr in (self.a_response, self.b_response):
-            if arr.min() < 0 or arr.max() > 1:
+            if arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1:
                 raise ValidationError("a strategy's response is not 0 or 1")
             arr.flags.writeable = False
 
@@ -76,7 +78,10 @@ class VertexSet:
 
 
 def _settings(x_alphabet_size: int) -> int:
-    n = int(x_alphabet_size)
+    try:
+        n = operator.index(x_alphabet_size)
+    except TypeError:
+        raise ValidationError(f"settings count {x_alphabet_size!r} is not an integer") from None
     if n < 1:
         raise ValidationError("need at least one setting")
     return n

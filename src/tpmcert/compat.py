@@ -18,8 +18,10 @@ import numpy as np
 
 from .exceptions import DomainError, ValidationError
 
-# the pairs of the five lines whose crossings `_swap_minimum` takes
+# the pairs of the five lines whose crossings `_candidate_minimum` takes
 _LINE_PAIRS = np.triu_indices(5, 1)
+# u and v = y at the corner X = 1, Y = -1, built as `_candidate_minimum` builds them
+_CORNER = np.array([-1.0, np.cos((np.arccos(-1.0) + np.arccos(1.0)) / 2)])
 
 
 def _margin(g0, g1, r01, f0: float, f1: float):
@@ -76,8 +78,33 @@ def _swap_margin(alpha: float, u, v, y):
 
 
 def _swap_minimum(alpha: float) -> float:
-    """Least `_swap_margin` at one angle, from finitely many candidates that
-    include the minimiser.
+    """Least `_swap_margin` at one angle: at the corner X = 1, Y = -1,
+    u = -1 (theta_s = pi, theta_e = pi/2) where first = 1 - 2 c^2 > 0, that
+    is alpha > pi/2, and from `_candidate_minimum` elsewhere.
+
+    The corner is the minimiser wherever first > 0, where second is not
+    clipped.  With the cross term K(u) = s^4 + s^2 c^2 u - c^2 (X + Y)/2
+    (see `_candidate_minimum`) and lo = K(Y), lo - s^2 first = (c^2/2)
+    [(1 - X) + first (1 + Y)] >= 0, so K, increasing in u, is nonnegative on
+    [Y, X] and the least margin over u is lo^2 - first * second, with
+    1 - second = c^2 (1 + X Y) >= 0.  That exceeds the corner's
+    s^4 first^2 - first = sin^4(alpha/2) cos^2(alpha) + cos(alpha) by
+    (lo - s^2 first)(lo + s^2 first) + first c^2 (1 + X Y) >= 0, with
+    equality only at the corner for alpha < pi.  The corner is evaluated at
+    the u, v and y the search builds there, so the minimum keeps its bits.
+    """
+    if not 0.0 <= alpha <= math.pi:
+        raise DomainError(f"swap angle {alpha} outside [0, pi]")
+    c = math.cos(alpha / 2)
+    if 1.0 - (c * c + c * c) > 0.0:  # first, as `_margin` computes it
+        u, v = _CORNER[:1], _CORNER[1:]
+        return float(_swap_margin(alpha, u, v, v)[0])
+    return _candidate_minimum(alpha)
+
+
+def _candidate_minimum(alpha: float) -> float:
+    """Least `_swap_margin` at one angle in [0, pi], from finitely many
+    candidates that include the minimiser.
 
     With v = cos p and y = cos q, u ranges over [Y, X] for X = cos(p - q) and
     Y = cos(p + q), and enters only the cross term s^4 + s^2 c^2 u - c^2 v y.
@@ -98,8 +125,6 @@ def _swap_minimum(alpha: float) -> float:
     pairs; both act row by row, so each candidate keeps the bits it has
     when computed alone.
     """
-    if not 0.0 <= alpha <= math.pi:
-        raise DomainError(f"swap angle {alpha} outside [0, pi]")
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     c2, s2, k = c * c, s * s, math.cos(alpha)
     lo, hi = np.array([[-c2 / 2, -c2 * k / 2, s2 * s2], [-c2 * k / 2, -c2 / 2, s2 * s2]])
@@ -144,8 +169,10 @@ def partial_swap_compat_region(
     """Minimum compatibility margin of the partial-swap assemblage per angle.
 
     Margins >= 0 for alpha <= pi/2 and alpha = pi, and < 0 between, give the
-    boundary; above pi/2 the minimum is sin^4(alpha/2) cos^2(alpha) + cos(alpha),
-    at theta_s = pi, theta_e = pi/2.  `angle_grid_density` is ignored.
+    boundary.  Above pi/2 the minimum is proved to be sin^4(alpha/2)
+    cos^2(alpha) + cos(alpha), attained at theta_s = pi, theta_e = pi/2 (any
+    phi), and is computed there; at or below pi/2 a 42-candidate search
+    finds it.  `angle_grid_density` is ignored.
     """
     if not len(alpha_grid):
         raise ValidationError("empty scan grids")

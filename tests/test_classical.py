@@ -247,6 +247,16 @@ def test_type_set_minima_are_the_enumerated_minima():
                 minimum(n)
 
 
+@pytest.mark.parametrize("count", [2.5, 1.9, 3.0, math.nan, "3"])
+def test_a_settings_count_that_is_not_an_integer_is_refused(count):
+    # int() would truncate 2.5 to 2 (16 vertices) and 1.9 to 1 (gamma 2.0)
+    for call in (classical.vertex_count, classical.enumerate_strategies,
+                 classical.classical_minimum_gamma, classical.classical_minimum_corrected):
+        with pytest.raises(ValidationError, match=f"settings count {count!r} is not an integer"):
+            call(count)
+    assert classical.vertex_count(np.int64(2)) == 16
+
+
 def test_vertex_set_is_read_only_and_indexes_like_a_list():
     vertices = classical.enumerate_strategies(3, crosstalk=True)
     assert vertices.a_response.dtype == np.int8
@@ -265,17 +275,20 @@ def test_malformed_strategy_responses_are_rejected():
             vertex_set([a_resp], [[[b] for b in b_resp]], crosstalk=False)
 
 
-@pytest.mark.parametrize("bad", [2, -1])
+@pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan])
 @pytest.mark.parametrize("crosstalk", [False, True])
 def test_vertex_set_rejects_a_response_outside_0_1_at_construction(bad, crosstalk):
-    # the tables of the vertices are built from the responses unchecked
-    good_a, good_b = np.array([[0, 1, 1]]), np.zeros((1, 2, 3 if crosstalk else 1))
-    bad_a, bad_b = good_a.copy(), good_b.copy()
+    # the tables of the vertices are built from the responses unchecked: a
+    # response of 0.5 would read a gamma of 0, below every classical value,
+    # and NaN one of 2; the bad array is int64 or float64, the good one int8
+    good_a = np.array([[0, 1, 1]], dtype=np.int8)
+    good_b = np.zeros((1, 2, 3 if crosstalk else 1), dtype=np.int8)
+    bad_a, bad_b = good_a.astype(type(bad)), good_b.astype(type(bad))
     bad_a[0, 0] = bad_b[0, 1, 0] = bad
     for a, b in ((bad_a, good_b), (good_a, bad_b)):
         with pytest.raises(ValidationError, match="not 0 or 1"):
-            classical.VertexSet(a.astype(np.int8), b.astype(np.int8), crosstalk)
-    assert len(classical.VertexSet(good_a.astype(np.int8), good_b.astype(np.int8), crosstalk)) == 1
+            classical.VertexSet(a, b, crosstalk)
+    assert len(classical.VertexSet(good_a, good_b, crosstalk)) == 1
 
 
 def test_vertex_set_rejects_responses_of_the_wrong_shape():

@@ -313,13 +313,13 @@ def test_no_sampled_configuration_lies_below_the_scan():
 
 @pytest.mark.parametrize("shape_a, shape_b", [
     ((1000, 3), (1000, 3)),
-    # the shapes of the crosses that _swap_minimum stacks: the feet of its
+    # the shapes of the crosses that _candidate_minimum stacks: the feet of its
     # lines, the points stationary in the plane and along a line, and the
     # crossings of two lines
     ((7, 3), (7, 3)), ((3, 3), (3, 3)), ((5, 3), (3, 5, 3)), ((10, 3), (10, 3)),
     # and broadcasting over angle arrays
     ((4, 6, 3), (4, 6, 3)), ((6, 3), (4, 1, 3)),
-    # the one stacked cross of _swap_minimum
+    # the one stacked cross of _candidate_minimum
     ((35, 3), (35, 3)),
 ])
 def test_cross_equals_numpy_cross_bit_for_bit(shape_a, shape_b):
@@ -332,3 +332,48 @@ def test_cross_equals_numpy_cross_bit_for_bit(shape_a, shape_b):
     got, want = compat._cross(a, b), np.cross(a, b)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _above_half_pi_grid():
+    """Angles with first = 1 - 2 cos^2(alpha/2) > 0: a dense grid over
+    (pi/2, pi], the 300 floats next above pi/2, the 300 next below pi and pi,
+    and the angles of the 33-point jm-scan golden above pi/2."""
+    half, above, below = math.pi / 2, [], [math.pi]
+    for _ in range(300):
+        above.append(float(np.nextafter(above[-1] if above else half, 4.0)))
+        below.append(float(np.nextafter(below[-1], 0.0)))
+    grid = np.linspace(half, math.pi, 1601)[1:].tolist() + above + below
+    return grid + [a for a in np.linspace(0.0, math.pi, 33).tolist() if a > half]
+
+
+def test_corner_equals_the_candidate_search_bit_for_bit_above_half_pi():
+    # the corner route is a proof, so it must return the very float the
+    # search returns, or the jm-scan CSVs would move
+    for alpha in _above_half_pi_grid():
+        c = math.cos(alpha / 2)
+        assert 1.0 - (c * c + c * c) > 0.0, alpha
+        got, want = compat._swap_minimum(alpha), compat._candidate_minimum(alpha)
+        assert got.hex() == want.hex(), alpha
+
+
+def test_half_pi_and_below_take_the_candidate_search(monkeypatch):
+    searched = []
+
+    def recording(alpha):
+        searched.append(alpha)
+        return math.nan
+
+    monkeypatch.setattr(compat, "_candidate_minimum", recording)
+    half = math.pi / 2
+    below = [0.0, 1e-300, 0.3, 1.2, float(np.nextafter(half, 0.0)), half]
+    above = [float(np.nextafter(half, 4.0)), 2.0, 3 * math.pi / 4, math.pi]
+    region = compat.partial_swap_compat_region(below + above)
+    assert searched == below
+    assert all(math.isnan(region[a]) for a in below)
+    assert not any(math.isnan(region[a]) for a in above)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, -0.1, 3.2])
+def test_scan_refuses_an_angle_outside_0_pi(alpha):
+    with pytest.raises(DomainError, match=r"swap angle .* outside \[0, pi\]"):
+        compat.partial_swap_compat_region([alpha])
