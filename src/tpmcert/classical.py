@@ -79,6 +79,8 @@ class VertexSet:
 
 def _settings(x_alphabet_size: int) -> int:
     try:
+        if isinstance(x_alphabet_size, bool):  # a flag, though operator.index takes it
+            raise TypeError
         n = operator.index(x_alphabet_size)
     except TypeError:
         raise ValidationError(f"settings count {x_alphabet_size!r} is not an integer") from None

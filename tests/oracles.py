@@ -1,12 +1,19 @@
 """Independent oracles used to cross-check the library.
 
 Everything in this file is implemented directly with numpy index gymnastics,
-deliberately avoiding the code paths under test.
+deliberately avoiding the code paths under test.  The one exception is the
+partial-swap candidate search, which evaluates its candidates through
+`compat._swap_margin` (pinned to swap_effect_params in test_compat), so that
+the scan's minimum can be compared with it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from tpmcert.compat import _swap_margin
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -215,6 +222,79 @@ def swap_jm_grid_margins(alpha, density):
     if first <= 0.0:
         second = np.maximum(second, 0.0)
     return cross ** 2 - first * second
+
+
+# the pairs of the five lines whose crossings `_candidate_minimum` takes
+_LINE_PAIRS = np.triu_indices(5, 1)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of 3-vectors along the last axis, broadcasting the others:
+    the same products and differences, without its wrapper overhead."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _candidate_minimum(alpha: float) -> float:
+    """Least `_swap_margin` at one angle in [0, pi], from finitely many
+    candidates that include the minimiser.
+
+    With v = cos p and y = cos q, u ranges over [Y, X] for X = cos(p - q) and
+    Y = cos(p + q), and enters only the cross term s^4 + s^2 c^2 u - c^2 v y.
+    On the triangle -1 <= Y <= X <= 1 the least margin over u is
+    dist(0, [lo, hi])^2 - first * second, with lo, hi the cross term at u = Y,
+    X and second = 1 - c^2 (1 + X Y), clipped at 0 where first <= 0.  That is
+    one quadratic on each piece cut out by the lines lo = 0, hi = 0 and the
+    hyperbola second = 0, so the minimiser is a stationary point of a piece's
+    quadratic in the plane or along a line (those two or an edge), of lo^2 or
+    hi^2 along the hyperbola, or a crossing of two of these curves.  Points
+    (X, Y, 1) are homogeneous: two lines cross at their cross product, and a
+    quadratic Q is stationary along a line with direction d where it meets
+    the line Q d.  Each candidate is clipped into the triangle and evaluated
+    at a configuration that realises it, so the minimum is attained.
+
+    Every cross product comes from one `_cross` over stacked operands and
+    the three quadratic forms of the hyperbola from one einsum over stacked
+    pairs; both act row by row, so each candidate keeps the bits it has
+    when computed alone.
+    """
+    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
+    c2, s2, k = c * c, s * s, math.cos(alpha)
+    lo, hi = np.array([[-c2 / 2, -c2 * k / 2, s2 * s2], [-c2 * k / 2, -c2 / 2, s2 * s2]])
+    lines = np.array([lo, hi, [1.0, 0.0, -1.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    hyperbola = np.array([[0.0, c2 / 2, 0.0], [c2 / 2, 0.0, 0.0], [0.0, 0.0, -s2]])  # -second
+    # lo^2 or hi^2 alone is stationary along a line only where it meets lo = 0 or hi = 0
+    quads = np.stack([np.outer(lo, lo), np.outer(hi, hi), np.zeros((3, 3))])
+    quads += (1.0 - 2.0 * c2) * hyperbola
+    # lo^2 and hi^2 are stationary along the hyperbola where X = k Y and Y = k X
+    through = np.concatenate([lines, [[1.0, -k, 0.0], [k, -1.0, 0.0]]])
+    direction = np.stack([-through[:, 1], through[:, 0], np.zeros(len(through))], axis=-1)
+    i, j = _LINE_PAIRS
+    tangents = np.einsum("qij,lj->qli", quads, direction[:len(lines)]).reshape(-1, 3)
+    # one cross for the feet of the lines through, the points stationary in
+    # the plane and along a line, and the crossings of two lines
+    crosses = _cross(np.concatenate([through, quads[:, 0], *[lines] * len(quads), lines[i]]),
+                     np.concatenate([direction, quads[:, 1], tangents, lines[j]]))
+    foot = crosses[:len(through)]  # foot + t direction sweeps the line
+    qa, qb, qc = np.einsum("sli,ij,slj->sl",
+                           np.concatenate([direction, direction, foot]).reshape(3, -1, 3),
+                           hyperbola, np.concatenate([direction, foot, foot]).reshape(3, -1, 3))
+    root = -(qb + np.copysign(np.sqrt(np.maximum(qb * qb - qa * qc, 0.0)), qb))
+    points = np.concatenate([
+        crosses[len(through):],
+        qa[:, None] * foot + root[:, None] * direction,  # roots of qa t^2 + 2 qb t + qc
+        root[:, None] * foot + qc[:, None] * direction,
+    ])
+    # points at infinity or far outside the triangle cannot be the minimiser
+    points = points[np.abs(points[:, :2]).max(axis=1) < 2.0 * np.abs(points[:, 2])]
+    X = np.clip(points[:, 0] / points[:, 2], -1.0, 1.0)
+    Y = np.clip(points[:, 1] / points[:, 2], -1.0, X)
+    lo_at, hi_at = lines[:2] @ np.stack([X, Y, np.ones_like(X)])
+    t = np.divide(lo_at, lo_at - hi_at, out=np.zeros_like(X), where=lo_at < hi_at)
+    p_minus_q, p_plus_q = np.arccos(X), np.arccos(Y)
+    v, y = np.cos((p_plus_q + p_minus_q) / 2), np.cos((p_plus_q - p_minus_q) / 2)
+    return float(_swap_margin(alpha, Y + (X - Y) * np.clip(t, 0.0, 1.0), v, y).min())
 
 
 def random_unitary(rng, d):

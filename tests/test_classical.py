@@ -247,9 +247,10 @@ def test_type_set_minima_are_the_enumerated_minima():
                 minimum(n)
 
 
-@pytest.mark.parametrize("count", [2.5, 1.9, 3.0, math.nan, "3"])
+@pytest.mark.parametrize("count", [2.5, 1.9, 3.0, math.nan, "3", True, False])
 def test_a_settings_count_that_is_not_an_integer_is_refused(count):
-    # int() would truncate 2.5 to 2 (16 vertices) and 1.9 to 1 (gamma 2.0)
+    # int() would truncate 2.5 to 2 (16 vertices) and 1.9 to 1 (gamma 2.0),
+    # and operator.index would take True as one setting (8 vertices)
     for call in (classical.vertex_count, classical.enumerate_strategies,
                  classical.classical_minimum_gamma, classical.classical_minimum_corrected):
         with pytest.raises(ValidationError, match=f"settings count {count!r} is not an integer"):

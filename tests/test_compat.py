@@ -7,6 +7,8 @@ from tpmcert import compat, linalg, proclib
 from tpmcert.exceptions import DomainError, ValidationError
 
 from oracles import (
+    _candidate_minimum,
+    _cross,
     bias_and_bloch,
     bloch_effect,
     heisenberg_assemblage,
@@ -268,9 +270,10 @@ def test_reduced_grid_minimum_matches_four_angle_oracle(density):
         assert region[alpha] <= want + 1e-15
 
 
-def test_scan_evaluates_at_most_64_points_per_angle(monkeypatch):
-    # the scan's work is its candidate set: one `_margin` call of at most 64
-    # points per angle, and the ignored density argument changes nothing
+def test_scan_evaluates_one_point_above_half_pi_and_none_below(monkeypatch):
+    # the scan's work is its closed form: one `_margin` call of one point per
+    # angle above pi/2, none at or below it, and the ignored density argument
+    # changes nothing
     kernel = compat._margin
     points = []
 
@@ -278,12 +281,16 @@ def test_scan_evaluates_at_most_64_points_per_angle(monkeypatch):
         points.append(np.broadcast(g0, g1, r01).size)
         return kernel(g0, g1, r01, f0, f1)
 
+    below = [0.0, 0.0982, 0.8132119355333707, math.pi / 2]
+    above = [float(np.nextafter(math.pi / 2, 4.0)), 3 * math.pi / 4, math.pi]
+    want = [compat.partial_swap_compat_region(grid) for grid in (below, above)]
     monkeypatch.setattr(compat, "_margin", counting)
-    alphas = [0.0, 0.0982, 0.8132119355333707, math.pi / 2, 3 * math.pi / 4, math.pi]
     for density in (2, 20, 10**6):
         points.clear()
-        compat.partial_swap_compat_region(alphas, density)
-        assert len(points) == len(alphas) and max(points) <= 64
+        assert compat.partial_swap_compat_region(below, density) == want[0]
+        assert points == []
+        assert compat.partial_swap_compat_region(above, density) == want[1]
+        assert points == [1] * len(above)
 
 
 @pytest.mark.parametrize("alpha", [
@@ -329,7 +336,7 @@ def test_cross_equals_numpy_cross_bit_for_bit(shape_a, shape_b):
         return rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
 
     a, b = draw(shape_a), draw(shape_b)
-    got, want = compat._cross(a, b), np.cross(a, b)
+    got, want = _cross(a, b), np.cross(a, b)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -352,25 +359,59 @@ def test_corner_equals_the_candidate_search_bit_for_bit_above_half_pi():
     for alpha in _above_half_pi_grid():
         c = math.cos(alpha / 2)
         assert 1.0 - (c * c + c * c) > 0.0, alpha
-        got, want = compat._swap_minimum(alpha), compat._candidate_minimum(alpha)
+        got, want = compat._swap_minimum(alpha), _candidate_minimum(alpha)
         assert got.hex() == want.hex(), alpha
 
 
-def test_half_pi_and_below_take_the_candidate_search(monkeypatch):
-    searched = []
+def test_each_angle_takes_one_of_three_routes(monkeypatch):
+    # above pi/2 the corner through one `_swap_margin` call; at or below it
+    # the closed form alone, on the hyperbola where cos(alpha) >= sqrt(2) - 1
+    # and on the edge X = 1 below that
+    kernel, corner = compat._swap_margin, []
 
-    def recording(alpha):
-        searched.append(alpha)
-        return math.nan
+    def recording(alpha, u, v, y):
+        corner.append(alpha)
+        return kernel(alpha, u, v, y)
 
-    monkeypatch.setattr(compat, "_candidate_minimum", recording)
-    half = math.pi / 2
-    below = [0.0, 1e-300, 0.3, 1.2, float(np.nextafter(half, 0.0)), half]
+    monkeypatch.setattr(compat, "_swap_margin", recording)
+    half, branch = math.pi / 2, math.sqrt(2.0) - 1.0
+    turn = math.acos(branch)
+    hyperbola = [0.0, 1e-300, 0.3, float(np.nextafter(turn, 0.0)), turn]
+    edge = [float(np.nextafter(turn, 4.0)), 1.2, float(np.nextafter(half, 0.0)), half]
     above = [float(np.nextafter(half, 4.0)), 2.0, 3 * math.pi / 4, math.pi]
-    region = compat.partial_swap_compat_region(below + above)
-    assert searched == below
-    assert all(math.isnan(region[a]) for a in below)
-    assert not any(math.isnan(region[a]) for a in above)
+    region = compat.partial_swap_compat_region(hyperbola + edge + above)
+    assert corner == above
+    for alpha in hyperbola:
+        c, s, k = math.cos(alpha / 2), math.sin(alpha / 2), math.cos(alpha)
+        assert k >= branch
+        assert region[alpha] == (s * c * math.sqrt(k) - s ** 4) ** 2
+    for alpha in edge:
+        k = math.cos(alpha)
+        assert 0.0 < k < branch
+        assert region[alpha] == k * k / 4
+
+
+def _oracle_grid():
+    """10^5 angles over [0, pi/2] with both ends, the float next below pi/2,
+    and the 50 floats on each side of the turn cos(alpha) = sqrt(2) - 1."""
+    half, turn = math.pi / 2, math.acos(math.sqrt(2.0) - 1.0)
+    grid = np.linspace(0.0, half, 100_000).tolist() + [float(np.nextafter(half, 0.0)), turn]
+    for direction in (0.0, 4.0):
+        alpha = turn
+        for _ in range(50):
+            alpha = float(np.nextafter(alpha, direction))
+            grid.append(alpha)
+    return grid
+
+
+def test_closed_form_equals_the_candidate_search_at_and_below_half_pi():
+    # the oracle search is exact to rounding, so the closed form must agree
+    # with it to a few ulps of the margin on both sides of its turn
+    grid = _oracle_grid()
+    assert len(grid) >= 100_000 and {0.0, math.pi / 2} <= set(grid)
+    assert {math.cos(a) >= math.sqrt(2.0) - 1.0 for a in grid} == {True, False}
+    worst = max(abs(compat._swap_minimum(a) - _candidate_minimum(a)) for a in grid)
+    assert worst <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [math.nan, -0.1, 3.2])
