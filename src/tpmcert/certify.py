@@ -8,6 +8,7 @@ device-independent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
@@ -160,20 +161,37 @@ def fidelity_lower_bound(gamma: float) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValidationError for a seed that numpy's generators refuse."""
+def check_integer(value, name: str) -> int:
+    """value as a Python int, or a ValidationError naming it as name; a bool
+    is a flag, not a count, though operator.index takes it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} {value!r} is not an integer") from None
+
+
+def check_seed(seed: int) -> int:
+    """seed as a Python int; ValidationError for a seed that is no integer
+    or that numpy's generators refuse."""
+    seed = check_integer(seed, "--seed (config key seed)")
     if seed < 0:
         raise ValidationError(f"--seed (config key seed) {seed} is negative")
+    return seed
 
 
-def check_resamples(n_resamples: int) -> None:
-    """Raise unless a bootstrap may draw n_resamples resamples: at least two
-    (ValidationError), at most MAX_RESAMPLES (ResourceLimitError)."""
+def check_resamples(n_resamples: int) -> int:
+    """n_resamples as a Python int, if a bootstrap may draw that many
+    resamples: an integer (ValidationError), at least two (ValidationError),
+    at most MAX_RESAMPLES (ResourceLimitError)."""
+    n_resamples = check_integer(n_resamples, "--resamples (config key resamples)")
     if n_resamples < 2:
         raise ValidationError(f"--resamples (config key resamples) {n_resamples} is below 2")
     if n_resamples > MAX_RESAMPLES:
         raise ResourceLimitError(f"--resamples (config key resamples) {n_resamples} "
                                  f"exceeds the limit of {MAX_RESAMPLES}")
+    return n_resamples
 
 
 def check_sigma_k(sigma_k: float) -> None:
@@ -183,6 +201,26 @@ def check_sigma_k(sigma_k: float) -> None:
     if not 0.0 < sigma_k < math.inf:
         raise ValidationError(f"--sigma-k (config key sigma_k) {sigma_k} is not a positive "
                               f"finite number")
+
+
+def _do_rows(do_table: DoTable | None) -> int:
+    """The rows of do_table that a bootstrap resamples: its 2 |X| intervention
+    rows when it has counts and a setting index, else none."""
+    if do_table is None or do_table.do_settings is None or do_table.counts is None:
+        return 0
+    return 2 * len(do_table.do_settings)
+
+
+def _check_rows(behavior: Behavior, n_resamples: int, do_table: DoTable | None) -> None:
+    """Raise ResourceLimitError unless n_resamples times the rows that the
+    table shapes give to resample, every setting of behavior and _do_rows of
+    do_table, is at most MAX_RESAMPLED_ROWS."""
+    rows = len(behavior.settings) + _do_rows(do_table)
+    if n_resamples * rows > MAX_RESAMPLED_ROWS:
+        raise ResourceLimitError(
+            f"--resamples (config key resamples) {n_resamples} times {rows} table rows "
+            f"is {n_resamples * rows} resampled rows, which exceeds the limit of "
+            f"{MAX_RESAMPLED_ROWS}")
 
 
 def bootstrap_errors(
@@ -200,22 +238,16 @@ def bootstrap_errors(
     standard deviation of the functional over resamples.  By default the
     gamma argmin is re-selected in every resample, which is the honest
     variance of the estimator; frozen_argmin pins it to the point-estimate
-    settings instead.  Deterministic for a fixed seed.  Resamples times
-    resampled rows may not exceed MAX_RESAMPLED_ROWS.
+    settings instead.  Deterministic for a fixed seed: the behavior's rows are
+    drawn first, setting by setting, then the do-table's, so leaving the
+    do-table out moves no behavior draw.  Resamples times resampled rows may
+    not exceed MAX_RESAMPLED_ROWS, checked before anything is drawn.
     """
-    check_seed(seed)
-    check_resamples(n_resamples)
+    seed, n_resamples = check_seed(seed), check_resamples(n_resamples)
     counts = behavior.counts
     if counts is None:
         raise ValidationError("behavior carries no counts to resample")
-    resample_do = (do_table is not None and do_table.do_settings is not None
-                   and do_table.counts is not None)
-    rows = len(counts) + (2 * len(do_table.do_settings) if resample_do else 0)
-    if n_resamples * rows > MAX_RESAMPLED_ROWS:
-        raise ResourceLimitError(
-            f"--resamples (config key resamples) {n_resamples} times {rows} table rows "
-            f"is {n_resamples * rows} resampled rows, which exceeds the limit of "
-            f"{MAX_RESAMPLED_ROWS}")
+    _check_rows(behavior, n_resamples, do_table)
     rng = np.random.default_rng(seed)
     if frozen_argmin:
         frozen_idx = _pair_terms(behavior.probs).argmin(axis=0)
@@ -247,7 +279,7 @@ def bootstrap_errors(
         "pearl_delta": float(pearls.std(ddof=1)),
     }
 
-    if resample_do:
+    if _do_rows(do_table):
         dcounts = do_table.counts
         # per intervention row (a, k), its two cells' frequencies (2, R),
         # folded into the cells' maxima and minima over k, in the workspace
@@ -296,25 +328,34 @@ def certify_behavior(
 ) -> CertReport:
     """Evaluate every functional on one data set into its report.
 
-    A do-table with a setting index must have the behavior's setting labels.
-    Statistical verdicts use a sigma_k * stderr margin (sigma_k positive and
-    finite) when the behavior carries counts and plain strict inequalities
-    otherwise; the bootstrap errors of Pearl's delta, ACDE and gamma + 2 ACDE
-    decide them and are not reported.  The fidelity bound is evaluated at the
-    gamma estimate clamped into its domain (a sampled gamma can fluctuate
-    slightly past the quantum bound).
+    A do-table with a setting index must have the behavior's setting labels,
+    and seed and n_resamples must pass check_seed and check_resamples, with
+    counts or without; the report holds them as Python ints.  Statistical
+    verdicts use a sigma_k * stderr margin (sigma_k positive and finite) when
+    the behavior carries counts and plain strict inequalities otherwise; the
+    bootstrap errors of Pearl's delta, ACDE and gamma + 2 ACDE decide them and
+    are not reported.  The nonclassical verdict lhs < 1 - sigma_k * stderr,
+    with lhs = gamma + 2 ACDE, is False at lhs >= 1 whatever the error, so the
+    do-table goes to bootstrap_errors only below 1: its rows are drawn after
+    the behavior's, from the same generator, so gamma_stderr and every other
+    field are the same either way.  The row cap still counts the do-table's
+    rows.  The fidelity bound is evaluated at the gamma estimate clamped into
+    its domain (a sampled gamma can fluctuate slightly past the quantum bound).
     """
     check_sigma_k(sigma_k)
     check_do_settings(behavior, do_table)
+    seed, n_resamples = check_seed(seed), check_resamples(n_resamples)
     gamma, argmin = gamma_functional(behavior)
     delta = pearl_delta(behavior)
     acde_value = acde(do_table) if do_table is not None else None
+    lhs = gamma if acde_value is None else gamma + 2.0 * acde_value
 
     errors: dict[str, float] = {}
     if behavior.counts is not None:
-        errors = bootstrap_errors(behavior, n_resamples, seed, do_table=do_table,
+        _check_rows(behavior, n_resamples, do_table)
+        errors = bootstrap_errors(behavior, n_resamples, seed,
+                                  do_table=do_table if lhs < 1.0 else None,
                                   frozen_argmin=frozen_argmin)
-    lhs = gamma if acde_value is None else gamma + 2.0 * acde_value
     lhs_err = errors.get("gamma" if acde_value is None else "corrected_lhs", 0.0)
     delta_err = errors.get("pearl_delta", 0.0)
 

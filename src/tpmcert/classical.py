@@ -28,7 +28,6 @@ type-set route is tested against.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +77,7 @@ class VertexSet:
 
 
 def _settings(x_alphabet_size: int) -> int:
-    try:
-        if isinstance(x_alphabet_size, bool):  # a flag, though operator.index takes it
-            raise TypeError
-        n = operator.index(x_alphabet_size)
-    except TypeError:
-        raise ValidationError(f"settings count {x_alphabet_size!r} is not an integer") from None
+    n = certify.check_integer(x_alphabet_size, "settings count")
     if n < 1:
         raise ValidationError("need at least one setting")
     return n

@@ -1,10 +1,10 @@
 """Independent oracles used to cross-check the library.
 
 Everything in this file is implemented directly with numpy index gymnastics,
-deliberately avoiding the code paths under test.  The one exception is the
-partial-swap candidate search, which evaluates its candidates through
-`compat._swap_margin` (pinned to swap_effect_params in test_compat), so that
-the scan's minimum can be compared with it bit for bit.
+deliberately avoiding the code paths under test.  The partial-swap candidate
+search writes out `compat._swap_margin` (pinned to swap_effect_params in
+test_compat) in the same order of operations, so that the scan's minimum can
+be compared with it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from tpmcert.compat import _swap_margin
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -237,8 +236,14 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _candidate_minimum(alpha: float) -> float:
-    """Least `_swap_margin` at one angle in [0, pi], from finitely many
-    candidates that include the minimiser.
+    """`_candidate_minima` at one angle."""
+    return float(_candidate_minima([alpha])[0])
+
+
+def _candidate_minima(alphas) -> np.ndarray:
+    """Least `compat._swap_margin` at each angle in [0, pi], from finitely many
+    candidates that include the minimiser, for a stack of angles in one pass
+    (about 9 kB of temporaries per angle).
 
     With v = cos p and y = cos q, u ranges over [Y, X] for X = cos(p - q) and
     Y = cos(p + q), and enters only the cross term s^4 + s^2 c^2 u - c^2 v y.
@@ -254,47 +259,69 @@ def _candidate_minimum(alpha: float) -> float:
     the line Q d.  Each candidate is clipped into the triangle and evaluated
     at a configuration that realises it, so the minimum is attained.
 
-    Every cross product comes from one `_cross` over stacked operands and
-    the three quadratic forms of the hyperbola from one einsum over stacked
-    pairs; both act row by row, so each candidate keeps the bits it has
-    when computed alone.
+    Every array leads with the angle axis.  Every cross product comes from
+    one `_cross` over stacked operands and the three quadratic forms of the
+    hyperbola from one einsum over stacked pairs; both act row by row, and
+    the trigonometry of each angle is math's, so each candidate keeps the
+    bits it has when computed alone.  A candidate outside twice the triangle
+    is replaced by (0, 0) and its margin by +inf.  The margin is written out
+    in `_swap_margin`'s order of operations, with the sharpness c in every
+    ratio: below c = 1e-12, where `_margin` drops the ratios, they are under
+    1e-24 and leave 1 - ratios at 1.
     """
-    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
-    c2, s2, k = c * c, s * s, math.cos(alpha)
-    lo, hi = np.array([[-c2 / 2, -c2 * k / 2, s2 * s2], [-c2 * k / 2, -c2 / 2, s2 * s2]])
-    lines = np.array([lo, hi, [1.0, 0.0, -1.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
-    hyperbola = np.array([[0.0, c2 / 2, 0.0], [c2 / 2, 0.0, 0.0], [0.0, 0.0, -s2]])  # -second
+    c, s, k = np.array([(math.cos(a / 2), math.sin(a / 2), math.cos(a)) for a in alphas]).T
+    c2, s2 = c * c, s * s
+    n, zero, one = len(c), np.zeros_like(c), np.ones_like(c)
+    lo = np.stack([-c2 / 2, -c2 * k / 2, s2 * s2], axis=-1)
+    hi = np.stack([-c2 * k / 2, -c2 / 2, s2 * s2], axis=-1)
+    edges = np.broadcast_to([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0], [1.0, -1.0, 0.0]], (n, 3, 3))
+    lines = np.concatenate([lo[:, None], hi[:, None], edges], axis=1)
+    hyperbola = np.zeros((n, 3, 3))  # -second
+    hyperbola[:, 0, 1] = hyperbola[:, 1, 0] = c2 / 2
+    hyperbola[:, 2, 2] = -s2
     # lo^2 or hi^2 alone is stationary along a line only where it meets lo = 0 or hi = 0
-    quads = np.stack([np.outer(lo, lo), np.outer(hi, hi), np.zeros((3, 3))])
-    quads += (1.0 - 2.0 * c2) * hyperbola
+    quads = np.stack([lo[:, :, None] * lo[:, None, :], hi[:, :, None] * hi[:, None, :],
+                      np.zeros((n, 3, 3))], axis=1)
+    quads += (1.0 - 2.0 * c2)[:, None, None, None] * hyperbola[:, None]
     # lo^2 and hi^2 are stationary along the hyperbola where X = k Y and Y = k X
-    through = np.concatenate([lines, [[1.0, -k, 0.0], [k, -1.0, 0.0]]])
-    direction = np.stack([-through[:, 1], through[:, 0], np.zeros(len(through))], axis=-1)
+    through = np.concatenate([lines, np.stack([np.stack([one, -k, zero], axis=-1),
+                                               np.stack([k, -one, zero], axis=-1)], axis=1)],
+                             axis=1)
+    direction = np.stack([-through[..., 1], through[..., 0], np.zeros(through.shape[:2])],
+                         axis=-1)
     i, j = _LINE_PAIRS
-    tangents = np.einsum("qij,lj->qli", quads, direction[:len(lines)]).reshape(-1, 3)
+    tangents = np.einsum("aqij,alj->aqli", quads, direction[:, :lines.shape[1]]).reshape(n, -1, 3)
     # one cross for the feet of the lines through, the points stationary in
     # the plane and along a line, and the crossings of two lines
-    crosses = _cross(np.concatenate([through, quads[:, 0], *[lines] * len(quads), lines[i]]),
-                     np.concatenate([direction, quads[:, 1], tangents, lines[j]]))
-    foot = crosses[:len(through)]  # foot + t direction sweeps the line
-    qa, qb, qc = np.einsum("sli,ij,slj->sl",
-                           np.concatenate([direction, direction, foot]).reshape(3, -1, 3),
-                           hyperbola, np.concatenate([direction, foot, foot]).reshape(3, -1, 3))
+    crosses = _cross(
+        np.concatenate([through, quads[:, :, 0], *[lines] * quads.shape[1], lines[:, i]], axis=1),
+        np.concatenate([direction, quads[:, :, 1], tangents, lines[:, j]], axis=1))
+    foot = crosses[:, :through.shape[1]]  # foot + t direction sweeps the line
+    qa, qb, qc = np.einsum("asli,aij,aslj->sal", np.stack([direction, direction, foot], axis=1),
+                           hyperbola, np.stack([direction, foot, foot], axis=1))
     root = -(qb + np.copysign(np.sqrt(np.maximum(qb * qb - qa * qc, 0.0)), qb))
     points = np.concatenate([
-        crosses[len(through):],
-        qa[:, None] * foot + root[:, None] * direction,  # roots of qa t^2 + 2 qb t + qc
-        root[:, None] * foot + qc[:, None] * direction,
-    ])
+        crosses[:, through.shape[1]:],
+        qa[..., None] * foot + root[..., None] * direction,  # roots of qa t^2 + 2 qb t + qc
+        root[..., None] * foot + qc[..., None] * direction,
+    ], axis=1)
     # points at infinity or far outside the triangle cannot be the minimiser
-    points = points[np.abs(points[:, :2]).max(axis=1) < 2.0 * np.abs(points[:, 2])]
-    X = np.clip(points[:, 0] / points[:, 2], -1.0, 1.0)
-    Y = np.clip(points[:, 1] / points[:, 2], -1.0, X)
-    lo_at, hi_at = lines[:2] @ np.stack([X, Y, np.ones_like(X)])
+    inside = np.abs(points[..., :2]).max(axis=-1) < 2.0 * np.abs(points[..., 2])
+    points = np.where(inside[..., None], points, [0.0, 0.0, 1.0])
+    X = np.clip(points[..., 0] / points[..., 2], -1.0, 1.0)
+    Y = np.clip(points[..., 1] / points[..., 2], -1.0, X)
+    lo_at, hi_at = np.moveaxis(lines[:, :2] @ np.stack([X, Y, np.ones_like(X)], axis=1), 1, 0)
     t = np.divide(lo_at, lo_at - hi_at, out=np.zeros_like(X), where=lo_at < hi_at)
     p_minus_q, p_plus_q = np.arccos(X), np.arccos(Y)
     v, y = np.cos((p_plus_q + p_minus_q) / 2), np.cos((p_plus_q - p_minus_q) / 2)
-    return float(_swap_margin(alpha, Y + (X - Y) * np.clip(t, 0.0, 1.0), v, y).min())
+    u = Y + (X - Y) * np.clip(t, 0.0, 1.0)
+    c, c2, s2 = c[:, None], c2[:, None], s2[:, None]
+    g0, g1, r01 = c2 * v, c2 * y, s2 * s2 + s2 * c2 * (u - v * y)
+    first = 1.0 - (c * c + c * c)
+    second = 1.0 - ((g0 / c) ** 2 + (g1 / c) ** 2)
+    second = np.where(first <= 0.0, np.maximum(second, 0.0), second)
+    cross = r01 - g0 * g1
+    return np.where(inside, cross * cross - first * second, np.inf).min(axis=1)
 
 
 def random_unitary(rng, d):

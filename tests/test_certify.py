@@ -9,6 +9,7 @@ import pytest
 from tpmcert import certify, classical, dataio, linalg, proclib, process
 from tpmcert.exceptions import DomainError, ValidationError
 
+from helpers import memory_process, mixture
 from oracles import (acde_formula, bootstrap_errors_reference, gamma_formula, pearl_formula,
                      random_binary_povm, random_density, random_unitary)
 
@@ -354,3 +355,130 @@ def test_bootstrap_errors_equal_the_reference_bit_for_bit():
         want = bootstrap_errors_reference(beh, n_resamples, seed=seed, do_table=table,
                                           frozen_argmin=frozen)
         assert got == want, (seed, n_x, on_grid, kind, n_resamples, frozen)
+
+
+def _plane_povm(theta):
+    """The binary projective POVM along (sin theta, 0, cos theta) of the x-z plane."""
+    e0 = np.array([[1 + math.cos(theta), math.sin(theta)],
+                   [math.sin(theta), 1 - math.cos(theta)]], dtype=complex) / 2
+    return e0, np.eye(2) - e0
+
+
+def _crosstalk_mixture(rng, n_x):
+    """Observational and do-tables of a random mixture of three deterministic
+    crosstalk strategies a(x), b(a, x)."""
+    obs, do = np.zeros((n_x, 2, 2)), np.zeros((2, n_x, 2))
+    xs = np.arange(n_x)
+    for w in rng.dirichlet(np.ones(3)):
+        a, b = rng.integers(0, 2, n_x), rng.integers(0, 2, (2, n_x))
+        np.add.at(obs, (xs, a, b[a, xs]), w)
+        np.add.at(do, (np.arange(2)[:, None], xs, b), w)
+    return obs, do
+
+
+def _tables_on_both_sides_of_one():
+    """Seeded count tables at |X| = 2..8, each a mixture lam (memory test with
+    x-z plane settings) + (1 - lam) (crosstalk mixture) at 10^3 shots a row,
+    above 1 at |X| = 2 and on both sides of it from |X| = 3 on, then a half-half mixture of two crosstalk vertices at |X| = 3 where
+    gamma + 2 ACDE is exactly 1."""
+    rng = np.random.default_rng(37)
+    reps = proclib.component("repreparations", "plus_minus")
+    final = proclib.component("final_measurement", "xz_diagonal")
+    op = memory_process()
+    q_do = process.do_probabilities(op, reps, final).probs
+    for n_x in range(2, 9):
+        labels = tuple(f"s{x}" for x in range(n_x))
+        angles = [math.pi / 2, 0.0, 3 * math.pi / 2, math.pi][:n_x]
+        angles += rng.uniform(0.0, 2 * math.pi, n_x - len(angles)).tolist()
+        inst = process.MpInstrument(povm={x: _plane_povm(t) for x, t in zip(labels, angles)},
+                                    repreparations=reps)
+        q_obs = process.born_rule(op, inst, final).probs
+        for lam in (1.0, 0.9, 0.6, 0.2):
+            c_obs, c_do = _crosstalk_mixture(rng, n_x)
+            obs = lam * q_obs + (1 - lam) * c_obs
+            do = lam * np.repeat(q_do, n_x, axis=1) + (1 - lam) * c_do
+            yield (process.Behavior(settings=labels, counts=rng.multinomial(
+                       1000, obs.reshape(n_x, 4).clip(0.0)).reshape(n_x, 2, 2)),
+                   process.DoTable(do_settings=labels,
+                                   counts=rng.multinomial(1000, do.clip(0.0))))
+    vertices = classical.VertexSet(np.array([[0, 0, 0], [1, 1, 0]], dtype=np.int8),
+                                   np.array([[[0, 0, 1], [0, 0, 0]], [[1, 1, 1], [0, 1, 0]]],
+                                            dtype=np.int8), crosstalk=True)
+    beh, table = mixture(vertices, [0.5, 0.5])
+    yield (process.Behavior(settings=beh.settings, counts=np.rint(beh.probs * 1000).astype(int)),
+           process.DoTable(do_settings=table.do_settings,
+                           counts=np.rint(table.probs * 1000).astype(int)))
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its binomial draws: the do-table's rows."""
+
+    binomials = 0
+
+    def binomial(self, n, p, size=None):
+        self.binomials += 1
+        return super().binomial(n, p, size)
+
+
+def test_the_do_rows_are_drawn_only_where_they_can_decide_the_verdict(tmp_path, monkeypatch):
+    # below gamma + 2 ACDE = 1 the bootstrap draws the 2 |X| do rows; at or
+    # above it the verdict is False whatever their error, so none are drawn,
+    # and report.json is the one that every row drawn would give
+    n_resamples, sides = 300, set()
+    for k, (beh, table) in enumerate(_tables_on_both_sides_of_one()):
+        gamma, argmin = certify.gamma_functional(beh)
+        delta, acde_value = certify.pearl_delta(beh), certify.acde(table)
+        lhs = gamma + 2.0 * acde_value
+        sides.add("at" if lhs == 1.0 else "below" if lhs < 1.0 else "above")
+        for frozen in (False, True):
+            full = certify.bootstrap_errors(beh, n_resamples, seed=k, do_table=table,
+                                            frozen_argmin=frozen)
+            want = certify.CertReport(
+                gamma=gamma, gamma_stderr=full["gamma"], pearl_delta=delta, acde=acde_value,
+                chsh=list(certify.chsh_decomposition(beh, argmin)),
+                fidelity_lb=certify.fidelity_lower_bound(
+                    min(max(gamma, certify.GAMMA_MAX_VIOLATION), 2.0)),
+                verdict_nonclassical=bool(lhs < 1.0 - 3.0 * full["corrected_lhs"]),
+                verdict_crosstalk_witnessed=bool(delta > 1.0 + 3.0 * full["pearl_delta"]),
+                argmin={f"{b0}{b1}": x for (b0, b1), x in argmin.items()},
+                seed=k, resamples=n_resamples)
+            drawn = []
+
+            def counting_rng(seed=None):
+                drawn.append(_CountingGenerator(np.random.PCG64(seed)))
+                return drawn[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", counting_rng)
+                got = certify.certify_behavior(beh, do_table=table, n_resamples=n_resamples,
+                                               seed=k, frozen_argmin=frozen)
+            assert [g.binomials for g in drawn] == [2 * len(beh.settings) if lhs < 1.0 else 0]
+            text = [dataio.emit_report(r, tmp_path / name).read_text()
+                    for r, name in ((got, "got"), (want, "want"))]
+            assert text[0] == text[1], (k, frozen)
+    assert sides == {"below", "at", "above"}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.5, 3.0, np.float64(3.0), "3", None])
+def test_seed_and_resamples_must_be_integers(value):
+    for check in (certify.check_seed, certify.check_resamples):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            check(value)
+
+
+def test_the_report_holds_python_ints(tmp_path, obs_fixture, ideal_memory_behavior):
+    beh = dataio.ingest_counts(obs_fixture)
+    # an int64 seed and resample count are recorded as ints, so json can write them
+    got = certify.certify_behavior(beh, n_resamples=np.int64(200), seed=np.int64(42))
+    assert type(got.seed) is int and type(got.resamples) is int
+    want = certify.certify_behavior(beh, n_resamples=200, seed=42)
+    assert (dataio.emit_report(got, tmp_path / "got").read_bytes()
+            == dataio.emit_report(want, tmp_path / "want").read_bytes())
+    # a flag or a fraction is refused, with counts or without
+    for table in (beh, ideal_memory_behavior):
+        for bad in (dict(seed=True), dict(seed=1.0), dict(n_resamples=2.5),
+                    dict(n_resamples=True)):
+            with pytest.raises(ValidationError, match="is not an integer"):
+                certify.certify_behavior(table, **bad)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        certify.bootstrap_errors(beh, 2.5)

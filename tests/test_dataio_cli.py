@@ -628,6 +628,11 @@ class _RefusingGenerator(np.random.Generator):
             raise AssertionError("drew the resamples of an oversized resample count")
         return super().multinomial(n, pvals)
 
+    def binomial(self, n, p, size=None):
+        if size is not None:
+            raise AssertionError("drew the resamples of an oversized resample count")
+        return super().binomial(n, p)
+
 
 def test_cli_resample_limit(tmp_path, capsys, monkeypatch):
     # the resample count, and its product with the number of resampled rows,
@@ -637,6 +642,11 @@ def test_cli_resample_limit(tmp_path, capsys, monkeypatch):
     config = write(tmp_path, "big.yaml", f"shots: 100\nresamples: {10**9}\n")
     wide = write(tmp_path, "wide.csv", "x,a,b,count\n" + "".join(
         f"s{x},{a},{b},10\n" for x in range(1000) for a in (0, 1) for b in (0, 1)))
+    # gamma + 2 ACDE = 2 here, so no do row would be drawn, yet the cap counts them
+    uniform = write(tmp_path, "uniform.csv", "x,a,b,count\n" + "".join(
+        f"s{x},{a},{b},10\n" for x in range(5) for a in (0, 1) for b in (0, 1)))
+    uniform_do = write(tmp_path, "uniform_do.csv", "do_a,x,b,count\n" + "".join(
+        f"{a},s{x},{b},10\n" for a in (0, 1) for x in range(5) for b in (0, 1)))
     out = tmp_path / "out"
     for argv, name in (
         (CERTIFY_ARGV + ["--resamples", str(certify.MAX_RESAMPLES + 1)], "--resamples"),
@@ -646,6 +656,10 @@ def test_cli_resample_limit(tmp_path, capsys, monkeypatch):
         # R is within MAX_RESAMPLES, but R times the 1000 setting rows is not
         (["certify", "--counts", str(wide), "--resamples", "100000"],
          "100000 times 1000 table rows"),
+        # R times the 5 setting rows is within the cap, R times them and the
+        # 10 do rows is not
+        (["certify", "--counts", str(uniform), "--do-counts", str(uniform_do), "--resamples",
+          str(certify.MAX_RESAMPLES)], f"{certify.MAX_RESAMPLES} times 15 table rows"),
     ):
         assert cli.main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
